@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,6 +57,18 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _finite_array(value, shape: tuple, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where} is not numeric: {exc}") from exc
+    if arr.shape != shape:
+        raise ValidationError(f"{where} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{where} contains non-finite numbers")
+    return arr
+
+
 def load_scenario(path) -> Scenario:
     """Parse and dimension-validate a scenario file."""
     path = Path(path)
@@ -88,6 +99,10 @@ def load_scenario(path) -> Scenario:
     sim = _require(raw, "sim", "")
     t_end = float(_require(sim, "t_end", "sim"))
     dt = float(_require(sim, "dt", "sim"))
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValidationError(f"sim.dt must be a positive number, got {dt}")
+    if not (np.isfinite(t_end) and t_end >= dt):
+        raise ValidationError(f"sim.t_end must be a finite number >= sim.dt, got {t_end}")
 
     agents = []
     names = set()
@@ -119,27 +134,22 @@ def load_scenario(path) -> Scenario:
     xi0_raw = _require(init, "xi0", "init")
     x0, xi0 = {}, {}
     for name, ag in agents:
-        vec = np.asarray(_require(x0_raw, name, "init.x0"), dtype=float)
-        if vec.shape != (ag.n,):
-            raise ValidationError(f"init.x0[{name}] has shape {vec.shape}, expected ({ag.n},)")
-        x0[name] = vec
-        vec = np.asarray(_require(xi0_raw, name, "init.xi0"), dtype=float)
-        if vec.shape != (leader.q,):
-            raise ValidationError(f"init.xi0[{name}] has shape {vec.shape}, expected ({leader.q},)")
-        xi0[name] = vec
-    zeta0 = np.asarray(init.get("zeta0", np.zeros(leader.q)), dtype=float)
-    if zeta0.shape != (leader.q,):
-        raise ValidationError(f"init.zeta0 has shape {zeta0.shape}, expected ({leader.q},)")
+        x0[name] = _finite_array(_require(x0_raw, name, "init.x0"), (ag.n,), f"init.x0[{name}]")
+        xi0[name] = _finite_array(
+            _require(xi0_raw, name, "init.xi0"), (leader.q,), f"init.xi0[{name}]"
+        )
+    zeta0 = _finite_array(init.get("zeta0", np.zeros(leader.q)), (leader.q,), "init.zeta0")
 
     k1_override = None
     if raw.get("k1_override"):
         k1_override = {}
+        dims = {name: (ag.m, ag.n) for name, ag in agents}
         for name, mat in raw["k1_override"].items():
             if name not in names:
                 raise ValidationError(f"k1_override references unknown agent `{name}`")
-            k1_override[name] = np.asarray(mat, dtype=float)
+            k1_override[name] = _finite_array(mat, dims[name], f"k1_override[{name}]")
 
-    for block in (leader.S, leader.w0, zeta0):
+    for block in (leader.S, leader.w0):
         if not np.all(np.isfinite(block)):
             raise ValidationError("scenario contains non-finite numbers")
 
@@ -195,7 +205,7 @@ def run_design(scenario: Scenario) -> DesignBundle:
 
 
 def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
-    """Policy iteration per agent (concurrently); returns name -> PiTrace."""
+    """Policy iteration per agent; returns name -> PiTrace."""
     def one(ad: AgentDesign):
         try:
             return ad.name, policy_iteration.run_pi(
@@ -204,8 +214,7 @@ def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
         except ToolkitError as exc:
             raise type(exc)(f"agent {ad.name} (learn): {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=min(8, len(bundle.per_agent))) as pool:
-        return dict(pool.map(one, bundle.per_agent))
+    return dict(map(one, bundle.per_agent))
 
 
 def optimal_gain_sets(bundle: DesignBundle, traces: dict) -> dict:
@@ -312,10 +321,8 @@ def write_trajectory_csv(path: Path, scenario: Scenario, traj: simulator.Traject
             cols.append(stream.x[:, k])
     data = np.column_stack(cols)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(f).writerow(header)  # quotes any agent name that needs it
+        np.savetxt(f, data, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def write_error_svg(path: Path, scenario: Scenario, traj: simulator.Trajectory):

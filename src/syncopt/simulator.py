@@ -3,9 +3,10 @@ of the per-agent augmented error systems, plus tracking and cost metrics.
 
 The network (leader, compensators, local generators, followers under the
 distributed protocol) is one large LTI system; it is assembled once as a
-block matrix and integrated with classical 4th-order Runge-Kutta. Inputs and
-tracking errors are memoryless functions of the state and are recomputed per
-sample after integration.
+block matrix and integrated with classical 4th-order Runge-Kutta, applied as
+its precomputed one-step map (see `_rk4`). Inputs and tracking errors are
+memoryless functions of the state and are recomputed per sample after
+integration.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .numkernel import is_hurwitz
 from .protocol import AugmentedPlant, GainSet, design_compensator
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
+
+# Chunked RK4 propagation: byte budget of the stack of step-map powers and
+# of one column block while building the step map, and the longest chunk.
+_BLOCK_BYTES = 2 << 20
+_MAX_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -59,26 +66,73 @@ class TrackingMetrics:
     settle_time: float | None  # None when the error never settles below 1e-2
 
 
+def _chunk_length(n: int) -> int:
+    """Longest stack R^1..R^B of n x n step-map powers one chunk may use."""
+    return max(1, min(_MAX_CHUNK, _BLOCK_BYTES // (8 * n * n)))
+
+
+def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Write the RK4 step map R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
+    into `out`, by Horner, a block of columns at a time so that no n x n
+    temporary exists besides `out`."""
+    n = M.shape[0]
+    width = max(1, _BLOCK_BYTES // (8 * n))
+    for c0 in range(0, n, width):
+        w = min(width, n - c0)
+        diag = (np.arange(c0, c0 + w), np.arange(w))  # identity entries
+        p = np.zeros((n, w))
+        p[diag] = 1.0
+        tmp = np.empty((n, w))
+        for d in (4.0, 3.0, 2.0, 1.0):
+            np.matmul(M, p, out=tmp)
+            tmp *= h / d
+            tmp[diag] += 1.0
+            p, tmp = tmp, p
+        out[:, c0 : c0 + w] = p
+
+
 def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4 for dy = M y; returns (times, samples)."""
+    """Classical fixed-step RK4 for dy = M y; returns (times, samples).
+
+    For a linear system one RK4 step is exactly y <- R y with R the RK4
+    stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I),
+    so R is built once and the samples are emitted in chunks,
+    out[k+1 : k+1+b] = (R^1 .. R^b) out[k]. Powers are stacked only while
+    their entries stay below BLOWUP_LIMIT, so a zero state stays exactly
+    zero under an unstable M instead of becoming inf * 0.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
     steps = int(np.floor(t_end / dt + 1e-9))
     times = np.arange(steps + 1) * dt
-    out = np.empty((steps + 1, len(y0)))
-    y = np.asarray(y0, dtype=float).copy()
-    out[0] = y
-    for k in range(steps):
-        k1 = M @ y
-        k2 = M @ (y + 0.5 * dt * k1)
-        k3 = M @ (y + 0.5 * dt * k2)
-        k4 = M @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(y).max() > BLOWUP_LIMIT:
-            raise NumericalError(f"state blow-up at t = {times[k + 1]:.6g}")
-        out[k + 1] = y
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise NumericalError("non-finite initial state")
+    n = len(y0)
+
+    powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
+    _step_map(M, dt, out=powers[0])
+    del M  # a caller that passes a temporary frees the system matrix here
+    chunk = 1
+    while chunk < len(powers):
+        np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
+        if not np.abs(powers[chunk]).max() <= BLOWUP_LIMIT:
+            break
+        chunk += 1
+    flat = powers.reshape(-1, n)
+
+    out = np.empty((steps + 1, n))
+    out[0] = y0
+    for k in range(0, steps, chunk):
+        b = min(chunk, steps - k)
+        rows = out[k + 1 : k + 1 + b]
+        np.dot(flat[: b * n], out[k], out=rows.reshape(-1))
+        bad = ~np.isfinite(rows) | (np.abs(rows) > BLOWUP_LIMIT)
+        if bad.any():
+            first = k + 1 + int(np.argmax(bad.any(axis=1)))
+            raise NumericalError(f"state blow-up at t = {times[first]:.6g}")
     return times, out
 
 
@@ -109,27 +163,6 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
     z_off = [q + N * q + i * q for i in range(N)]
     dim = q + 2 * N * q + sum(n_list)
 
-    M = np.zeros((dim, dim))
-    M[:q, :q] = leader.S
-    adj = topo.adjacency
-    for i, (name, ag) in enumerate(agents):
-        node = i + 1
-        a = design.alphas[i]
-        sl = slice(xi_off[i], xi_off[i] + q)
-        M[sl, sl] += leader.S + a * topo.in_degrees[node] * np.eye(q)
-        for j in range(N + 1):
-            if adj[node, j]:
-                src = slice(0, q) if j == 0 else slice(xi_off[j - 1], xi_off[j - 1] + q)
-                M[sl, src] += -a * np.eye(q)
-        zl = slice(z_off[i], z_off[i] + q)
-        M[zl, zl] = design.s_shifted
-        g = gains[name]
-        xl = slice(x_off[i], x_off[i] + ag.n)
-        M[xl, xl] = ag.A - ag.B @ g.K1
-        M[xl, sl] = -ag.B @ g.K2
-        M[xl, zl] = -ag.B @ g.K3
-        M[xl, :q] = ag.E
-
     y0 = np.zeros(dim)
     y0[:q] = leader.w0
     for i, (name, ag) in enumerate(agents):
@@ -137,7 +170,11 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
         y0[z_off[i] : z_off[i] + q] = scenario.zeta0
         y0[x_off[i] : x_off[i] + ag.n] = scenario.x0[name]
 
-    times, samples = _rk4(M, y0, t_end, dt)
+    # the matrix is passed as a temporary so that _rk4 can free it once the
+    # step map is built, before the samples are allocated
+    times, samples = _rk4(
+        _network_matrix(scenario, gains, design, xi_off, z_off, x_off, dim), y0, t_end, dt
+    )
     w = samples[:, :q]
     followers = {}
     for i, (name, ag) in enumerate(agents):
@@ -151,13 +188,40 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
     return Trajectory(times=times, leader_states=w, followers=followers)
 
 
+def _network_matrix(scenario, gains, design, xi_off, z_off, x_off, dim) -> np.ndarray:
+    """Block system matrix of the closed-loop network in the state layout
+    [leader | compensators | local generators | followers]."""
+    leader = scenario.leader
+    topo = scenario.topology
+    q = leader.q
+    M = np.zeros((dim, dim))
+    M[:q, :q] = leader.S
+    adj = topo.adjacency
+    for i, (name, ag) in enumerate(scenario.agents):
+        node = i + 1
+        a = design.alphas[i]
+        sl = slice(xi_off[i], xi_off[i] + q)
+        M[sl, sl] += leader.S + a * topo.in_degrees[node] * np.eye(q)
+        for j in range(topo.n_followers + 1):
+            if adj[node, j]:
+                src = slice(0, q) if j == 0 else slice(xi_off[j - 1], xi_off[j - 1] + q)
+                M[sl, src] += -a * np.eye(q)
+        zl = slice(z_off[i], z_off[i] + q)
+        M[zl, zl] = design.s_shifted
+        g = gains[name]
+        xl = slice(x_off[i], x_off[i] + ag.n)
+        M[xl, xl] = ag.A - ag.B @ g.K1
+        M[xl, sl] = -ag.B @ g.K2
+        M[xl, zl] = -ag.B @ g.K3
+        M[xl, :q] = ag.E
+    return M
+
+
 def simulate_augmented(plant: AugmentedPlant, K, X0, t_end: float, dt: float) -> AugmentedTrajectory:
     """Integrate the closed augmented error system dX = (A - B K) X."""
     K = np.asarray(K, dtype=float)
     X0 = np.asarray(X0, dtype=float)
     Acl = plant.A - plant.B @ K
-    from .numkernel import is_hurwitz  # local import avoids cycle at module load
-
     if not is_hurwitz(Acl):
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
     times, X = _rk4(Acl, X0, t_end, dt)

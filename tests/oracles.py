@@ -1,7 +1,9 @@
 """Independent numerical oracles used only by the test suite.
 
 The Riccati oracle goes through the Hamiltonian matrix's stable invariant
-subspace and never touches the policy-iteration code path it checks.
+subspace and never touches the policy-iteration code path it checks. The
+RK4 oracle is the textbook four-stage loop, independent of the step-map
+integrator it checks.
 """
 
 import numpy as np
@@ -59,3 +61,25 @@ def random_stabilizable_plant(rng, min_order=2, max_order=5):
                 A=A, B=B, C=C, D=D, Phi=np.zeros((n, 1)), Psi=np.zeros((p, 1))
             )
             return plant, K0
+
+
+def rk4_loop(M, y0, steps, dt, limit=np.inf):
+    """Textbook four-stage RK4 for dy = M y over `steps` steps of `dt`.
+
+    Returns the samples, one row per step from y0 on. It stops after the
+    first sample whose largest magnitude exceeds `limit`, so a returned
+    array shorter than steps + 1 rows ends at that sample.
+    """
+    M = np.asarray(M, dtype=float)
+    y = np.asarray(y0, dtype=float).copy()
+    out = [y]
+    for _ in range(steps):
+        k1 = M @ y
+        k2 = M @ (y + 0.5 * dt * k1)
+        k3 = M @ (y + 0.5 * dt * k2)
+        k4 = M @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+        if np.abs(y).max() > limit:
+            break
+    return np.array(out)

@@ -1,9 +1,11 @@
+import copy
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from syncopt import cli
+from syncopt import cli, simulator
 from syncopt.errors import ValidationError
 
 SCENARIO = cli.bundled_scenario_path()
@@ -52,6 +54,28 @@ class TestLoadScenario:
     def test_missing_initial_state(self, tmp_path, scenario_dict):
         del scenario_dict["init"]["x0"]["agent3"]
         with pytest.raises(ValidationError, match="init.x0.*agent3"):
+            cli.load_scenario(write_scenario(tmp_path, scenario_dict))
+
+    @pytest.mark.parametrize("dt, t_end", [(0.0, 20.0), (-1e-3, 20.0), (float("nan"), 20.0),
+                                           (1e-3, 5e-4), (1e-3, -1.0), (1e-3, float("inf"))])
+    def test_bad_time_grid_rejected(self, tmp_path, scenario_dict, dt, t_end):
+        scenario_dict["sim"] = {"dt": dt, "t_end": t_end}
+        with pytest.raises(ValidationError, match="sim"):
+            cli.load_scenario(write_scenario(tmp_path, scenario_dict))
+
+    @pytest.mark.parametrize("field", ["x0", "xi0"])
+    def test_nonfinite_initial_state_rejected(self, tmp_path, scenario_dict, field):
+        scenario_dict["init"][field]["agent2"][0] = float("nan")
+        with pytest.raises(ValidationError, match=f"init.{field}.*agent2.*non-finite"):
+            cli.load_scenario(write_scenario(tmp_path, scenario_dict))
+
+    @pytest.mark.parametrize("k1, match", [
+        ([[float("inf"), 0, 3], [0, 0, 0]], "non-finite"),
+        ([[4, 0, 3]], "shape"),
+    ])
+    def test_bad_k1_override_rejected(self, tmp_path, scenario_dict, k1, match):
+        scenario_dict["k1_override"]["agent1"] = k1
+        with pytest.raises(ValidationError, match=f"k1_override.*agent1.*{match}"):
             cli.load_scenario(write_scenario(tmp_path, scenario_dict))
 
 
@@ -126,3 +150,38 @@ class TestCommands:
     def test_seeded_w0_deterministic(self):
         assert np.array_equal(cli.seeded_w0(2, 42), cli.seeded_w0(2, 42))
         assert np.linalg.norm(cli.seeded_w0(2, 42)) > 0
+
+    @pytest.mark.parametrize("verb", ["simulate", "learn"])
+    def test_bad_scenario_exits_2(self, tmp_path, scenario_dict, capsys, verb):
+        bad_dt, bad_x0 = copy.deepcopy(scenario_dict), copy.deepcopy(scenario_dict)
+        bad_dt["sim"]["dt"] = 0.0
+        bad_x0["init"]["x0"]["agent1"][0] = float("nan")
+        for payload in (bad_dt, bad_x0):
+            path = write_scenario(tmp_path, payload)
+            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
+            assert "validation failure" in capsys.readouterr().err
+
+    def test_csv_bytes_match_row_writer(self, tmp_path, paper_scenario, paper_bundle):
+        gains = {ad.name: ad.initial for ad in paper_bundle.per_agent}
+        traj = simulator.simulate_network(paper_scenario, gains, t_end=0.5, dt=1e-3)
+        path = tmp_path / "new.csv"
+        cli.write_trajectory_csv(path, paper_scenario, traj)
+        assert path.read_bytes() == row_writer_csv(tmp_path / "old.csv", paper_scenario, traj)
+
+
+def row_writer_csv(path, scenario, traj) -> bytes:
+    """The trajectory CSV written one `csv.writer` row at a time."""
+    header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
+    cols = [traj.times] + [traj.leader_states[:, k] for k in range(scenario.leader.q)]
+    for name, ag in scenario.agents:
+        stream = traj.followers[name]
+        header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
+        cols += [stream.e[:, k] for k in range(ag.p)]
+        header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
+        cols += [stream.x[:, k] for k in range(ag.n)]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in np.column_stack(cols):
+            writer.writerow([f"{v:.17g}" for v in row])
+    return path.read_bytes()

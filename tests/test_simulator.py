@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import rk4_loop
 from syncopt import simulator
 from syncopt.errors import NumericalError
 from syncopt.plant import LeaderModel
@@ -21,15 +22,52 @@ def initial_gain_sets(bundle):
     return {ad.name: ad.initial for ad in bundle.per_agent}
 
 
+def destabilized_gain_sets(bundle):
+    # flip the sign of K1 for one agent
+    gains = dict(initial_gain_sets(bundle))
+    g = gains["agent1"]
+    gains["agent1"] = dataclasses.replace(g, K1=-5 * g.K1)
+    return gains
+
+
+def zero_start(scenario):
+    return dataclasses.replace(
+        scenario,
+        leader=LeaderModel(S=scenario.leader.S, w0=np.zeros(2)),
+        x0={k: np.zeros_like(v) for k, v in scenario.x0.items()},
+        xi0={k: np.zeros_like(v) for k, v in scenario.xi0.items()},
+        zeta0=np.zeros(2),
+    )
+
+
+def captured_rk4_inputs(monkeypatch):
+    """Record (M, y0) of every _rk4 call made while the patch is active."""
+    calls = []
+    original = simulator._rk4
+
+    def recording(M, y0, t_end, dt):
+        calls.append((M.copy(), np.array(y0, dtype=float)))
+        return original(M, y0, t_end, dt)
+
+    monkeypatch.setattr(simulator, "_rk4", recording)
+    return calls
+
+
+def assert_rows_close(got, want, rtol):
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
+def stable_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a - (np.linalg.eigvals(a).real.max() + 0.3) * np.eye(n)
+
+
 class TestSimulateNetwork:
     def test_zero_initial_conditions_equilibrium(self, paper_scenario, paper_bundle):
-        scenario = dataclasses.replace(
-            paper_scenario,
-            leader=LeaderModel(S=paper_scenario.leader.S, w0=np.zeros(2)),
-            x0={k: np.zeros_like(v) for k, v in paper_scenario.x0.items()},
-            xi0={k: np.zeros_like(v) for k, v in paper_scenario.xi0.items()},
-            zeta0=np.zeros(2),
-        )
+        scenario = zero_start(paper_scenario)
         traj = simulator.simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
@@ -77,13 +115,74 @@ class TestSimulateNetwork:
                 paper_scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=0.0
             )
 
-    def test_blowup_detected(self, paper_scenario, paper_bundle):
-        # destabilized gain set: flip the sign of K1 for one agent
-        gains = dict(initial_gain_sets(paper_bundle))
-        g = gains["agent1"]
-        gains["agent1"] = dataclasses.replace(g, K1=-5 * g.K1)
-        with pytest.raises(NumericalError, match="blow-up"):
+    def test_blowup_detected(self, paper_scenario, paper_bundle, monkeypatch):
+        calls = captured_rk4_inputs(monkeypatch)
+        gains = destabilized_gain_sets(paper_bundle)
+        with pytest.raises(NumericalError, match="blow-up") as info:
             simulator.simulate_network(paper_scenario, gains, t_end=40.0, dt=1e-3)
+        # the textbook loop trips the guard at the same step
+        (M, y0), = calls
+        ref = rk4_loop(M, y0, 40000, 1e-3, limit=simulator.BLOWUP_LIMIT)
+        assert len(ref) <= 40000
+        assert str(info.value) == f"state blow-up at t = {(len(ref) - 1) * 1e-3:.6g}"
+
+    def test_zero_start_stays_zero_under_destabilizing_gains(self, paper_scenario, paper_bundle):
+        traj = simulator.simulate_network(
+            zero_start(paper_scenario), destabilized_gain_sets(paper_bundle), t_end=40.0, dt=1e-3
+        )
+        for stream in traj.followers.values():
+            assert np.abs(stream.x).max() == 0.0
+            assert np.abs(stream.e).max() == 0.0
+
+    def test_matches_textbook_rk4_on_paper_network(self, paper_scenario, paper_bundle, monkeypatch):
+        calls = captured_rk4_inputs(monkeypatch)
+        simulator.simulate_network(
+            paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
+        )
+        (M, y0), = calls
+        times, samples = simulator._rk4(M, y0, 20.0, 1e-3)
+        assert len(times) == 20001
+        assert_rows_close(samples, rk4_loop(M, y0, 20000, 1e-3), rtol=1e-10)
+
+
+CHUNK = simulator._chunk_length(6)  # powers per chunk for a 6-state system
+
+
+class TestRk4StepMap:
+    @pytest.mark.parametrize("steps", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_step_counts_around_chunk_length(self, steps):
+        M, y0 = stable_matrix(6, seed=4), np.linspace(-1.0, 1.0, 6)
+        times, samples = simulator._rk4(M, y0, steps * 0.01, 0.01)
+        assert len(times) == steps + 1
+        assert np.array_equal(samples[0], y0)
+        assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-10)
+
+    @pytest.mark.parametrize("block_columns", [3, 7])
+    def test_step_map_is_rk4_polynomial(self, monkeypatch, block_columns):
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 8 * 7 * block_columns)
+        M, h = stable_matrix(7, seed=6), 0.05
+        hM = h * M
+        want = np.eye(7) + hM + hM @ hM / 2 + hM @ hM @ hM / 6 + hM @ hM @ hM @ hM / 24
+        got = np.empty((7, 7))
+        simulator._step_map(M, h, out=got)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulator._rk4(-np.eye(2), np.array([np.nan, 0.0]), 1.0, 1e-3)
+
+    def test_zero_start_stays_zero_when_powers_overflow(self):
+        # one step multiplies by about 644; R^128 would overflow to inf and
+        # inf * 0 is NaN, so the power stack must stop short of it
+        times, samples = simulator._rk4(1e4 * np.eye(3), np.zeros(3), 1.0, 1e-3)
+        assert len(times) == 1001
+        assert np.all(samples == 0.0)
+
+    def test_blowup_time_of_fast_growth(self):
+        M, y0 = 1e4 * np.eye(3), np.array([0.0, 1e-3, 0.0])
+        ref = rk4_loop(M, y0, 1000, 1e-3, limit=simulator.BLOWUP_LIMIT)
+        with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 1e-3:.6g}$"):
+            simulator._rk4(M, y0, 1.0, 1e-3)
 
 
 class TestSimulateAugmented:
@@ -169,13 +268,7 @@ class TestEvaluateCost:
 
 class TestTrackingMetrics:
     def test_zero_error_settles_immediately(self, paper_scenario, paper_bundle):
-        scenario = dataclasses.replace(
-            paper_scenario,
-            leader=LeaderModel(S=paper_scenario.leader.S, w0=np.zeros(2)),
-            x0={k: np.zeros_like(v) for k, v in paper_scenario.x0.items()},
-            xi0={k: np.zeros_like(v) for k, v in paper_scenario.xi0.items()},
-            zeta0=np.zeros(2),
-        )
+        scenario = zero_start(paper_scenario)
         traj = simulator.simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
