@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -52,9 +53,32 @@ def bundled_scenario_path(name: str = "paper_six_agents") -> Path:
 
 
 def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if not isinstance(mapping, dict) or key not in mapping:
         raise ValidationError(f"scenario missing field `{where}.{key}`" if where else f"scenario missing field `{key}`")
     return mapping[key]
+
+
+def _positive(value, where: str, integer: bool = False):
+    """A scenario number that is positive and finite, and whole if `integer`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value < math.inf) or (integer and value != int(value)):
+        kind = "integer" if integer else "number"
+        raise ValidationError(f"{where} must be a positive finite {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _read_json(path: Path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ValidationError(f"{path}: parse error: {exc}") from exc
 
 
 def _finite_array(value, shape: tuple, where: str) -> np.ndarray:
@@ -71,13 +95,7 @@ def _finite_array(value, shape: tuple, where: str) -> np.ndarray:
 
 def load_scenario(path) -> Scenario:
     """Parse and dimension-validate a scenario file."""
-    path = Path(path)
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-
+    raw = _read_json(Path(path))
     leader_raw = _require(raw, "leader", "")
     try:
         leader = LeaderModel(S=_require(leader_raw, "S", "leader"), w0=_require(leader_raw, "w0", "leader"))
@@ -86,27 +104,26 @@ def load_scenario(path) -> Scenario:
 
     topo_raw = _require(raw, "topology", "")
     topology = build_topology(
-        _require(topo_raw, "n_followers", "topology"), _require(topo_raw, "edges", "topology")
+        _positive(_require(topo_raw, "n_followers", "topology"), "topology.n_followers", True),
+        _list(_require(topo_raw, "edges", "topology"), "topology.edges"),
     )
 
     design = _require(raw, "design", "")
-    r = float(_require(design, "r", "design"))
-    epsilon = float(design.get("epsilon", policy_iteration.DEFAULT_EPSILON))
-    max_iter = int(design.get("max_iter", policy_iteration.DEFAULT_MAX_ITER))
-    if r <= 0 or epsilon <= 0:
-        raise ValidationError("design.r and design.epsilon must be positive")
+    r = _positive(_require(design, "r", "design"), "design.r")
+    epsilon = _positive(design.get("epsilon", policy_iteration.DEFAULT_EPSILON), "design.epsilon")
+    max_iter = _positive(
+        design.get("max_iter", policy_iteration.DEFAULT_MAX_ITER), "design.max_iter", True
+    )
 
     sim = _require(raw, "sim", "")
-    t_end = float(_require(sim, "t_end", "sim"))
-    dt = float(_require(sim, "dt", "sim"))
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValidationError(f"sim.dt must be a positive number, got {dt}")
-    if not (np.isfinite(t_end) and t_end >= dt):
-        raise ValidationError(f"sim.t_end must be a finite number >= sim.dt, got {t_end}")
+    t_end = _positive(_require(sim, "t_end", "sim"), "sim.t_end")
+    dt = _positive(_require(sim, "dt", "sim"), "sim.dt")
+    if t_end < dt:
+        raise ValidationError(f"sim.t_end must be >= sim.dt, got {t_end}")
 
     agents = []
     names = set()
-    for spec in _require(raw, "agents", ""):
+    for spec in _list(_require(raw, "agents", ""), "agents"):
         name = _require(spec, "name", "agents[]")
         if name in names:
             raise ValidationError(f"duplicate agent name `{name}`")
@@ -148,10 +165,6 @@ def load_scenario(path) -> Scenario:
             if name not in names:
                 raise ValidationError(f"k1_override references unknown agent `{name}`")
             k1_override[name] = _finite_array(mat, dims[name], f"k1_override[{name}]")
-
-    for block in (leader.S, leader.w0):
-        if not np.all(np.isfinite(block)):
-            raise ValidationError("scenario contains non-finite numbers")
 
     return Scenario(
         leader=leader, agents=agents, topology=topology, r=r, epsilon=epsilon,
@@ -218,15 +231,8 @@ def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
 
 
 def optimal_gain_sets(bundle: DesignBundle, traces: dict) -> dict:
-    """Network gain sets from converged traces: split Kic, rebuild K2."""
-    out = {}
-    for ad in bundle.per_agent:
-        kic = traces[ad.name].K
-        q = ad.agent.q
-        k3, k1 = kic[:, :q], kic[:, q:]
-        k2 = -k1 @ ad.reg.Pi - ad.reg.Gamma
-        out[ad.name] = protocol.GainSet(K1=k1, K2=k2, K3=k3, Kic=kic)
-    return out
+    """Network gain sets from converged traces."""
+    return {ad.name: protocol.GainSet.from_kic(traces[ad.name].K, ad.reg) for ad in bundle.per_agent}
 
 
 # ---------------------------------------------------------------------------
@@ -249,29 +255,24 @@ def _json_scalar(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _gains_json(g: protocol.GainSet) -> dict:
+    return {"K1": _mat(g.K1), "K2": _mat(g.K2), "K3": _mat(g.K3), "Kic": _mat(g.Kic)}
+
+
 def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario) -> dict:
     agents = {}
+    optimal = {} if traces is None else optimal_gain_sets(bundle, traces)
     for ad in bundle.per_agent:
         entry = {
             "Pi": _mat(ad.reg.Pi),
             "Gamma": _mat(ad.reg.Gamma),
             "regulator_residual": ad.reg.residual,
-            "initial": {
-                "K1": _mat(ad.initial.K1),
-                "K2": _mat(ad.initial.K2),
-                "K3": _mat(ad.initial.K3),
-                "Kic": _mat(ad.initial.Kic),
-            },
+            "initial": _gains_json(ad.initial),
         }
         if traces is not None:
             tr = traces[ad.name]
-            q = ad.agent.q
-            k1 = tr.K[:, q:]
             entry["optimal"] = {
-                "Kic": _mat(tr.K),
-                "K1": _mat(k1),
-                "K2": _mat(-k1 @ ad.reg.Pi - ad.reg.Gamma),
-                "K3": _mat(tr.K[:, :q]),
+                **_gains_json(optimal[ad.name]),
                 "P": _mat(tr.P),
                 "iterations": len(tr.iterates),
                 "converged": tr.converged,
@@ -291,19 +292,21 @@ def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario)
     }
 
 
-def load_gain_sets(path) -> dict:
-    """Reload network gain sets written by `learn`."""
-    with open(path) as f:
-        payload = json.load(f)
+def load_gain_sets(path, bundle: DesignBundle) -> dict:
+    """Reload the optimal gains written by `learn`.
+
+    Only each agent's `optimal.Kic` is read; K1, K2 and K3 are rebuilt from
+    the current design.
+    """
+    payload = _read_json(Path(path))
     out = {}
-    for name, entry in payload["agents"].items():
-        if "optimal" not in entry:
-            raise ValidationError(f"gains file {path} has no optimal gains for {name}")
-        opt = entry["optimal"]
-        out[name] = protocol.GainSet(
-            K1=np.asarray(opt["K1"]), K2=np.asarray(opt["K2"]),
-            K3=np.asarray(opt["K3"]), Kic=np.asarray(opt["Kic"]),
-        )
+    for ad in bundle.per_agent:
+        try:
+            kic = payload["agents"][ad.name]["optimal"]["Kic"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"gains file {path} has no optimal Kic for {ad.name}") from exc
+        kic = _finite_array(kic, ad.initial.Kic.shape, f"gains file {path}: optimal Kic of {ad.name}")
+        out[ad.name] = protocol.GainSet.from_kic(kic, ad.reg)
     return out
 
 
@@ -393,7 +396,7 @@ def cmd_learn(args) -> int:
     _write_json(out / "pi_trace.json", {
         name: [
             {"k": it.k, "gain_delta": it.gain_delta, "lyap_residual": it.lyap_residual,
-             "hurwitz": it.hurwitz}
+             "abscissa": it.abscissa}
             for it in tr.iterates
         ]
         for name, tr in traces.items()
@@ -414,7 +417,7 @@ def cmd_simulate(args) -> int:
     else:
         gains_file = Path(args.out) / "optimal_gains.json"
         if gains_file.exists():
-            gains = load_gain_sets(gains_file)
+            gains = load_gain_sets(gains_file, bundle)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
     traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
@@ -445,7 +448,7 @@ def cmd_compare(args) -> int:
         entry = {}
         for label, kic in (("initial", ad.initial.Kic), ("optimal", traces[ad.name].K)):
             run = simulator.simulate_augmented(ad.plant, kic, X0, scenario.t_end, scenario.dt)
-            P = policy_iteration.policy_evaluation(ad.plant, kic)
+            P, _ = policy_iteration.policy_evaluation(ad.plant, kic)
             cost = simulator.evaluate_cost(run, P)
             entry[label] = {
                 "J_quadrature": cost.j_quadrature,

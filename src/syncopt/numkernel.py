@@ -26,9 +26,6 @@ class Spectrum:
     values: np.ndarray  # complex, length = matrix order
     max_real: float
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _as_square(A, name: str = "A") -> np.ndarray:
     A = np.asarray(A, dtype=float)
@@ -56,12 +53,13 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     return spectrum(A).max_real < -margin
 
 
-def solve_lyapunov(Abar, Q) -> np.ndarray:
+def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float]:
     """Solve Abar^T P + P Abar + Q = 0 for symmetric PSD P.
 
     Abar must be Hurwitz and Q symmetric PSD; both are checked. The solve is
     a dense Kronecker vectorization, and the result is re-symmetrized and
-    verified by substitution.
+    verified by substitution. Returns P and the Frobenius norm of that
+    substitution residual.
     """
     Abar = _as_square(Abar, "Abar")
     Q = _as_square(Q, "Q")
@@ -89,7 +87,7 @@ def solve_lyapunov(Abar, Q) -> np.ndarray:
         )
     if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
         raise NumericalError("Lyapunov solution is not PSD within tolerance")
-    return P
+    return P, float(residual)
 
 
 def stabilize(A, B) -> np.ndarray:
@@ -115,7 +113,7 @@ def stabilize(A, B) -> np.ndarray:
     beta = np.linalg.norm(A, "fro") + 1.0
     shifted = -(A + beta * np.eye(n)).T  # Hurwitz by construction of beta
     try:
-        W = solve_lyapunov(shifted, 2.0 * B @ B.T)
+        W, _ = solve_lyapunov(shifted, 2.0 * B @ B.T)
         K = B.T @ np.linalg.inv(W)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         raise NumericalError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import is_hurwitz, solve_lyapunov
+from .numkernel import solve_lyapunov, spectrum
 from .protocol import AugmentedPlant
 
 DEFAULT_EPSILON = 1e-6
@@ -31,7 +31,7 @@ class PiIterate:
     K: np.ndarray  # improved gain produced from P
     gain_delta: float  # ||K^[k+1] - K^[k]||_F
     lyap_residual: float
-    hurwitz: bool
+    abscissa: float  # max real part of the spectrum of A - B K for the evaluated gain
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,13 @@ def _gram(plant: AugmentedPlant) -> np.ndarray:
     return g
 
 
-def policy_evaluation(plant: AugmentedPlant, K) -> np.ndarray:
-    """Cost matrix of the fixed gain K: solve the closed-loop Lyapunov
-    equation with the tracking-error weight (C - D K)^T (C - D K)."""
+def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float]:
+    """Cost matrix of the fixed gain K and its Lyapunov residual: solve the
+    closed-loop Lyapunov equation with the tracking-error weight
+    (C - D K)^T (C - D K). A gain that is not stabilizing is rejected."""
     K = np.asarray(K, dtype=float)
-    Abar = plant.A - plant.B @ K
-    if not is_hurwitz(Abar):
-        raise NumericalError("gain is not stabilizing; policy evaluation rejected")
     Cbar = plant.C - plant.D @ K
-    return solve_lyapunov(Abar, Cbar.T @ Cbar)
+    return solve_lyapunov(plant.A - plant.B @ K, Cbar.T @ Cbar)
 
 
 def policy_improvement(plant: AugmentedPlant, P) -> np.ndarray:
@@ -97,9 +95,10 @@ def run_pi(
     gain update falls below epsilon.
 
     Records every iterate and enforces the convergence guarantees at runtime:
-    each closed loop stays Hurwitz, the cost matrices decrease monotonically
-    (min-eigenvalue tolerance -1e-9), and the converged pair satisfies the
-    Riccati equation within 1e-8 relative to the error weight.
+    each closed loop stays Hurwitz (its spectral abscissa is recorded), the
+    cost matrices decrease monotonically (min-eigenvalue tolerance -1e-9),
+    and the converged pair satisfies the Riccati equation within 1e-8
+    relative to the error weight.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -110,13 +109,10 @@ def run_pi(
     iterates: list[PiIterate] = []
     p_prev = None
     for k in range(max_iter):
-        Abar = plant.A - plant.B @ K
-        if not is_hurwitz(Abar):
+        abscissa = spectrum(plant.A - plant.B @ K).max_real
+        if not abscissa < 0:
             raise NumericalError(f"gain at iteration {k} is not stabilizing")
-        Cbar = plant.C - plant.D @ K
-        Q = Cbar.T @ Cbar
-        P = solve_lyapunov(Abar, Q)
-        lyap_res = float(np.linalg.norm(Abar.T @ P + P @ Abar + Q, "fro"))
+        P, lyap_res = policy_evaluation(plant, K)
         if p_prev is not None:
             drop = np.linalg.eigvalsh(p_prev - P).min()
             if drop < MONOTONE_EIG_TOL:
@@ -127,7 +123,7 @@ def run_pi(
         K_next = policy_improvement(plant, P)
         delta = float(np.linalg.norm(K_next - K, "fro"))
         iterates.append(
-            PiIterate(k=k, P=P, K=K_next, gain_delta=delta, lyap_residual=lyap_res, hurwitz=True)
+            PiIterate(k=k, P=P, K=K_next, gain_delta=delta, lyap_residual=lyap_res, abscissa=abscissa)
         )
         if delta < epsilon:
             final_res = are_residual(plant, P)

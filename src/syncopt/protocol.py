@@ -55,6 +55,13 @@ class GainSet:
     K3: np.ndarray  # m x q, local-generator feedback
     Kic: np.ndarray  # m x (q+n) = [K3, K1]
 
+    @classmethod
+    def from_kic(cls, Kic: np.ndarray, reg: RegulatorSolution) -> GainSet:
+        """Split Kic = [K3, K1] and rebuild K2 from K1 Pi + K2 + Gamma = 0."""
+        q = reg.Pi.shape[1]
+        K1 = Kic[:, q:]
+        return cls(K1=K1, K2=-K1 @ reg.Pi - reg.Gamma, K3=Kic[:, :q], Kic=Kic)
+
 
 def design_compensator(leader: LeaderModel, topo: Topology, r: float) -> CompensatorDesign:
     """Pick alpha_i = -(lambda_M + r) / d_i for every follower.
@@ -84,35 +91,27 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     """Construct U mapping the stacked compensator error to the local
     zeta generators, plus the per-follower coupling scalars c_i and h_i.
 
-    Defining identity (M := S - (lambda_M + r) I_q):
-        (I_N (x) M)(U (x) I_q) = I_N (x) S + Lambda H (x) I_q.
-    When S is a scalar matrix this has the closed form U = I - Nstrict / r
+    Defining identity (M := S - (lambda_M + r) I_q), block by block:
+        U_ij M = delta_ij S + (Lambda H)_ij I_q.
+    It has two closed forms. When S is a scalar matrix, U = I - Nstrict / r
     with Nstrict = Lambda H + (lambda_M + r) I strictly triangular under a
-    topological order. Otherwise the least-squares solution is accepted only
-    if it satisfies the identity within tolerance.
+    topological order. Otherwise an off-diagonal block can only hold with
+    U_ij = 0 and the diagonal forces U_ii = 1, so U = I, which satisfies the
+    identity exactly when no follower feeds another (H diagonal); any other
+    graph fails the residual check.
     """
     q = leader.q
     N = topo.n_followers
     r, lam_m = design.r, design.lambda_M
     H = topo.h_matrix
-    lam_h = np.diag(design.alphas) @ H
+    lam_h = design.alphas[:, None] * H
     M = design.s_shifted
 
-    scalar_s = np.abs(leader.S - lam_m * np.eye(q)).max() <= 1e-12 * (1.0 + np.abs(lam_m))
-    if scalar_s:
+    if np.abs(leader.S - lam_m * np.eye(q)).max() <= 1e-12 * (1.0 + np.abs(lam_m)):
         n_strict = lam_h + (lam_m + r) * np.eye(N)
         U = np.eye(N) - n_strict / r
     else:
-        # Blocks decouple, so per-block Frobenius projection onto M is the
-        # exact least-squares solution for each U entry.
-        m_norm2 = np.linalg.norm(M, "fro") ** 2
-        U = np.empty((N, N))
-        for i in range(N):
-            for j in range(N):
-                target = lam_h[i, j] * np.eye(q)
-                if i == j:
-                    target = target + leader.S
-                U[i, j] = np.tensordot(M, target) / m_norm2
+        U = np.eye(N)
 
     residual = np.linalg.norm(
         np.kron(U, M) - np.kron(np.eye(N), leader.S) - np.kron(lam_h, np.eye(q)), "fro"
@@ -182,9 +181,7 @@ def initial_gains(
         if not is_hurwitz(agent.A - agent.B @ K1):
             raise ValidationError("provided K1 does not make A - B K1 Hurwitz")
 
-    K2 = -K1 @ reg.Pi - reg.Gamma
-    K3 = np.zeros((agent.m, agent.q))
-    Kic = np.hstack([K3, K1])
-    if plant is not None and not is_hurwitz(plant.A - plant.B @ Kic):
+    gains = GainSet.from_kic(np.hstack([np.zeros((agent.m, agent.q)), K1]), reg)
+    if plant is not None and not is_hurwitz(plant.A - plant.B @ gains.Kic):
         raise NumericalError("initial gain does not stabilize the augmented plant")
-    return GainSet(K1=K1, K2=K2, K3=K3, Kic=Kic)
+    return gains

@@ -8,6 +8,7 @@ Edge weights are unit only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +44,18 @@ def build_topology(n_followers: int, edges) -> Topology:
     """Construct the graph and all derived matrices from an edge list.
 
     Edges are ordered pairs (j, i) meaning agent i receives from agent j;
-    node 0 is the leader. Duplicate edges and self-edges are rejected.
+    node 0 is the leader. An edge that is not a pair of integers, a
+    duplicate edge and a self-edge are rejected.
     """
     n = int(n_followers)
     if n < 1:
         raise ValidationError("need at least one follower")
     seen = set()
     for e in edges:
-        j, i = int(e[0]), int(e[1])
+        try:
+            j, i = map(operator.index, e)
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {e!r} is not a pair of integers") from None
         if not (0 <= j <= n and 0 <= i <= n):
             raise ValidationError(f"edge ({j},{i}) references a node outside 0..{n}")
         if j == i:

@@ -111,6 +111,8 @@ class TestCommands:
         for entry in gains["agents"].values():
             assert entry["optimal"]["converged"]
             assert entry["optimal"]["are_residual"] < 1e-8
+        trace = json.loads((tmp_path / "pi_trace.json").read_text())
+        assert all(it["abscissa"] < 0 for iterates in trace.values() for it in iterates)
 
         rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"])
         assert rc == 0
@@ -151,15 +153,35 @@ class TestCommands:
         assert np.array_equal(cli.seeded_w0(2, 42), cli.seeded_w0(2, 42))
         assert np.linalg.norm(cli.seeded_w0(2, 42)) > 0
 
-    @pytest.mark.parametrize("verb", ["simulate", "learn"])
+    @pytest.mark.parametrize("verb", ["simulate", "learn", "validate"])
     def test_bad_scenario_exits_2(self, tmp_path, scenario_dict, capsys, verb):
-        bad_dt, bad_x0 = copy.deepcopy(scenario_dict), copy.deepcopy(scenario_dict)
-        bad_dt["sim"]["dt"] = 0.0
-        bad_x0["init"]["x0"]["agent1"][0] = float("nan")
-        for payload in (bad_dt, bad_x0):
+        for keys, value in BAD_SCENARIO_FIELDS:
+            payload = copy.deepcopy(scenario_dict)
+            target = payload
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
             path = write_scenario(tmp_path, payload)
-            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
-            assert "validation failure" in capsys.readouterr().err
+            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2, (keys, value)
+            err = capsys.readouterr().err
+            assert "validation failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON"])
+    def test_bad_gains_file_exits_2(self, tmp_path, capsys, defect):
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
+        gains_file = tmp_path / "optimal_gains.json"
+        gains = json.loads(gains_file.read_text())
+        if defect == "missing agent":
+            del gains["agents"]["agent5"]
+        elif defect == "Kic shape":
+            gains["agents"]["agent2"]["optimal"]["Kic"] = [[1.0, 2.0, 3.0]]
+        text = json.dumps(gains)
+        gains_file.write_text(text[: len(text) // 2] if defect == "not JSON" else text)
+        capsys.readouterr()
+        rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "validation failure" in err and "Traceback" not in err
 
     def test_csv_bytes_match_row_writer(self, tmp_path, paper_scenario, paper_bundle):
         gains = {ad.name: ad.initial for ad in paper_bundle.per_agent}
@@ -167,6 +189,20 @@ class TestCommands:
         path = tmp_path / "new.csv"
         cli.write_trajectory_csv(path, paper_scenario, traj)
         assert path.read_bytes() == row_writer_csv(tmp_path / "old.csv", paper_scenario, traj)
+
+
+BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
+    (("sim", "dt"), 0.0),
+    (("init", "x0", "agent1", 0), float("nan")),
+    (("sim", "dt"), "abc"),
+    (("topology", "edges", 0), [0]),
+    (("topology", "edges", 0), 5),
+    (("topology", "edges", 0), [0.5, 1]),
+    (("topology", "n_followers"), "x"),
+    (("design", "max_iter"), 0),
+    (("agents",), 5),
+    (("design", "r"), float("nan")),
+]
 
 
 def row_writer_csv(path, scenario, traj) -> bytes:

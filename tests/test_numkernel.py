@@ -64,11 +64,11 @@ class TestIsHurwitz:
 
 class TestSolveLyapunov:
     def test_negative_identity(self):
-        p = solve_lyapunov(-np.eye(2), np.eye(2))
+        p, _ = solve_lyapunov(-np.eye(2), np.eye(2))
         assert np.allclose(p, 0.5 * np.eye(2))
 
     def test_decoupled_scalars(self):
-        p = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        p, _ = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
         assert np.allclose(p, np.diag([0.5, 0.25]))
 
     def test_random_residual(self):
@@ -77,7 +77,7 @@ class TestSolveLyapunov:
         a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4)
         g = rng.standard_normal((4, 4))
         q = g @ g.T
-        p = solve_lyapunov(a, q)
+        p, _ = solve_lyapunov(a, q)
         res = np.linalg.norm(a.T @ p + p @ a + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
         assert np.array_equal(p, p.T)
@@ -97,7 +97,7 @@ class TestSolveLyapunov:
             a = rng.standard_normal((3, 3))
             a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.1, 1.0)) * np.eye(3)
             assert is_hurwitz(a)
-            p = solve_lyapunov(a, np.eye(3))
+            p, _ = solve_lyapunov(a, np.eye(3))
             assert np.linalg.eigvalsh(p).min() > 0
 
 

@@ -22,22 +22,23 @@ def scalar_plant(a=-1.0, b=1.0, c=1.0, d=1.0):
 class TestPolicyEvaluation:
     def test_zero_cost_gain(self):
         # K = 1 cancels the output exactly: Q = (c - d*k)^2 = 0
-        p = policy_evaluation(scalar_plant(), np.array([[1.0]]))
+        p, _ = policy_evaluation(scalar_plant(), np.array([[1.0]]))
         assert p[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_hand_solve(self):
         # closed loop -1, Q = 1: -2p + 1 = 0
-        p = policy_evaluation(scalar_plant(), np.array([[0.0]]))
+        p, _ = policy_evaluation(scalar_plant(), np.array([[0.0]]))
         assert p[0, 0] == pytest.approx(0.5)
 
     def test_paper_agent1_residual(self, paper_bundle):
         ad = paper_bundle.per_agent[0]
-        p = policy_evaluation(ad.plant, ad.initial.Kic)
+        p, reported = policy_evaluation(ad.plant, ad.initial.Kic)
         abar = ad.plant.A - ad.plant.B @ ad.initial.Kic
         cbar = ad.plant.C - ad.plant.D @ ad.initial.Kic
         q = cbar.T @ cbar
         res = np.linalg.norm(abar.T @ p + p @ abar + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
+        assert reported == res
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(NumericalError):
@@ -95,7 +96,7 @@ class TestRunPi:
 
     def test_iterates_monotone_and_hurwitz(self, paper_traces):
         for trace in paper_traces.values():
-            assert all(it.hurwitz for it in trace.iterates)
+            assert all(it.abscissa < 0 for it in trace.iterates)
             for prev, cur in zip(trace.iterates, trace.iterates[1:]):
                 assert np.linalg.eigvalsh(prev.P - cur.P).min() >= -1e-9
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import paper_tables
+from syncopt import cli
 from syncopt.errors import NumericalError, ValidationError
 from syncopt.numkernel import is_hurwitz
 from syncopt.plant import AgentDynamics, LeaderModel
@@ -69,6 +70,15 @@ class TestBuildTransform:
         tf = build_transform(design, topo, leader)
         assert np.allclose(tf.c, [1, 3, 3, 7, 15])
         assert np.allclose(tf.h, [1, 2, 2, 8, 8])
+
+    @pytest.mark.parametrize("S", [[[0, 1], [-1, 0]], [[0, 1], [0, 0]], [[1, 2], [0, -1]]])
+    def test_nonscalar_leader_star_is_identity(self, S):
+        # no follower->follower edge: H is diagonal and U = I exactly
+        topo = build_topology(3, [(0, 1), (0, 2), (0, 3)])
+        leader = LeaderModel(S=S, w0=[1, 0])
+        tf = build_transform(design_compensator(leader, topo, 1.0), topo, leader)
+        assert np.array_equal(tf.U, np.eye(3))
+        assert tf.residual < 1e-12
 
     def test_nonscalar_leader_rejected(self):
         # with a nontrivial coupling the defining identity has no solution
@@ -140,11 +150,13 @@ class TestInitialGains:
         assert np.allclose(gains.K2, -reg.Gamma)
         assert np.array_equal(gains.K3, np.zeros((1, 1)))
 
-    def test_gain_identity(self, paper_bundle):
+    def test_gain_identity(self, paper_bundle, paper_traces):
+        optimal = cli.optimal_gain_sets(paper_bundle, paper_traces)
         for ad in paper_bundle.per_agent:
-            g = ad.initial
-            res = np.linalg.norm(g.K1 @ ad.reg.Pi + g.K2 + ad.reg.Gamma, "fro")
-            assert res < 1e-9 * (1 + np.linalg.norm(ad.reg.Gamma, "fro"))
+            for g in (ad.initial, optimal[ad.name]):
+                res = np.linalg.norm(g.K1 @ ad.reg.Pi + g.K2 + ad.reg.Gamma, "fro")
+                assert res < 1e-9 * (1 + np.linalg.norm(ad.reg.Gamma, "fro"))
+                assert np.array_equal(g.Kic, np.hstack([g.K3, g.K1]))
 
     def test_augmented_loop_hurwitz(self, paper_bundle):
         for ad in paper_bundle.per_agent:

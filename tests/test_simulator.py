@@ -233,7 +233,7 @@ class TestSimulateAugmented:
 
     def test_lyapunov_energy_decay(self, paper_bundle):
         ad = paper_bundle.per_agent[0]
-        p = policy_evaluation(ad.plant, ad.initial.Kic)
+        p, _ = policy_evaluation(ad.plant, ad.initial.Kic)
         x0 = np.ones(ad.plant.order)
         run = simulator.simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=5.0, dt=1e-3)
         energy = np.einsum("ti,ij,tj->t", run.X, p, run.X)
@@ -244,7 +244,7 @@ class TestEvaluateCost:
     def test_zero_start(self):
         plant = scalar_plant()
         run = simulator.simulate_augmented(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 1))))
+        report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 1)))[0])
         assert report.j_quadrature == 0.0
         assert report.j_closed_form == 0.0
 
@@ -253,7 +253,7 @@ class TestEvaluateCost:
         plant = scalar_plant()
         k = np.zeros((1, 1))
         run = simulator.simulate_augmented(plant, k, np.ones(1), t_end=20.0, dt=1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, k))
+        report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
         assert report.j_closed_form == pytest.approx(0.5)
         assert report.j_quadrature == pytest.approx(0.5, abs=1e-4)
         assert report.horizon_warning is None
@@ -262,7 +262,7 @@ class TestEvaluateCost:
         plant = scalar_plant()
         k = np.zeros((1, 1))
         run = simulator.simulate_augmented(plant, k, np.ones(1), t_end=1.0, dt=1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, k))
+        report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
         assert report.horizon_warning is not None
 
 
