@@ -103,10 +103,8 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"leader: {exc}") from exc
 
     topo_raw = _require(raw, "topology", "")
-    topology = build_topology(
-        _positive(_require(topo_raw, "n_followers", "topology"), "topology.n_followers", True),
-        _list(_require(topo_raw, "edges", "topology"), "topology.edges"),
-    )
+    n_followers = _positive(_require(topo_raw, "n_followers", "topology"), "topology.n_followers", True)
+    edges = _list(_require(topo_raw, "edges", "topology"), "topology.edges")
 
     design = _require(raw, "design", "")
     r = _positive(_require(design, "r", "design"), "design.r")
@@ -125,6 +123,8 @@ def load_scenario(path) -> Scenario:
     names = set()
     for spec in _list(_require(raw, "agents", ""), "agents"):
         name = _require(spec, "name", "agents[]")
+        if not isinstance(name, str):
+            raise ValidationError(f"agent name must be a string, got {name!r}")
         if name in names:
             raise ValidationError(f"duplicate agent name `{name}`")
         names.add(name)
@@ -141,10 +141,9 @@ def load_scenario(path) -> Scenario:
                 f"agent {name}: E/F have {ag.q} columns, leader order is {leader.q}"
             )
         agents.append((name, ag))
-    if len(agents) != topology.n_followers:
-        raise ValidationError(
-            f"{len(agents)} agents declared for {topology.n_followers} followers"
-        )
+    if len(agents) != n_followers:
+        raise ValidationError(f"{len(agents)} agents declared for {n_followers} followers")
+    topology = build_topology(n_followers, edges)
 
     init = _require(raw, "init", "")
     x0_raw = _require(init, "x0", "init")
@@ -157,8 +156,14 @@ def load_scenario(path) -> Scenario:
         )
     zeta0 = _finite_array(init.get("zeta0", np.zeros(leader.q)), (leader.q,), "init.zeta0")
 
+    seed = init.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ValidationError(f"init.seed must be an integer, got {seed!r}")
+
     k1_override = None
     if raw.get("k1_override"):
+        if not isinstance(raw["k1_override"], dict):
+            raise ValidationError(f"k1_override must be an object, got {raw['k1_override']!r}")
         k1_override = {}
         dims = {name: (ag.m, ag.n) for name, ag in agents}
         for name, mat in raw["k1_override"].items():
@@ -169,7 +174,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         leader=leader, agents=agents, topology=topology, r=r, epsilon=epsilon,
         max_iter=max_iter, t_end=t_end, dt=dt, x0=x0, xi0=xi0, zeta0=zeta0,
-        seed=init.get("seed"), k1_override=k1_override,
+        seed=seed, k1_override=k1_override,
     )
 
 

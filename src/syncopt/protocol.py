@@ -93,12 +93,10 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
 
     Defining identity (M := S - (lambda_M + r) I_q), block by block:
         U_ij M = delta_ij S + (Lambda H)_ij I_q.
-    It has two closed forms. When S is a scalar matrix, U = I - Nstrict / r
-    with Nstrict = Lambda H + (lambda_M + r) I strictly triangular under a
-    topological order. Otherwise an off-diagonal block can only hold with
-    U_ij = 0 and the diagonal forces U_ii = 1, so U = I, which satisfies the
-    identity exactly when no follower feeds another (H diagonal); any other
-    graph fails the residual check.
+    Its closed form is U = I - Nstrict / r with Nstrict = Lambda H +
+    (lambda_M + r) I, which has a zero diagonal. The off-diagonal blocks
+    then hold only when S is a multiple of I_q or no follower feeds another
+    (H diagonal, so U = I); any other case fails the residual check.
     """
     q = leader.q
     N = topo.n_followers
@@ -107,11 +105,8 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     lam_h = design.alphas[:, None] * H
     M = design.s_shifted
 
-    if np.abs(leader.S - lam_m * np.eye(q)).max() <= 1e-12 * (1.0 + np.abs(lam_m)):
-        n_strict = lam_h + (lam_m + r) * np.eye(N)
-        U = np.eye(N) - n_strict / r
-    else:
-        U = np.eye(N)
+    n_strict = lam_h + (lam_m + r) * np.eye(N)
+    U = np.eye(N) - n_strict / r
 
     residual = np.linalg.norm(
         np.kron(U, M) - np.kron(np.eye(N), leader.S) - np.kron(lam_h, np.eye(q)), "fro"

@@ -51,6 +51,16 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="duplicate"):
             cli.load_scenario(write_scenario(tmp_path, scenario_dict))
 
+    def test_follower_count_checked_before_topology(self, tmp_path, scenario_dict, monkeypatch):
+        # a wrong count must not allocate the dense (N+1)^2 graph matrices first
+        def unreachable(*args):
+            raise AssertionError("build_topology called")
+
+        monkeypatch.setattr(cli, "build_topology", unreachable)
+        scenario_dict["topology"]["n_followers"] = 1500
+        with pytest.raises(ValidationError, match="5 agents declared for 1500 followers"):
+            cli.load_scenario(write_scenario(tmp_path, scenario_dict))
+
     def test_missing_initial_state(self, tmp_path, scenario_dict):
         del scenario_dict["init"]["x0"]["agent3"]
         with pytest.raises(ValidationError, match="init.x0.*agent3"):
@@ -202,6 +212,10 @@ BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
     (("design", "max_iter"), 0),
     (("agents",), 5),
     (("design", "r"), float("nan")),
+    (("k1_override",), [1]),
+    (("agents", 0, "name"), ["a"]),
+    (("init", "seed"), "x"),
+    (("topology", "n_followers"), 1500),
 ]
 
 

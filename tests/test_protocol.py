@@ -80,6 +80,17 @@ class TestBuildTransform:
         assert np.array_equal(tf.U, np.eye(3))
         assert tf.residual < 1e-12
 
+    def test_near_scalar_leader_on_chain(self):
+        # S scalar up to 1e-10: the off-diagonal blocks leave a residual far
+        # below the tolerance, so the chain is still representable
+        topo = build_topology(2, [(0, 1), (1, 2)])
+        leader = LeaderModel(S=np.diag([1.0, 1.0 + 1e-10]), w0=[1, 0])
+        design = design_compensator(leader, topo, 1.0)
+        tf = build_transform(design, topo, leader)
+        assert np.array_equal(np.diag(tf.U), [1.0, 1.0])
+        assert tf.U[1, 0] != 0.0
+        assert tf.residual < 1e-9
+
     def test_nonscalar_leader_rejected(self):
         # with a nontrivial coupling the defining identity has no solution
         # for a non-scalar leader matrix
