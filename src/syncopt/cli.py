@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -29,6 +30,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+_CSV_BLOCK_ROWS = 256
+
 
 @dataclass
 class Scenario:
@@ -45,6 +48,7 @@ class Scenario:
     zeta0: np.ndarray  # common local-generator initial state
     seed: int | None = None
     k1_override: dict | None = None  # name -> K1 matrix
+    sha256: str | None = None  # of the scenario file's bytes
 
 
 def bundled_scenario_path(name: str = "paper_six_agents") -> Path:
@@ -73,10 +77,11 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _read_json(path: Path):
+def _read_json(path: Path) -> tuple:
+    """The parsed content of a JSON file and the SHA-256 of its bytes."""
+    data = path.read_bytes()
     try:
-        with open(path) as f:
-            return json.load(f)
+        return json.loads(data), hashlib.sha256(data).hexdigest()
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ValidationError(f"{path}: parse error: {exc}") from exc
 
@@ -95,7 +100,7 @@ def _finite_array(value, shape: tuple, where: str) -> np.ndarray:
 
 def load_scenario(path) -> Scenario:
     """Parse and dimension-validate a scenario file."""
-    raw = _read_json(Path(path))
+    raw, sha256 = _read_json(Path(path))
     leader_raw = _require(raw, "leader", "")
     try:
         leader = LeaderModel(S=_require(leader_raw, "S", "leader"), w0=_require(leader_raw, "w0", "leader"))
@@ -174,7 +179,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         leader=leader, agents=agents, topology=topology, r=r, epsilon=epsilon,
         max_iter=max_iter, t_end=t_end, dt=dt, x0=x0, xi0=xi0, zeta0=zeta0,
-        seed=seed, k1_override=k1_override,
+        seed=seed, k1_override=k1_override, sha256=sha256,
     )
 
 
@@ -293,17 +298,27 @@ def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario)
         "h": _mat(bundle.transform.h),
         "transform_residual": bundle.transform.residual,
         "seed": scenario.seed,
+        "scenario_sha256": scenario.sha256,
         "agents": agents,
     }
 
 
-def load_gain_sets(path, bundle: DesignBundle) -> dict:
-    """Reload the optimal gains written by `learn`.
+def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
+    """Reload the optimal gains written by `learn` for this scenario.
 
+    The file must carry the scenario SHA-256 and seed of the current run.
     Only each agent's `optimal.Kic` is read; K1, K2 and K3 are rebuilt from
     the current design.
     """
-    payload = _read_json(Path(path))
+    payload, _ = _read_json(Path(path))
+    for key, current in (("scenario_sha256", scenario.sha256), ("seed", scenario.seed)):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValidationError(f"gains file {path} has no `{key}` stamp")
+        if payload[key] != current:
+            raise ValidationError(
+                f"gains file {path} was learned with {key} {payload[key]!r}, "
+                f"this run has {current!r}"
+            )
     out = {}
     for ad in bundle.per_agent:
         try:
@@ -327,10 +342,12 @@ def write_trajectory_csv(path: Path, scenario: Scenario, traj: simulator.Traject
         for k in range(ag.n):
             header.append(f"{name}_x_{k + 1}")
             cols.append(stream.x[:, k])
-    data = np.column_stack(cols)
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)  # quotes any agent name that needs it
-        np.savetxt(f, data, fmt="%.17g", delimiter=",", newline="\r\n")
+        # a block of rows at a time, so the whole table is never copied
+        for r0 in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[r0 : r0 + _CSV_BLOCK_ROWS] for c in cols])
+            np.savetxt(f, block, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def write_error_svg(path: Path, scenario: Scenario, traj: simulator.Trajectory):
@@ -422,7 +439,7 @@ def cmd_simulate(args) -> int:
     else:
         gains_file = Path(args.out) / "optimal_gains.json"
         if gains_file.exists():
-            gains = load_gain_sets(gains_file, bundle)
+            gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
     traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
@@ -459,6 +476,7 @@ def cmd_compare(args) -> int:
                 "J_quadrature": cost.j_quadrature,
                 "J_closed_form": cost.j_closed_form,
                 "tail_error": cost.tail_error,
+                "horizon_warning": cost.horizon_warning,
             }
         rows[ad.name] = entry
 

@@ -3,10 +3,14 @@ of the per-agent augmented error systems, plus tracking and cost metrics.
 
 The network (leader, compensators, local generators, followers under the
 distributed protocol) is one large LTI system; it is assembled once as a
-block matrix and integrated with classical 4th-order Runge-Kutta, applied as
-its precomputed one-step map (see `_rk4`). Inputs and tracking errors are
-memoryless functions of the state and are recomputed per sample after
-integration.
+block matrix and integrated with classical 4th-order Runge-Kutta (see
+`_rk4`). A system of fewer than 363 states is advanced by its precomputed
+one-step map, several steps per matrix product. From 363 states on, one
+dense step map alone fills the 2 MB chunk budget, so a chunk holds a single
+step and there is nothing to amortise; such a system, in practice a large
+and almost entirely zero network matrix, runs the four RK4 stages on the
+matrix's nonzeros instead. Inputs and tracking errors are memoryless
+functions of the state and are recomputed per sample after integration.
 """
 
 from __future__ import annotations
@@ -95,11 +99,15 @@ def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.nda
     """Classical fixed-step RK4 for dy = M y; returns (times, samples).
 
     For a linear system one RK4 step is exactly y <- R y with R the RK4
-    stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I),
-    so R is built once and the samples are emitted in chunks,
+    stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
+    While a chunk can stack at least two powers of R (n < 363 states), R is
+    built once and the samples are emitted in chunks,
     out[k+1 : k+1+b] = (R^1 .. R^b) out[k]. Powers are stacked only while
     their entries stay below BLOWUP_LIMIT, so a zero state stays exactly
-    zero under an unstable M instead of becoming inf * 0.
+    zero under an unstable M instead of becoming inf * 0. From n = 363 on a
+    chunk holds one step, so the dense R would cost n^3 flops to build and
+    n^2 reads per step for nothing; there the four stages run on the
+    nonzeros of M (see `_rk4_stages`).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -112,9 +120,15 @@ def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.nda
         raise NumericalError("non-finite initial state")
     n = len(y0)
 
+    if _chunk_length(n) == 1:
+        rows, cols = np.nonzero(M)
+        vals = M[rows, cols]
+        del M  # a caller that passes a temporary frees the system matrix here
+        return times, _rk4_stages(rows, cols, vals, y0, times, dt)
+
     powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
     _step_map(M, dt, out=powers[0])
-    del M  # a caller that passes a temporary frees the system matrix here
+    del M
     chunk = 1
     while chunk < len(powers):
         np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
@@ -134,6 +148,28 @@ def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.nda
             first = k + 1 + int(np.argmax(bad.any(axis=1)))
             raise NumericalError(f"state blow-up at t = {times[first]:.6g}")
     return times, out
+
+
+def _rk4_stages(rows, cols, vals, y0, times, dt) -> np.ndarray:
+    """Textbook four-stage RK4 for dy = M y, with M given by its nonzeros
+    M[rows, cols] = vals; the guard checks every step."""
+    n = len(y0)
+
+    def f(y):
+        return np.bincount(rows, weights=vals * y[cols], minlength=n)
+
+    out = np.empty((len(times), n))
+    out[0] = y0
+    for k in range(1, len(times)):
+        y = out[k - 1]
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        out[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(out[k]).max() <= BLOWUP_LIMIT:
+            raise NumericalError(f"state blow-up at t = {times[k]:.6g}")
+    return out
 
 
 def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajectory:

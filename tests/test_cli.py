@@ -142,12 +142,22 @@ class TestCommands:
         assert "agent1_e_1" in cols and "agent1_x_3" in cols
         assert "agent5_e_2" in cols and "agent5_x_1" in cols
 
-    def test_compare_outputs_ordering(self, tmp_path):
+    def test_compare_outputs_ordering(self, tmp_path, scenario_dict):
         rc = cli.main(["compare", str(SCENARIO), "--out", str(tmp_path)])
         assert rc == 0
         rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
         for entry in rows.values():
             assert entry["optimal"]["J_closed_form"] <= entry["initial"]["J_closed_form"] + 1e-9
+            assert entry["initial"]["horizon_warning"] is None
+            assert entry["optimal"]["horizon_warning"] is None
+
+        scenario_dict["sim"]["t_end"] = 0.5  # shorter than the slowest time constants
+        rc = cli.main(["compare", str(write_scenario(tmp_path, scenario_dict)), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
+        for entry in rows.values():
+            assert "shorter than 5 time constants" in entry["initial"]["horizon_warning"]
+            assert "shorter than 5 time constants" in entry["optimal"]["horizon_warning"]
 
     def test_seed_changes_leader_start(self, tmp_path):
         out_a = tmp_path / "a"
@@ -176,19 +186,28 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "validation failure" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON"])
-    def test_bad_gains_file_exits_2(self, tmp_path, capsys, defect):
-        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON", "no stamp",
+                                        "other seed", "other scenario"])
+    def test_bad_gains_file_exits_2(self, tmp_path, scenario_dict, capsys, defect):
+        learn_seed = ["--seed", "1"] if defect == "other seed" else []
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path), *learn_seed]) == 0
         gains_file = tmp_path / "optimal_gains.json"
         gains = json.loads(gains_file.read_text())
         if defect == "missing agent":
             del gains["agents"]["agent5"]
         elif defect == "Kic shape":
             gains["agents"]["agent2"]["optimal"]["Kic"] = [[1.0, 2.0, 3.0]]
+        elif defect == "no stamp":
+            del gains["scenario_sha256"]
         text = json.dumps(gains)
         gains_file.write_text(text[: len(text) // 2] if defect == "not JSON" else text)
+        scenario, sim_seed = SCENARIO, ["--seed", "2"] if defect == "other seed" else []
+        if defect == "other scenario":  # same agent names and gain shapes
+            scenario_dict["design"]["r"] = 2.0
+            scenario = write_scenario(tmp_path, scenario_dict)
         capsys.readouterr()
-        rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"])
+        rc = cli.main(["simulate", str(scenario), "--out", str(tmp_path), "--gains", "optimal",
+                       *sim_seed])
         err = capsys.readouterr().err
         assert rc == 2
         assert "validation failure" in err and "Traceback" not in err

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from oracles import rk4_loop
-from syncopt import simulator
+from syncopt import cli, simulator
 from syncopt.errors import NumericalError
 from syncopt.plant import LeaderModel
 from syncopt.policy_iteration import policy_evaluation
@@ -183,6 +184,79 @@ class TestRk4StepMap:
         ref = rk4_loop(M, y0, 1000, 1e-3, limit=simulator.BLOWUP_LIMIT)
         with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 1e-3:.6g}$"):
             simulator._rk4(M, y0, 1.0, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def chain_network(tmp_path_factory):
+    """60 bundled paper agents round-robin on a chain: 422 states, past the
+    363 from which `_rk4` integrates by stages instead of a dense step map.
+    Returns the scenario, its initial gain sets and the (M, y0) it integrates."""
+    raw = json.loads(cli.bundled_scenario_path().read_text())
+    paper = raw["agents"]
+    agents, x0, xi0, k1 = [], {}, {}, {}
+    for i in range(60):
+        spec, name = paper[i % 5], f"a{i}"
+        agents.append(dict(spec, name=name))
+        x0[name] = raw["init"]["x0"][spec["name"]]
+        xi0[name] = raw["init"]["xi0"][spec["name"]]
+        k1[name] = raw["k1_override"][spec["name"]]
+    raw.update(agents=agents, k1_override=k1,
+               topology={"n_followers": 60, "edges": [[i, i + 1] for i in range(60)]})
+    raw["init"].update(x0=x0, xi0=xi0)
+    path = tmp_path_factory.mktemp("chain") / "chain.json"
+    path.write_text(json.dumps(raw))
+    scenario = cli.load_scenario(path)
+    gains = initial_gain_sets(cli.run_design(scenario))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = captured_rk4_inputs(mp)
+        simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
+    (M, y0), = calls
+    assert M.shape == (422, 422) and simulator._chunk_length(422) == 1
+    return scenario, gains, M, y0
+
+
+class TestRk4Stages:
+    @pytest.mark.parametrize("steps", [0, 1, 129])
+    def test_matches_textbook_rk4(self, chain_network, steps):
+        _, _, M, y0 = chain_network
+        times, samples = simulator._rk4(M, y0, steps * 0.01, 0.01)
+        assert len(times) == steps + 1
+        assert np.array_equal(samples[0], y0)
+        assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-12)
+
+    def test_blowup_time_matches_textbook_rk4(self, chain_network):
+        _, _, M, y0 = chain_network
+        M = M + 20.0 * np.eye(len(y0))
+        ref = rk4_loop(M, y0, 500, 0.01, limit=simulator.BLOWUP_LIMIT)
+        assert len(ref) <= 500
+        with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 0.01:.6g}$"):
+            simulator._rk4(M, y0, 5.0, 0.01)
+
+    def test_nan_start_rejected(self, chain_network):
+        _, _, M, y0 = chain_network
+        y0 = y0.copy()
+        y0[-1] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulator._rk4(M, y0, 1.0, 0.01)
+
+    def test_zero_start_stays_zero_under_unstable_matrix(self, chain_network):
+        _, _, M, y0 = chain_network
+        times, samples = simulator._rk4(M + 20.0 * np.eye(len(y0)), np.zeros(len(y0)), 5.0, 0.01)
+        assert len(times) == 501
+        assert np.all(samples == 0.0)
+
+    def test_dense_step_map_only_below_limit(self, chain_network, paper_scenario, paper_bundle,
+                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("dense step map built")
+
+        monkeypatch.setattr(simulator, "_step_map", refuse)
+        scenario, gains, _, _ = chain_network
+        simulator.simulate_network(scenario, gains, t_end=0.1, dt=0.01)
+        with pytest.raises(RuntimeError, match="dense step map built"):
+            simulator.simulate_network(
+                paper_scenario, initial_gain_sets(paper_bundle), t_end=0.1, dt=0.01
+            )
 
 
 class TestSimulateAugmented:
