@@ -30,7 +30,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_CSV_BLOCK_ROWS = 256
+# The trajectory CSV copies at most 2 MB of values out of the trajectory at a
+# time, so the whole table is never copied; a copy costs about 0.6 us per
+# trajectory array (two per agent) besides the values, which fewer rows
+# would multiply on a wide table. fmt17 then formats them in smaller blocks.
+_CSV_GATHER_BYTES = 2 << 20
 
 
 @dataclass
@@ -104,7 +108,7 @@ def load_scenario(path) -> Scenario:
     leader_raw = _require(raw, "leader", "")
     try:
         leader = LeaderModel(S=_require(leader_raw, "S", "leader"), w0=_require(leader_raw, "w0", "leader"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an object where a number belongs
         raise ValidationError(f"leader: {exc}") from exc
 
     topo_raw = _require(raw, "topology", "")
@@ -139,7 +143,7 @@ def load_scenario(path) -> Scenario:
                 C=_require(spec, "C", name), D=_require(spec, "D", name),
                 E=_require(spec, "E", name), F=_require(spec, "F", name),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"agent {name}: {exc}") from exc
         if ag.q != leader.q:
             raise ValidationError(
@@ -331,23 +335,26 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
 
 
 def write_trajectory_csv(path: Path, scenario: Scenario, traj: simulator.Trajectory):
+    from . import fmt17  # only here, so that the verbs writing no CSV do not load it
+
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
-    cols = [traj.times] + [traj.leader_states[:, k] for k in range(scenario.leader.q)]
+    arrays = [traj.times[:, None], traj.leader_states]
     for name, ag in scenario.agents:
         stream = traj.followers[name]
-        for k in range(ag.p):
-            header.append(f"{name}_e_{k + 1}")
-            cols.append(stream.e[:, k])
-        for k in range(ag.n):
-            header.append(f"{name}_x_{k + 1}")
-            cols.append(stream.x[:, k])
+        header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
+        header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
+        arrays += [stream.e, stream.x]
+    width = len(header)
+    gather = max(1, _CSV_GATHER_BYTES // (8 * width))
+    rows = max(1, fmt17.BLOCK_CELLS // width)
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)  # quotes any agent name that needs it
-        # a block of rows at a time, so the whole table is never copied
-        for r0 in range(0, len(traj.times), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[r0 : r0 + _CSV_BLOCK_ROWS] for c in cols])
-            np.savetxt(f, block, fmt="%.17g", delimiter=",", newline="\r\n")
+        f.flush()  # the rows go to the byte stream below the text layer
+        for g0 in range(0, len(traj.times), gather):
+            block = np.concatenate([a[g0 : g0 + gather] for a in arrays], axis=1)
+            for r0 in range(0, len(block), rows):
+                f.buffer.write(fmt17.csv_rows(block[r0 : r0 + rows]))
 
 
 def write_error_svg(path: Path, scenario: Scenario, traj: simulator.Trajectory):

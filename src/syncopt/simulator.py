@@ -26,8 +26,8 @@ from .protocol import AugmentedPlant, GainSet, design_compensator
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
 
-# Chunked RK4 propagation: byte budget of the stack of step-map powers and
-# of one column block while building the step map, and the longest chunk.
+# Chunked RK4 propagation: byte budget of the stack of step-map powers, and
+# the longest chunk.
 _BLOCK_BYTES = 2 << 20
 _MAX_CHUNK = 128
 
@@ -77,22 +77,14 @@ def _chunk_length(n: int) -> int:
 
 def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
     """Write the RK4 step map R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
-    into `out`, by Horner, a block of columns at a time so that no n x n
-    temporary exists besides `out`."""
-    n = M.shape[0]
-    width = max(1, _BLOCK_BYTES // (8 * n))
-    for c0 in range(0, n, width):
-        w = min(width, n - c0)
-        diag = (np.arange(c0, c0 + w), np.arange(w))  # identity entries
-        p = np.zeros((n, w))
-        p[diag] = 1.0
-        tmp = np.empty((n, w))
-        for d in (4.0, 3.0, 2.0, 1.0):
-            np.matmul(M, p, out=tmp)
-            tmp *= h / d
-            tmp[diag] += 1.0
-            p, tmp = tmp, p
-        out[:, c0 : c0 + w] = p
+    into `out`, by Horner."""
+    diag = np.diag_indices(M.shape[0])
+    p = np.eye(M.shape[0])
+    for d in (4.0, 3.0, 2.0, 1.0):
+        p = M @ p
+        p *= h / d
+        p[diag] += 1.0
+    out[...] = p
 
 
 def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syncopt import cli, simulator
 from syncopt.errors import ValidationError
@@ -212,12 +214,85 @@ class TestCommands:
         assert rc == 2
         assert "validation failure" in err and "Traceback" not in err
 
-    def test_csv_bytes_match_row_writer(self, tmp_path, paper_scenario, paper_bundle):
-        gains = {ad.name: ad.initial for ad in paper_bundle.per_agent}
-        traj = simulator.simulate_network(paper_scenario, gains, t_end=0.5, dt=1e-3)
+    @pytest.mark.parametrize("table, t_end", [("paper", 0.5), ("chain", 1.0)], ids=["paper", "chain"])
+    def test_csv_bytes_match_row_writer(self, tmp_path, request, table, t_end):
+        # chain: 303 columns, 1001 rows, so several gathers and formatter calls
+        if table == "paper":
+            scenario = request.getfixturevalue("paper_scenario")
+            gains = {ad.name: ad.initial for ad in request.getfixturevalue("paper_bundle").per_agent}
+        else:
+            scenario, gains, _, _ = request.getfixturevalue("chain_network")
+        traj = simulator.simulate_network(scenario, gains, t_end=t_end, dt=1e-3)
         path = tmp_path / "new.csv"
-        cli.write_trajectory_csv(path, paper_scenario, traj)
-        assert path.read_bytes() == row_writer_csv(tmp_path / "old.csv", paper_scenario, traj)
+        cli.write_trajectory_csv(path, scenario, traj)
+        assert path.read_bytes() == row_writer_csv(tmp_path / "old.csv", scenario, traj)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def is_matrix(node) -> bool:
+    return isinstance(node, list) and bool(node) and all(isinstance(row, list) for row in node)
+
+
+BUNDLED = json.loads(SCENARIO.read_text())
+PATHS = list(json_paths(BUNDLED))
+ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -2, 0, "x", [], [1.5], {"k": 1}, None, True]
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+MATRICES = [path for path in PATHS if is_matrix(_at(BUNDLED, path))]
+RESHAPES = {
+    "drop row": lambda m: m[:-1],
+    "drop column": lambda m: [row[:-1] for row in m],
+    "add row": lambda m: m + [m[-1]],
+    "add column": lambda m: [row + [0.0] for row in m],
+    "ragged": lambda m: [m[0] + [1.0]] + m[1:],
+    "transpose": lambda m: [list(col) for col in zip(*m)],
+}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The bundled scenario with one or two keys dropped, values replaced by
+    NaN, inf, a negative number, a string, a list or an object, or matrices
+    reshaped."""
+    payload = copy.deepcopy(BUNDLED)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["drop", "replace", "reshape"]))
+        path = draw(st.sampled_from(MATRICES if kind == "reshape" else PATHS))
+        try:
+            parent = _at(payload, path[:-1])
+            value = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this path
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "replace":
+            parent[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+        elif is_matrix(value):
+            parent[path[-1]] = RESHAPES[draw(st.sampled_from(sorted(RESHAPES)))](value)
+    return payload
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=mutated_scenarios())
+def test_mutated_scenario_keeps_exit_contract(tmp_path, capsys, payload):
+    path = write_scenario(tmp_path, payload)
+    rc = cli.main(["validate", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
 
 
 BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
@@ -235,6 +310,8 @@ BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
     (("agents", 0, "name"), ["a"]),
     (("init", "seed"), "x"),
     (("topology", "n_followers"), 1500),
+    (("leader", "S"), {"k": 1}),
+    (("agents", 0, "A"), {"k": 1}),
 ]
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -158,9 +157,7 @@ class TestRk4StepMap:
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-10)
 
-    @pytest.mark.parametrize("block_columns", [3, 7])
-    def test_step_map_is_rk4_polynomial(self, monkeypatch, block_columns):
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 8 * 7 * block_columns)
+    def test_step_map_is_rk4_polynomial(self):
         M, h = stable_matrix(7, seed=6), 0.05
         hM = h * M
         want = np.eye(7) + hM + hM @ hM / 2 + hM @ hM @ hM / 6 + hM @ hM @ hM @ hM / 24
@@ -184,35 +181,6 @@ class TestRk4StepMap:
         ref = rk4_loop(M, y0, 1000, 1e-3, limit=simulator.BLOWUP_LIMIT)
         with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 1e-3:.6g}$"):
             simulator._rk4(M, y0, 1.0, 1e-3)
-
-
-@pytest.fixture(scope="module")
-def chain_network(tmp_path_factory):
-    """60 bundled paper agents round-robin on a chain: 422 states, past the
-    363 from which `_rk4` integrates by stages instead of a dense step map.
-    Returns the scenario, its initial gain sets and the (M, y0) it integrates."""
-    raw = json.loads(cli.bundled_scenario_path().read_text())
-    paper = raw["agents"]
-    agents, x0, xi0, k1 = [], {}, {}, {}
-    for i in range(60):
-        spec, name = paper[i % 5], f"a{i}"
-        agents.append(dict(spec, name=name))
-        x0[name] = raw["init"]["x0"][spec["name"]]
-        xi0[name] = raw["init"]["xi0"][spec["name"]]
-        k1[name] = raw["k1_override"][spec["name"]]
-    raw.update(agents=agents, k1_override=k1,
-               topology={"n_followers": 60, "edges": [[i, i + 1] for i in range(60)]})
-    raw["init"].update(x0=x0, xi0=xi0)
-    path = tmp_path_factory.mktemp("chain") / "chain.json"
-    path.write_text(json.dumps(raw))
-    scenario = cli.load_scenario(path)
-    gains = initial_gain_sets(cli.run_design(scenario))
-    with pytest.MonkeyPatch.context() as mp:
-        calls = captured_rk4_inputs(mp)
-        simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
-    (M, y0), = calls
-    assert M.shape == (422, 422) and simulator._chunk_length(422) == 1
-    return scenario, gains, M, y0
 
 
 class TestRk4Stages:
