@@ -30,11 +30,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# The trajectory CSV copies at most 2 MB of values out of the trajectory at a
-# time, so the whole table is never copied; a copy costs about 0.6 us per
-# trajectory array (two per agent) besides the values, which fewer rows
-# would multiply on a wide table. fmt17 then formats them in smaller blocks.
-_CSV_GATHER_BYTES = 2 << 20
+# The trajectory CSV copies 512 KB of values out of the trajectory at a time
+# (one copy costs about 0.6 us per trajectory array, two per agent, so it
+# must not be done per formatted block on a wide table), and fmt17 formats
+# them with about 1.5 MB of temporaries: about 2 MB at any time.
+_CSV_GATHER_BYTES = 1 << 19
 
 
 @dataclass
@@ -487,11 +487,12 @@ def cmd_compare(args) -> int:
             }
         rows[ad.name] = entry
 
-    traj_init = simulator.simulate_network(scenario, init_gains, scenario.t_end, scenario.dt)
-    traj_opt = simulator.simulate_network(scenario, opt_gains, scenario.t_end, scenario.dt)
-    for label, traj in (("initial", traj_init), ("optimal", traj_opt)):
+    for label, gains in (("initial", init_gains), ("optimal", opt_gains)):
+        # one network trajectory at a time: only its metrics are kept
+        traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
         for name, met in simulator.tracking_metrics(traj).items():
             rows[name][label]["network_tail_error"] = met.tail_error
+        del traj
 
     _write_json(Path(args.out) / "comparison.json", {"seed": scenario.seed, "agents": rows})
     print(f"{'agent':>8} {'J_initial':>12} {'J_optimal':>12}")

@@ -23,9 +23,9 @@ import functools
 import numpy as np
 
 # Cells per call: enough to spread the cost of its hundred numpy calls, few
-# enough that its float temporaries stay at 64 KiB. Writing the trajectory
-# tables after a simulation (20 001 x 28 and 2 001 x 1003 cells), 8192 was
-# faster than 3072 and than 16384.
+# enough that its temporaries (about 190 bytes a cell) stay near 1.5 MB.
+# Writing the trajectory tables after a simulation (20 001 x 28 and
+# 2 001 x 1003 cells), 8192 was faster than 4096 and than 16384.
 BLOCK_CELLS = 8192
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
@@ -162,14 +162,10 @@ def _decimal(v: np.ndarray, t: dict) -> tuple:
     return n, x, fallback
 
 
-def csv_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D float64 block: every cell as `'%.17g' % v`,
-    `,` between the cells of a row and CRLF after each row."""
-    t = _tables()
-    rows, cols = block.shape
-    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    n, x, fallback = _decimal(v, t)
-
+def _digit_words(n: np.ndarray, point: np.ndarray, t: dict) -> list:
+    """The 17 digits of each n with a point after `point` of them (none for
+    0) and the zeros after the point dropped, as three little-endian words
+    of ASCII bytes."""
     # n = c0 c1 c2 c3 c4: one digit, then four chunks of four
     upper = n // 10**8
     lower = n - upper * 10**8
@@ -186,29 +182,41 @@ def csv_rows(block: np.ndarray) -> bytes:
         for c in (c2, c3):
             zt = np.where(c[tail] == 0, zt + 4, tz.take(c[tail]))
         z[tail] += zt
-
-    # the 17 digits as the bytes 0..16 of three words
     chunk = t["chunk"]
-    w1, w2, w3, w4 = chunk.take(c1), chunk.take(c2), chunk.take(c3), chunk.take(c4)
-    d0 = (c0 + 48).astype(np.uint64) | (w1 << 8) | (w2 << 40)
-    d1 = (w2 >> 24) | (w3 << 8) | (w4 << 40)
-    d2 = w4 >> 24
-    # the point goes in after P digits: bytes below P stay, the rest move up one
-    xi = x - _X0
-    point = t["point"].take(xi)
+    w2, w4 = chunk.take(c2), chunk.take(c4)
+    digits = (
+        (c0 + 48).astype(np.uint64) | (chunk.take(c1) << 8) | (w2 << 40),
+        (w2 >> 24) | (chunk.take(c3) << 8) | (w4 << 40),
+        w4 >> 24,
+    )
+    # bytes below P stay, the rest move up one byte past the point, and only
+    # the first max(17 - z, P) digits are kept
     pk = 18 * point + np.maximum(17 - z, point)
-    (k0, k1, k2), (s0, s1, s2), (p0, p1, p2) = ((w.take(pk) for w in m) for m in t["masks"])
-    g0 = (d0 & k0) | ((d0 << 8) & s0) | p0
-    g1 = (d1 & k1) | (((d1 << 8) | (d0 >> 56)) & s1) | p1
-    g2 = (d2 & k2) | (((d2 << 8) | (d1 >> 56)) & s2) | p2
+    keep, shifted, dot = t["masks"]
+    words, spill = [], 0
+    for w, d in enumerate(digits):
+        words.append((d & keep[w].take(pk)) | (((d << 8) | spill) & shifted[w].take(pk)) | dot[w].take(pk))
+        spill = d >> 56
+    return words
+
+
+def csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 block: every cell as `'%.17g' % v`,
+    `,` between the cells of a row and CRLF after each row."""
+    t = _tables()
+    rows, cols = block.shape
+    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    n, x, fallback = _decimal(v, t)
+    xi = x - _X0
+    g = _digit_words(n, t["point"].take(xi), t)
 
     sep = np.full(cols, ord(","), dtype=np.uint64)
     sep[-1] = ord("\r") | ord("\n") << 8
     slots = np.empty((rows, cols, 4), dtype=_WORD)
     slots[..., 0] = (t["prefix"].take(xi) | (np.signbit(v) * np.uint64(ord("-")))
-                     | (g0 << 48)).reshape(rows, cols)
-    slots[..., 1] = ((g0 >> 16) | (g1 << 48)).reshape(rows, cols)
-    slots[..., 2] = ((g1 >> 16) | (g2 << 48)).reshape(rows, cols)
+                     | (g[0] << 48)).reshape(rows, cols)
+    slots[..., 1] = ((g[0] >> 16) | (g[1] << 48)).reshape(rows, cols)
+    slots[..., 2] = ((g[1] >> 16) | (g[2] << 48)).reshape(rows, cols)
     slots[..., 3] = t["expo"].take(xi).reshape(rows, cols) | (sep << 40)
     if not fallback.any():
         return slots.tobytes().translate(None, b"\0")
