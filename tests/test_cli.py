@@ -236,6 +236,12 @@ def json_paths(node, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
+def at_path(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def is_matrix(node) -> bool:
     return isinstance(node, list) and bool(node) and all(isinstance(row, list) for row in node)
 
@@ -243,15 +249,7 @@ def is_matrix(node) -> bool:
 BUNDLED = json.loads(SCENARIO.read_text())
 PATHS = list(json_paths(BUNDLED))
 ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -2, 0, "x", [], [1.5], {"k": 1}, None, True]
-
-
-def _at(node, path):
-    for key in path:
-        node = node[key]
-    return node
-
-
-MATRICES = [path for path in PATHS if is_matrix(_at(BUNDLED, path))]
+MATRICES = [path for path in PATHS if is_matrix(at_path(BUNDLED, path))]
 RESHAPES = {
     "drop row": lambda m: m[:-1],
     "drop column": lambda m: [row[:-1] for row in m],
@@ -264,15 +262,15 @@ RESHAPES = {
 
 @st.composite
 def mutated_scenarios(draw):
-    """The bundled scenario with one or two keys dropped, values replaced by
-    NaN, inf, a negative number, a string, a list or an object, or matrices
-    reshaped."""
+    """The bundled scenario with one or two keys or list items dropped,
+    values replaced by NaN, inf, a negative number, a string, a list or an
+    object, or matrices reshaped."""
     payload = copy.deepcopy(BUNDLED)
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(["drop", "replace", "reshape"]))
         path = draw(st.sampled_from(MATRICES if kind == "reshape" else PATHS))
         try:
-            parent = _at(payload, path[:-1])
+            parent = at_path(payload, path[:-1])
             value = parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed or replaced this path
