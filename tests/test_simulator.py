@@ -157,11 +157,12 @@ class TestRk4StepMap:
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-10)
 
-    def test_step_map_is_rk4_polynomial(self):
-        M, h = stable_matrix(7, seed=6), 0.05
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_step_map_is_rk4_polynomial(self, n):
+        M, h = stable_matrix(n, seed=6), 0.05
         hM = h * M
-        want = np.eye(7) + hM + hM @ hM / 2 + hM @ hM @ hM / 6 + hM @ hM @ hM @ hM / 24
-        got = np.empty((7, 7))
+        want = np.eye(n) + hM + hM @ hM / 2 + hM @ hM @ hM / 6 + hM @ hM @ hM @ hM / 24
+        got = np.empty((n, n))
         simulator._step_map(M, h, out=got)
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
