@@ -216,15 +216,29 @@ class DesignBundle:
 
 
 def run_design(scenario: Scenario) -> DesignBundle:
+    """Compensator, transform and per-agent design of the scenario.
+
+    Agents that share a plant (`AgentDynamics.key`) and a K1 override, or
+    the absence of one, share its regulator solution and initial gain set,
+    which are computed once, by the first of them; the augmented plant and
+    its closed-loop check depend on the agent's place in the network and are
+    built for every agent.
+    """
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
     transform = protocol.build_transform(design, scenario.topology, scenario.leader)
+    solved = {}  # (plant key, K1 override shape and bytes or None) -> (reg, initial gains)
     per_agent = []
     for idx, (name, ag) in enumerate(scenario.agents, start=1):
+        k1 = scenario.k1_override.get(name) if scenario.k1_override else None
+        k1_key = None if k1 is None else (np.shape(k1), np.asarray(k1, dtype=float).tobytes())
+        key = (ag.key(), k1_key)
         try:
-            reg = regulator.solve_regulator(ag, scenario.leader)
+            if key not in solved:
+                reg = regulator.solve_regulator(ag, scenario.leader)
+                solved[key] = reg, protocol.initial_gains(ag, reg, K1=k1)
+            reg, gains = solved[key]
             plant = protocol.build_augmented_plant(ag, reg, design, transform, idx)
-            k1 = scenario.k1_override.get(name) if scenario.k1_override else None
-            gains = protocol.initial_gains(ag, reg, K1=k1, plant=plant)
+            protocol.check_augmented_loop(plant, gains)
         except ToolkitError as exc:
             raise type(exc)(f"agent {name}: {exc}") from exc
         per_agent.append(AgentDesign(name=name, agent=ag, reg=reg, plant=plant, initial=gains))

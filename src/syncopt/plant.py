@@ -40,6 +40,12 @@ class AgentDynamics:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"matrix {name} has non-finite entries")
 
+    def key(self) -> tuple:
+        """Shapes and bytes of (A, B, C, D, E, F): agents with equal keys
+        have bitwise-equal plants, so every per-plant result is shared."""
+        mats = (self.A, self.B, self.C, self.D, self.E, self.F)
+        return tuple((M.shape, M.tobytes()) for M in mats)
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -122,58 +128,27 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
 
     `agents` is a list of (name, AgentDynamics) pairs or a dict. Rank tests
     share a single singular-value threshold; the rank condition at leader
-    eigenvalues is evaluated over complex arithmetic.
+    eigenvalues is evaluated over complex arithmetic. Each distinct plant
+    (see `AgentDynamics.key`) is checked once, and its checks and
+    diagnostics are reported under every agent that has it, in order.
     """
     if isinstance(agents, dict):
         agents = list(agents.items())
     diagnostics = []
     per_agent = {}
     s_eigs = spectrum(leader.S).values
+    checked = {}  # plant key -> (AgentChecks, diagnostic texts)
 
     for name, ag in agents:
         if ag.q != leader.q:
             raise ValueError(f"agent {name}: E/F column count {ag.q} != leader order {leader.q}")
-        n, m = ag.n, ag.m
+        key = ag.key()
+        if key not in checked:
+            checked[key] = _check_plant(ag, s_eigs)
+        per_agent[name], texts = checked[key]
+        diagnostics.extend(f"{name}: {text}" for text in texts)
 
-        obs = np.vstack([ag.C @ np.linalg.matrix_power(ag.A, k) for k in range(n)])
-        observable = _rank(obs) == n
-        if not observable:
-            diagnostics.append(f"{name}: (A, C) not observable")
-
-        gram_sv = np.linalg.svd(ag.D.T @ ag.D, compute_uv=False)
-        feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
-        if not feedthrough_invertible:
-            diagnostics.append(f"{name}: D^T D numerically singular")
-
-        stabilizable = True
-        a_eigs = spectrum(ag.A).values
-        for lam in a_eigs:
-            if lam.real >= 0:
-                pbh = np.hstack([ag.A - lam * np.eye(n), ag.B]).astype(complex)
-                if _rank(pbh) < n:
-                    stabilizable = False
-                    diagnostics.append(f"{name}: PBH fails at eigenvalue {lam:.4g}")
-                    break
-
-        rank_condition = True
-        for lam in s_eigs:
-            block = np.block([
-                [ag.A - lam * np.eye(n), ag.B.astype(complex)],
-                [ag.C.astype(complex), ag.D.astype(complex)],
-            ])
-            if _rank(block) < n + m:
-                rank_condition = False
-                diagnostics.append(f"{name}: rank condition fails at leader eigenvalue {lam:.4g}")
-                break
-
-        per_agent[name] = AgentChecks(
-            observable=observable,
-            feedthrough_invertible=feedthrough_invertible,
-            stabilizable=stabilizable,
-            rank_condition=rank_condition,
-        )
-
-    leader_ok = spectrum(leader.S).values.real.min() >= LEADER_EIG_TOL
+    leader_ok = s_eigs.real.min() >= LEADER_EIG_TOL
     if not leader_ok:
         diagnostics.append("leader S has a strictly stable eigenvalue")
 
@@ -187,3 +162,48 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
         topology_ok=topo_report.passed,
         diagnostics=tuple(diagnostics),
     )
+
+
+def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
+    """The checks of one plant against the leader eigenvalues `s_eigs`, and
+    the text of each failed check."""
+    n, m = ag.n, ag.m
+    texts = []
+
+    obs = np.vstack([ag.C @ np.linalg.matrix_power(ag.A, k) for k in range(n)])
+    observable = _rank(obs) == n
+    if not observable:
+        texts.append("(A, C) not observable")
+
+    gram_sv = np.linalg.svd(ag.D.T @ ag.D, compute_uv=False)
+    feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
+    if not feedthrough_invertible:
+        texts.append("D^T D numerically singular")
+
+    stabilizable = True
+    for lam in spectrum(ag.A).values:
+        if lam.real >= 0:
+            pbh = np.hstack([ag.A - lam * np.eye(n), ag.B]).astype(complex)
+            if _rank(pbh) < n:
+                stabilizable = False
+                texts.append(f"PBH fails at eigenvalue {lam:.4g}")
+                break
+
+    rank_condition = True
+    for lam in s_eigs:
+        block = np.block([
+            [ag.A - lam * np.eye(n), ag.B.astype(complex)],
+            [ag.C.astype(complex), ag.D.astype(complex)],
+        ])
+        if _rank(block) < n + m:
+            rank_condition = False
+            texts.append(f"rank condition fails at leader eigenvalue {lam:.4g}")
+            break
+
+    checks = AgentChecks(
+        observable=observable,
+        feedthrough_invertible=feedthrough_invertible,
+        stabilizable=stabilizable,
+        rank_condition=rank_condition,
+    )
+    return checks, texts

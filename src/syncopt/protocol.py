@@ -97,6 +97,13 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     (lambda_M + r) I, which has a zero diagonal. The off-diagonal blocks
     then hold only when S is a multiple of I_q or no follower feeds another
     (H diagonal, so U = I); any other case fails the residual check.
+
+    U and Lambda H are nonzero only on the diagonal and at the follower
+    edges, so the residual is taken over those blocks alone, found from the
+    edge list; every other block of the identity is exactly zero. Each
+    entry is the same float as in the Kronecker form of the identity, and
+    U, c and h are unchanged. (The per-follower design that uses them is
+    done once per distinct plant; see `run_design` in the CLI.)
     """
     q = leader.q
     N = topo.n_followers
@@ -108,9 +115,16 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     n_strict = lam_h + (lam_m + r) * np.eye(N)
     U = np.eye(N) - n_strict / r
 
-    residual = np.linalg.norm(
-        np.kron(U, M) - np.kron(np.eye(N), leader.S) - np.kron(lam_h, np.eye(q)), "fro"
+    # blocks (i, j) at the follower edges j -> i and on the diagonal
+    ij = [(i - 1, j - 1) for j, i in topo.edges if j > 0] + [(i, i) for i in range(N)]
+    rows, cols = np.array(ij, dtype=int).T
+    delta = (rows == cols)[:, None, None]
+    blocks = (
+        U[rows, cols][:, None, None] * M
+        - delta * leader.S
+        - lam_h[rows, cols][:, None, None] * np.eye(q)
     )
+    residual = np.linalg.norm(blocks.ravel())
     if residual >= TRANSFORM_RESIDUAL_TOL:
         raise NumericalError(
             "transform not representable: the defining identity has no exact "
@@ -153,19 +167,14 @@ def build_augmented_plant(
     return AugmentedPlant(A=A, B=B, C=C, D=agent.D.copy(), Phi=Phi, Psi=Psi)
 
 
-def initial_gains(
-    agent: AgentDynamics,
-    reg: RegulatorSolution,
-    K1=None,
-    plant: AugmentedPlant | None = None,
-) -> GainSet:
+def initial_gains(agent: AgentDynamics, reg: RegulatorSolution, K1=None) -> GainSet:
     """Build a stabilizing initial gain set for one follower.
 
     K1 is synthesized when absent; either way A - B K1 must be Hurwitz.
     K2 follows from the regulator identity K1 Pi + K2 + Gamma = 0 and K3
     defaults to 0 (the closed augmented loop is block triangular, so any K3
-    preserves stability). If the follower's augmented plant is supplied, the
-    closed augmented loop is re-verified.
+    preserves stability). The gain set depends on the plant alone; see
+    `check_augmented_loop` for the follower's closed augmented loop.
     """
     if K1 is None:
         K1 = stabilize(agent.A, agent.B)
@@ -175,8 +184,11 @@ def initial_gains(
             raise ValueError(f"K1 has shape {K1.shape}, expected ({agent.m}, {agent.n})")
         if not is_hurwitz(agent.A - agent.B @ K1):
             raise ValidationError("provided K1 does not make A - B K1 Hurwitz")
+    return GainSet.from_kic(np.hstack([np.zeros((agent.m, agent.q)), K1]), reg)
 
-    gains = GainSet.from_kic(np.hstack([np.zeros((agent.m, agent.q)), K1]), reg)
-    if plant is not None and not is_hurwitz(plant.A - plant.B @ gains.Kic):
+
+def check_augmented_loop(plant: AugmentedPlant, gains: GainSet) -> None:
+    """Re-verify that an initial gain set stabilizes one follower's closed
+    augmented loop."""
+    if not is_hurwitz(plant.A - plant.B @ gains.Kic):
         raise NumericalError("initial gain does not stabilize the augmented plant")
-    return gains

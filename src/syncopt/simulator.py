@@ -2,9 +2,10 @@
 of the per-agent augmented error systems, plus tracking and cost metrics.
 
 The network (leader, compensators, local generators, followers under the
-distributed protocol) is one large LTI system; it is assembled once as a
-block matrix and integrated with classical 4th-order Runge-Kutta (see
-`_rk4`). A system of fewer than 363 states is advanced by its precomputed
+distributed protocol) is one large LTI system; it is assembled once, from
+the agents and the edge list, as the nonzeros of its block matrix and
+integrated with classical 4th-order Runge-Kutta (see `_rk4`). A system of
+fewer than 363 states is made dense and advanced by its precomputed
 one-step map, several steps per matrix product. From 363 states on, one
 dense step map alone fills the 2 MB chunk budget, so a chunk holds a single
 step and there is nothing to amortise; such a system, in practice a large
@@ -87,8 +88,11 @@ def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
     out[...] = p
 
 
-def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 for dy = M y; returns (times, samples).
+
+    M is the n x n matrix; from n = 363 on it may instead be given as its
+    nonzeros (rows, cols, vals), sorted row-major.
 
     For a linear system one RK4 step is exactly y <- R y with R the RK4
     stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
@@ -113,14 +117,13 @@ def _rk4(M: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.nda
     n = len(y0)
 
     if _chunk_length(n) == 1:
-        rows, cols = np.nonzero(M)
-        vals = M[rows, cols]
-        del M  # a caller that passes a temporary frees the system matrix here
-        return times, _rk4_stages(rows, cols, vals, y0, times, dt)
+        if isinstance(M, np.ndarray):
+            rows, cols = np.nonzero(M)
+            M = rows, cols, M[rows, cols]
+        return times, _rk4_stages(*M, y0, times, dt)
 
     powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
     _step_map(M, dt, out=powers[0])
-    del M
     chunk = 1
     while chunk < len(powers):
         np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
@@ -186,9 +189,9 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
             raise ValueError(f"no gain set for agent {name}")
 
     n_list = [ag.n for _, ag in agents]
-    x_off = [2 * q * N + q + int(np.sum(n_list[:i], dtype=int)) for i in range(N)]
-    xi_off = [q + i * q for i in range(N)]
-    z_off = [q + N * q + i * q for i in range(N)]
+    xi_off = q + q * np.arange(N)
+    z_off = q + N * q + q * np.arange(N)
+    x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
     dim = q + 2 * N * q + sum(n_list)
 
     y0 = np.zeros(dim)
@@ -198,11 +201,12 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
         y0[z_off[i] : z_off[i] + q] = scenario.zeta0
         y0[x_off[i] : x_off[i] + ag.n] = scenario.x0[name]
 
-    # the matrix is passed as a temporary so that _rk4 can free it once the
-    # step map is built, before the samples are allocated
-    times, samples = _rk4(
-        _network_matrix(scenario, gains, design, xi_off, z_off, x_off, dim), y0, t_end, dt
-    )
+    matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
+    if _chunk_length(dim) > 1:  # made dense for the step map
+        rows, cols, vals = matrix
+        matrix = np.zeros((dim, dim))
+        matrix[rows, cols] = vals
+    times, samples = _rk4(matrix, y0, t_end, dt)
     w = samples[:, :q]
     followers = {}
     for i, (name, ag) in enumerate(agents):
@@ -216,33 +220,45 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajecto
     return Trajectory(times=times, leader_states=w, followers=followers)
 
 
-def _network_matrix(scenario, gains, design, xi_off, z_off, x_off, dim) -> np.ndarray:
-    """Block system matrix of the closed-loop network in the state layout
-    [leader | compensators | local generators | followers]."""
+def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
+    """Nonzeros (rows, cols, vals) of the block system matrix of the
+    closed-loop network in the state layout
+    [leader | compensators | local generators | followers], row-major as
+    `np.nonzero` lists them. The matrix is built one strip of rows at a
+    time, in row order, from the agents and the edge list, so the assembly
+    is linear in the number of agents and edges and needs no sort. Each
+    nonzero is the same float, in the same order, as in the dense matrix,
+    so the trajectories are unchanged."""
     leader = scenario.leader
     topo = scenario.topology
     q = leader.q
-    M = np.zeros((dim, dim))
-    M[:q, :q] = leader.S
-    adj = topo.adjacency
+    eye = np.eye(q)
+    senders = [[] for _ in range(topo.n_followers + 1)]
+    for j, i in topo.edges:
+        senders[i].append(0 if j == 0 else xi_off[j - 1])  # leader or compensator j
+    strips = [_row_strip(0, [(0, leader.S)])]
+    for i, a in enumerate(design.alphas):
+        own = (xi_off[i], leader.S + a * topo.in_degrees[i + 1] * eye)
+        strips.append(_row_strip(xi_off[i], sorted(
+            [(c0, -a * eye) for c0 in senders[i + 1]] + [own], key=lambda b: b[0]
+        )))
+    strips += [_row_strip(z, [(z, design.s_shifted)]) for z in z_off]
     for i, (name, ag) in enumerate(scenario.agents):
-        node = i + 1
-        a = design.alphas[i]
-        sl = slice(xi_off[i], xi_off[i] + q)
-        M[sl, sl] += leader.S + a * topo.in_degrees[node] * np.eye(q)
-        for j in range(topo.n_followers + 1):
-            if adj[node, j]:
-                src = slice(0, q) if j == 0 else slice(xi_off[j - 1], xi_off[j - 1] + q)
-                M[sl, src] += -a * np.eye(q)
-        zl = slice(z_off[i], z_off[i] + q)
-        M[zl, zl] = design.s_shifted
         g = gains[name]
-        xl = slice(x_off[i], x_off[i] + ag.n)
-        M[xl, xl] = ag.A - ag.B @ g.K1
-        M[xl, sl] = -ag.B @ g.K2
-        M[xl, zl] = -ag.B @ g.K3
-        M[xl, :q] = ag.E
-    return M
+        strips.append(_row_strip(x_off[i], [
+            (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off[i], -ag.B @ g.K3),
+            (x_off[i], ag.A - ag.B @ g.K1),
+        ]))
+    return tuple(np.concatenate(part) for part in zip(*strips))
+
+
+def _row_strip(r0, blocks) -> tuple:
+    """Nonzeros (rows, cols, vals), row-major, of the rows from r0 on that
+    hold the dense `blocks`, (first column, block) pairs in column order."""
+    strip = np.hstack([block for _, block in blocks])
+    col = np.concatenate([c0 + np.arange(block.shape[1]) for c0, block in blocks])
+    r, c = np.nonzero(strip)
+    return r + r0, col[c], strip[r, c]
 
 
 def simulate_augmented(plant: AugmentedPlant, K, X0, t_end: float, dt: float) -> AugmentedTrajectory:

@@ -29,7 +29,8 @@ def paper_traces(paper_scenario, paper_bundle):
 def chain_network(tmp_path_factory):
     """60 bundled paper agents round-robin on a chain: 422 states, past the
     363 from which `_rk4` integrates by stages instead of a dense step map.
-    Returns the scenario, its initial gain sets and the (M, y0) it integrates."""
+    Returns the scenario, its initial gain sets and the (M, y0) it integrates,
+    with M made dense from the nonzeros (rows, cols, vals) `_rk4` receives."""
     raw = json.loads(cli.bundled_scenario_path().read_text())
     paper = raw["agents"]
     agents, x0, xi0, k1 = [], {}, {}, {}
@@ -49,7 +50,10 @@ def chain_network(tmp_path_factory):
     calls, rk4 = [], simulator._rk4
 
     def recording(M, y0, t_end, dt):
-        calls.append((M.copy(), np.array(y0, dtype=float)))
+        rows, cols, vals = M
+        dense = np.zeros((len(y0), len(y0)))
+        dense[rows, cols] = vals
+        calls.append((dense, np.array(y0, dtype=float)))
         return rk4(M, y0, t_end, dt)
 
     with pytest.MonkeyPatch.context() as mp:

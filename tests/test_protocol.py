@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paper_tables
-from syncopt import cli
+from syncopt import cli, protocol
 from syncopt.errors import NumericalError, ValidationError
 from syncopt.numkernel import is_hurwitz
 from syncopt.plant import AgentDynamics, LeaderModel
@@ -16,6 +16,26 @@ from syncopt.regulator import solve_regulator
 from syncopt.topology import build_topology
 
 SINGLE = build_topology(1, [(0, 1)])
+
+
+def random_dag(seed, n):
+    """Follower i draws one or two senders from the nodes before it."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(1, n + 1):
+        senders = rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False)
+        edges += [(int(j), i) for j in senders]
+    return build_topology(n, edges)
+
+
+def kron_residual(tf, design, topo, leader):
+    """Frobenius residual of the defining identity in Kronecker form."""
+    N, q = topo.n_followers, leader.q
+    lam_h = design.alphas[:, None] * topo.h_matrix
+    return np.linalg.norm(
+        np.kron(tf.U, design.s_shifted) - np.kron(np.eye(N), leader.S) - np.kron(lam_h, np.eye(q)),
+        "fro",
+    )
 
 
 class TestDesignCompensator:
@@ -90,6 +110,27 @@ class TestBuildTransform:
         assert np.array_equal(np.diag(tf.U), [1.0, 1.0])
         assert tf.U[1, 0] != 0.0
         assert tf.residual < 1e-9
+
+    @pytest.mark.parametrize("case", ["paper", "random DAG, scalar S", "near-scalar chain"])
+    def test_residual_is_the_kron_residual_without_kron(self, case, paper_scenario, monkeypatch):
+        leader, topo, r = {
+            "paper": (paper_scenario.leader, paper_scenario.topology, 1.0),
+            "random DAG, scalar S": (LeaderModel(S=0.7 * np.eye(3), w0=[1, 0, 0]),
+                                     random_dag(3, 12), 0.3),
+            "near-scalar chain": (LeaderModel(S=np.diag([1.0, 1.0 + 1e-10]), w0=[1, 0]),
+                                  build_topology(2, [(0, 1), (1, 2)]), 1.0),
+        }[case]
+        design = design_compensator(leader, topo, r)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol.np, "kron", refuse)
+            tf = build_transform(design, topo, leader)
+        want = kron_residual(tf, design, topo, leader)
+        assert abs(tf.residual - want) <= 4 * np.spacing(want)
+        assert (want > 0) == (case != "paper")
 
     def test_nonscalar_leader_rejected(self):
         # with a nontrivial coupling the defining identity has no solution

@@ -145,6 +145,62 @@ class TestSimulateNetwork:
         assert_rows_close(samples, rk4_loop(M, y0, 20000, 1e-3), rtol=1e-10)
 
 
+def dense_network_matrix(scenario, gains, design, xi_off, z_off, x_off):
+    """The network matrix as the simulator once assembled it: dense, with the
+    compensator couplings found by scanning every node's adjacency row."""
+    leader = scenario.leader
+    topo = scenario.topology
+    q = leader.q
+    dim = x_off[-1] + scenario.agents[-1][1].n
+    M = np.zeros((dim, dim))
+    M[:q, :q] = leader.S
+    adj = topo.adjacency
+    for i, (name, ag) in enumerate(scenario.agents):
+        node = i + 1
+        a = design.alphas[i]
+        sl = slice(xi_off[i], xi_off[i] + q)
+        M[sl, sl] += leader.S + a * topo.in_degrees[node] * np.eye(q)
+        for j in range(topo.n_followers + 1):
+            if adj[node, j]:
+                src = slice(0, q) if j == 0 else slice(xi_off[j - 1], xi_off[j - 1] + q)
+                M[sl, src] += -a * np.eye(q)
+        zl = slice(z_off[i], z_off[i] + q)
+        M[zl, zl] = design.s_shifted
+        g = gains[name]
+        xl = slice(x_off[i], x_off[i] + ag.n)
+        M[xl, xl] = ag.A - ag.B @ g.K1
+        M[xl, sl] = -ag.B @ g.K2
+        M[xl, zl] = -ag.B @ g.K3
+        M[xl, :q] = ag.E
+    return M
+
+
+@pytest.mark.parametrize("network", ["paper", "chain"])
+def test_network_triplets_are_the_dense_assembly(network, request, paper_scenario, paper_bundle,
+                                                 monkeypatch):
+    if network == "paper":
+        scenario, gains = paper_scenario, initial_gain_sets(paper_bundle)
+    else:
+        scenario, gains, _, _ = request.getfixturevalue("chain_network")
+    calls, original = [], simulator._network_matrix
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulator, "_network_matrix", recording)
+    simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
+    (args, (rows, cols, vals)), = calls
+    want = dense_network_matrix(*args)
+    dense = np.zeros_like(want)
+    dense[rows, cols] = vals
+    assert np.array_equal(dense, want)
+    # the nonzeros in np.nonzero's row-major order, each the same float
+    want_rows, want_cols = np.nonzero(want)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert vals.tobytes() == want[want_rows, want_cols].tobytes()
+
+
 CHUNK = simulator._chunk_length(6)  # powers per chunk for a 6-state system
 
 
