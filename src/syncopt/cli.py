@@ -491,7 +491,7 @@ def cmd_compare(args) -> int:
         entry = {}
         for label, kic in (("initial", ad.initial.Kic), ("optimal", traces[ad.name].K)):
             run = simulator.simulate_augmented(ad.plant, kic, X0, scenario.t_end, scenario.dt)
-            P, _ = policy_iteration.policy_evaluation(ad.plant, kic)
+            P = policy_iteration.policy_evaluation(ad.plant, kic)[0]
             cost = simulator.evaluate_cost(run, P)
             entry[label] = {
                 "J_quadrature": cost.j_quadrature,

@@ -11,3 +11,7 @@ class ValidationError(ToolkitError):
 
 class NumericalError(ToolkitError):
     """A numerical procedure failed: singular system, divergence, lost stability."""
+
+
+class NotHurwitzError(NumericalError):
+    """A matrix that must be Hurwitz has an eigenvalue with real part >= 0."""

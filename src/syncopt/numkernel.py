@@ -4,7 +4,11 @@ stabilizing-gain synthesis.
 All routines are pure functions on numpy arrays and are safe to call
 concurrently. Sizes here are desk-scale (orders up to ~10), so Lyapunov
 equations are solved exactly by Kronecker vectorization rather than a
-Schur-based method.
+Schur-based method. The Kronecker sum is written in place into one zeroed
+array, each input of a solve is validated once, and the solve's one
+eigenvalue decomposition of Abar gives both its Hurwitz check and the
+spectral abscissa it returns, so policy iteration needs no spectrum of its
+own.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NotHurwitzError, NumericalError
 
 LYAP_RESIDUAL_RTOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -36,13 +40,16 @@ def _as_square(A, name: str = "A") -> np.ndarray:
     return A
 
 
-def spectrum(A) -> Spectrum:
-    """All eigenvalues of a square real matrix and their maximum real part."""
-    A = _as_square(A)
+def _eigvals(A: np.ndarray) -> np.ndarray:
     try:
-        vals = np.linalg.eigvals(A)
+        return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def spectrum(A) -> Spectrum:
+    """All eigenvalues of a square real matrix and their maximum real part."""
+    vals = _eigvals(_as_square(A))
     return Spectrum(values=vals, max_real=float(vals.real.max()))
 
 
@@ -53,13 +60,36 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     return spectrum(A).max_real < -margin
 
 
-def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float]:
+def _kronecker_sum(A: np.ndarray) -> np.ndarray:
+    """The matrix kron(I, A^T) + kron(A^T, I) of vec(A^T P + P A), written in
+    place: block (i, j) is delta_ij A^T + A[j, i] I.
+
+    Each entry is the same one- or two-term sum as the two `kron` products
+    give, less their products with zero, so every nonzero entry has the same
+    bits; only the sign of a zero entry can differ.
+    """
+    n = A.shape[0]
+    nn = n * n
+    M = np.zeros((nn, nn))
+    step = M.itemsize
+    # [i, j, k] -> M[i n + k, j n + k]: the A[j, i] I of block (i, j)
+    scalars = np.ndarray((n, n, n), buffer=M, strides=(n * nn * step, n * step, (nn + 1) * step))
+    # [i, k, l] -> M[i n + k, i n + l]: the A^T of diagonal block (i, i)
+    blocks = np.ndarray((n, n, n), buffer=M, strides=((n * nn + n) * step, nn * step, step))
+    scalars[...] = A.T[:, :, None]
+    blocks += A.T
+    return M
+
+
+def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
     """Solve Abar^T P + P Abar + Q = 0 for symmetric PSD P.
 
-    Abar must be Hurwitz and Q symmetric PSD; both are checked. The solve is
-    a dense Kronecker vectorization, and the result is re-symmetrized and
-    verified by substitution. Returns P and the Frobenius norm of that
-    substitution residual.
+    Abar must be Hurwitz and Q symmetric PSD; both are checked, Abar by one
+    eigenvalue decomposition. The solve is a dense Kronecker vectorization,
+    and the result is re-symmetrized and verified by substitution. Returns
+    P, the Frobenius norm of that substitution residual, and the spectral
+    abscissa of Abar that was tested. A non-Hurwitz Abar raises
+    `NotHurwitzError`.
     """
     Abar = _as_square(Abar, "Abar")
     Q = _as_square(Q, "Q")
@@ -67,13 +97,13 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float]:
         raise ValueError(f"shape mismatch: Abar {Abar.shape} vs Q {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-12:
         raise ValueError("Q is not symmetric within 1e-12")
-    if not is_hurwitz(Abar):
-        raise NumericalError("Abar is not Hurwitz; Lyapunov equation rejected")
+    abscissa = float(_eigvals(Abar).real.max())
+    if not abscissa < 0:
+        raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
 
     n = Abar.shape[0]
-    M = np.kron(np.eye(n), Abar.T) + np.kron(Abar.T, np.eye(n))
     try:
-        vec_p = np.linalg.solve(M, -Q.flatten(order="F"))
+        vec_p = np.linalg.solve(_kronecker_sum(Abar), -Q.flatten(order="F"))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"vectorized Lyapunov system singular: {exc}") from exc
     P = vec_p.reshape((n, n), order="F")
@@ -87,7 +117,7 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float]:
         )
     if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
         raise NumericalError("Lyapunov solution is not PSD within tolerance")
-    return P, float(residual)
+    return P, float(residual), abscissa
 
 
 def stabilize(A, B) -> np.ndarray:
@@ -113,7 +143,7 @@ def stabilize(A, B) -> np.ndarray:
     beta = np.linalg.norm(A, "fro") + 1.0
     shifted = -(A + beta * np.eye(n)).T  # Hurwitz by construction of beta
     try:
-        W, _ = solve_lyapunov(shifted, 2.0 * B @ B.T)
+        W = solve_lyapunov(shifted, 2.0 * B @ B.T)[0]
         K = B.T @ np.linalg.inv(W)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         raise NumericalError(

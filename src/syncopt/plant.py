@@ -169,9 +169,15 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     the text of each failed check."""
     n, m = ag.n, ag.m
     texts = []
+    eigs = spectrum(ag.A).values
 
-    obs = np.vstack([ag.C @ np.linalg.matrix_power(ag.A, k) for k in range(n)])
-    observable = _rank(obs) == n
+    # PBH: [A - lambda I; C] has rank n at every eigenvalue lambda of A,
+    # tested by one batched SVD over the stacked pencils
+    pencils = np.empty((n, n + ag.p, n), dtype=complex)
+    pencils[:, :n] = ag.A - eigs[:, None, None] * np.eye(n)
+    pencils[:, n:] = ag.C
+    sv = np.linalg.svd(pencils, compute_uv=False)
+    observable = bool(np.all(sv[:, -1] > RANK_RTOL * sv[:, 0]))
     if not observable:
         texts.append("(A, C) not observable")
 
@@ -181,7 +187,7 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
         texts.append("D^T D numerically singular")
 
     stabilizable = True
-    for lam in spectrum(ag.A).values:
+    for lam in eigs:
         if lam.real >= 0:
             pbh = np.hstack([ag.A - lam * np.eye(n), ag.B]).astype(complex)
             if _rank(pbh) < n:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
-from .numkernel import solve_lyapunov, spectrum
+from .errors import NotHurwitzError, NumericalError
+from .numkernel import solve_lyapunov
 from .protocol import AugmentedPlant
 
 DEFAULT_EPSILON = 1e-6
@@ -57,32 +57,39 @@ def _gram(plant: AugmentedPlant) -> np.ndarray:
     return g
 
 
-def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float]:
-    """Cost matrix of the fixed gain K and its Lyapunov residual: solve the
-    closed-loop Lyapunov equation with the tracking-error weight
-    (C - D K)^T (C - D K). A gain that is not stabilizing is rejected."""
+def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float, float]:
+    """Cost matrix of the fixed gain K, its Lyapunov residual and the spectral
+    abscissa of A - B K: solve the closed-loop Lyapunov equation with the
+    tracking-error weight (C - D K)^T (C - D K). A gain that is not
+    stabilizing is rejected with `NotHurwitzError`."""
     K = np.asarray(K, dtype=float)
     Cbar = plant.C - plant.D @ K
     return solve_lyapunov(plant.A - plant.B @ K, Cbar.T @ Cbar)
 
 
+def _improve(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(gram, plant.D.T @ plant.C + plant.B.T @ P)
+
+
 def policy_improvement(plant: AugmentedPlant, P) -> np.ndarray:
     """Greedy gain for the cost matrix P: K = (D^T D)^{-1} (D^T C + B^T P)."""
-    P = np.asarray(P, dtype=float)
-    return np.linalg.solve(_gram(plant), plant.D.T @ plant.C + plant.B.T @ P)
+    return _improve(plant, _gram(plant), np.asarray(P, dtype=float))
 
 
-def are_residual(plant: AugmentedPlant, P) -> float:
-    """Frobenius norm of the cross-term Riccati residual at P."""
-    P = np.asarray(P, dtype=float)
+def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> float:
     cross = plant.D.T @ plant.C + plant.B.T @ P
     res = (
         plant.A.T @ P
         + P @ plant.A
         + plant.C.T @ plant.C
-        - cross.T @ np.linalg.solve(_gram(plant), cross)
+        - cross.T @ np.linalg.solve(gram, cross)
     )
     return float(np.linalg.norm(res, "fro"))
+
+
+def are_residual(plant: AugmentedPlant, P) -> float:
+    """Frobenius norm of the cross-term Riccati residual at P."""
+    return _are_residual(plant, _gram(plant), np.asarray(P, dtype=float))
 
 
 def run_pi(
@@ -95,24 +102,26 @@ def run_pi(
     gain update falls below epsilon.
 
     Records every iterate and enforces the convergence guarantees at runtime:
-    each closed loop stays Hurwitz (its spectral abscissa is recorded), the
-    cost matrices decrease monotonically (min-eigenvalue tolerance -1e-9),
-    and the converged pair satisfies the Riccati equation within 1e-8
-    relative to the error weight.
+    each closed loop stays Hurwitz (its spectral abscissa, from the one
+    eigenvalue decomposition the evaluation makes, is recorded), the cost
+    matrices decrease monotonically (min-eigenvalue tolerance -1e-9), and
+    the converged pair satisfies the Riccati equation within 1e-8 relative
+    to the error weight. D^T D is checked once, before the first iterate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
+    gram = _gram(plant)
     K = np.asarray(K0, dtype=float)
     iterates: list[PiIterate] = []
     p_prev = None
     for k in range(max_iter):
-        abscissa = spectrum(plant.A - plant.B @ K).max_real
-        if not abscissa < 0:
-            raise NumericalError(f"gain at iteration {k} is not stabilizing")
-        P, lyap_res = policy_evaluation(plant, K)
+        try:
+            P, lyap_res, abscissa = policy_evaluation(plant, K)
+        except NotHurwitzError as exc:
+            raise NumericalError(f"gain at iteration {k} is not stabilizing") from exc
         if p_prev is not None:
             drop = np.linalg.eigvalsh(p_prev - P).min()
             if drop < MONOTONE_EIG_TOL:
@@ -120,13 +129,13 @@ def run_pi(
                     f"cost monotonicity violated at iteration {k} (min-eig {drop:.3e})"
                 )
         p_prev = P
-        K_next = policy_improvement(plant, P)
+        K_next = _improve(plant, gram, P)
         delta = float(np.linalg.norm(K_next - K, "fro"))
         iterates.append(
             PiIterate(k=k, P=P, K=K_next, gain_delta=delta, lyap_residual=lyap_res, abscissa=abscissa)
         )
         if delta < epsilon:
-            final_res = are_residual(plant, P)
+            final_res = _are_residual(plant, gram, P)
             scale = 1.0 + np.linalg.norm(plant.C.T @ plant.C, "fro")
             if final_res >= ARE_RESIDUAL_RTOL * scale:
                 raise NumericalError(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncopt import numkernel
 from syncopt.errors import NumericalError
 from syncopt.numkernel import is_hurwitz, solve_lyapunov, spectrum, stabilize
 
@@ -64,11 +65,11 @@ class TestIsHurwitz:
 
 class TestSolveLyapunov:
     def test_negative_identity(self):
-        p, _ = solve_lyapunov(-np.eye(2), np.eye(2))
+        p, _, _ = solve_lyapunov(-np.eye(2), np.eye(2))
         assert np.allclose(p, 0.5 * np.eye(2))
 
     def test_decoupled_scalars(self):
-        p, _ = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        p, _, _ = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
         assert np.allclose(p, np.diag([0.5, 0.25]))
 
     def test_random_residual(self):
@@ -77,7 +78,7 @@ class TestSolveLyapunov:
         a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4)
         g = rng.standard_normal((4, 4))
         q = g @ g.T
-        p, _ = solve_lyapunov(a, q)
+        p, _, _ = solve_lyapunov(a, q)
         res = np.linalg.norm(a.T @ p + p @ a + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
         assert np.array_equal(p, p.T)
@@ -90,6 +91,11 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_rejects_indefinite_solution(self):
+        # Hurwitz A, symmetric indefinite Q: P = diag(1/2, -1/2)
+        with pytest.raises(NumericalError, match="not PSD"):
+            solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
+
     def test_cross_oracle_with_hurwitz(self):
         # stability of A <-> the Lyapunov solve with Q = I succeeds and is PSD
         rng = np.random.default_rng(11)
@@ -97,8 +103,37 @@ class TestSolveLyapunov:
             a = rng.standard_normal((3, 3))
             a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.1, 1.0)) * np.eye(3)
             assert is_hurwitz(a)
-            p, _ = solve_lyapunov(a, np.eye(3))
+            p, _, _ = solve_lyapunov(a, np.eye(3))
             assert np.linalg.eigvalsh(p).min() > 0
+
+
+class TestKroneckerSum:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_the_kron_formula(self, n):
+        # signed entries, a third of them exact zeros, and a signed zero
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < 1 / 3] = 0.0
+        a[0, -1] = -0.0
+        want = np.kron(np.eye(n), a.T) + np.kron(a.T, np.eye(n))
+        got = numkernel._kronecker_sum(a)
+        # equal floats have equal bits, except that 0.0 == -0.0: the kron
+        # products give -0.0 where a zero factor meets a negative entry, and
+        # the in-place sum, which forms no such product, may give +0.0
+        assert np.array_equal(got, want)
+
+    def test_solve_needs_no_kron(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((4, 4))
+        a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4)
+        g = rng.standard_normal((4, 4))
+        want = solve_lyapunov(a, g @ g.T)
+        monkeypatch.setattr(numkernel.np, "kron", refuse)
+        got = solve_lyapunov(a, g @ g.T)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 class TestStabilize:

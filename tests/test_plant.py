@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from syncopt import cli
 from syncopt.plant import AgentDynamics, LeaderModel, check_assumptions
 from syncopt.topology import build_topology
 
@@ -41,6 +45,48 @@ def test_unobservable_agent_fails():
     )
     report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
     assert not report.per_agent["a"].observable
+
+
+def bench_scenarios():
+    """The benchmark's scenario generators (numpy only, no toolkit import)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("order", [11, 12])
+def test_high_order_probe_plant_validates(order, tmp_path, capsys):
+    # the benchmark's observability probe: PBH-observable plants whose
+    # Kalman matrix C A^k spans too many magnitudes for a rank test
+    sc = bench_scenarios()
+    agent, _ = sc.random_plant(np.random.default_rng([7, order]), order, 1,
+                               np.linalg.eigvals(np.asarray(sc.PAPER_LEADER_S)), 2,
+                               abscissa=(-0.5, 0.5))
+    agent = dict(agent, name="h1", x0=[0.0] * order, xi0=[0.0, 0.0])
+    scenario = sc.make_scenario(sc.PAPER_LEADER_S, sc.PAPER_W0, 1, [[0, 1]], [agent], 2.0, 1e-3)
+    path = sc.write_json(tmp_path / "probe.json", scenario)
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [3, 12])
+def test_mode_hidden_from_c_is_unobservable(order):
+    # block-diagonal (A0, -0.7) with C blind to the last state, then an
+    # orthogonal change of coordinates so no entry of C is zero
+    rng = np.random.default_rng(order)
+    a0 = rng.standard_normal((order - 1, order - 1))
+    A = np.zeros((order, order))
+    A[:-1, :-1] = a0 - (np.linalg.eigvals(a0).real.max() + 0.5) * np.eye(order - 1)
+    A[-1, -1] = -0.7
+    C = np.hstack([rng.standard_normal((1, order - 1)), np.zeros((1, 1))])
+    T, _ = np.linalg.qr(rng.standard_normal((order, order)))
+    ag = AgentDynamics(A=T @ A @ T.T, B=T @ rng.standard_normal((order, 1)), C=C @ T.T,
+                       D=[[1.0]], E=np.zeros((order, 1)), F=[[1.0]])
+    report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
+    assert not report.per_agent["a"].observable
+    assert "a: (A, C) not observable" in report.diagnostics
 
 
 def test_stable_leader_flagged():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
+from syncopt import policy_iteration
 from syncopt.errors import NumericalError
+from syncopt.numkernel import spectrum
 from syncopt.policy_iteration import (
     are_residual,
     policy_evaluation,
@@ -22,23 +24,24 @@ def scalar_plant(a=-1.0, b=1.0, c=1.0, d=1.0):
 class TestPolicyEvaluation:
     def test_zero_cost_gain(self):
         # K = 1 cancels the output exactly: Q = (c - d*k)^2 = 0
-        p, _ = policy_evaluation(scalar_plant(), np.array([[1.0]]))
+        p, _, _ = policy_evaluation(scalar_plant(), np.array([[1.0]]))
         assert p[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_hand_solve(self):
         # closed loop -1, Q = 1: -2p + 1 = 0
-        p, _ = policy_evaluation(scalar_plant(), np.array([[0.0]]))
+        p, _, _ = policy_evaluation(scalar_plant(), np.array([[0.0]]))
         assert p[0, 0] == pytest.approx(0.5)
 
     def test_paper_agent1_residual(self, paper_bundle):
         ad = paper_bundle.per_agent[0]
-        p, reported = policy_evaluation(ad.plant, ad.initial.Kic)
+        p, reported, abscissa = policy_evaluation(ad.plant, ad.initial.Kic)
         abar = ad.plant.A - ad.plant.B @ ad.initial.Kic
         cbar = ad.plant.C - ad.plant.D @ ad.initial.Kic
         q = cbar.T @ cbar
         res = np.linalg.norm(abar.T @ p + p @ abar + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
         assert reported == res
+        assert abscissa == spectrum(abar).max_real < 0
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(NumericalError):
@@ -118,11 +121,61 @@ class TestRunPi:
             assert np.linalg.norm(trace.P - p_ref, "fro") < 1e-6
 
     def test_nonstabilizing_k0_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="gain at iteration 0 is not stabilizing"):
             run_pi(scalar_plant(a=1.0), np.array([[0.0]]))
+
+    def test_rising_cost_rejected(self, monkeypatch):
+        # a = -1: the cost of the gain K is (1 - K)^2 / (2 (1 + K)). K0 = 0
+        # costs 1/2; the stabilizing K = 5 costs 4/3. Evaluating K = 5 in place
+        # of the improved gain makes the cost rise at iteration 1.
+        evaluate, gains = policy_iteration.policy_evaluation, []
+
+        def costlier(plant, K):
+            gains.append(K)
+            return evaluate(plant, np.array([[5.0]]) if len(gains) == 2 else K)
+
+        monkeypatch.setattr(policy_iteration, "policy_evaluation", costlier)
+        with pytest.raises(NumericalError, match="cost monotonicity violated at iteration 1"):
+            run_pi(scalar_plant(), np.array([[0.0]]))
+
+    def test_singular_gram_rejected(self):
+        # K0 = 2 stabilizes a = -1, but D = 0 leaves D^T D singular
+        with pytest.raises(NumericalError, match="D\\^T D numerically singular"):
+            run_pi(scalar_plant(d=0.0), np.array([[2.0]]))
 
     def test_max_iter_exhaustion(self):
         rng = np.random.default_rng(5)
         plant, k0 = random_stabilizable_plant(rng)
         with pytest.raises(NumericalError, match="did not converge"):
             run_pi(plant, k0, epsilon=1e-16, max_iter=2)
+
+
+class TestRunPiWork:
+    def test_paper_agents_need_no_kron(self, paper_bundle, paper_traces, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        for ad in paper_bundle.per_agent:
+            trace = run_pi(ad.plant, ad.initial.Kic)
+            want = paper_traces[ad.name]
+            assert len(trace.iterates) == len(want.iterates)
+            assert np.array_equal(trace.P, want.P) and np.array_equal(trace.K, want.K)
+
+    def test_one_spectrum_per_iterate_one_gram_per_run(self, paper_bundle, monkeypatch):
+        eigvals, gram, counts = np.linalg.eigvals, policy_iteration._gram, {"eig": 0, "gram": 0}
+
+        def counting_eigvals(a):
+            counts["eig"] += 1
+            return eigvals(a)
+
+        def counting_gram(plant):
+            counts["gram"] += 1
+            return gram(plant)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(policy_iteration, "_gram", counting_gram)
+        for ad in paper_bundle.per_agent:
+            counts.update(eig=0, gram=0)
+            trace = run_pi(ad.plant, ad.initial.Kic)
+            assert counts == {"eig": len(trace.iterates), "gram": 1}

@@ -332,7 +332,7 @@ class TestSimulateAugmented:
 
     def test_lyapunov_energy_decay(self, paper_bundle):
         ad = paper_bundle.per_agent[0]
-        p, _ = policy_evaluation(ad.plant, ad.initial.Kic)
+        p, _, _ = policy_evaluation(ad.plant, ad.initial.Kic)
         x0 = np.ones(ad.plant.order)
         run = simulator.simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=5.0, dt=1e-3)
         energy = np.einsum("ti,ij,tj->t", run.X, p, run.X)
