@@ -1,6 +1,7 @@
 """Leader and follower data model plus machine checks of the standing
 assumptions: observability, invertible feedthrough Gram, stabilizability,
-non-negative leader modes, and the transmission-zero rank condition.
+non-negative leader modes, and the transmission-zero rank condition, which
+needs p = m. The three PBH-type rank tests share one batched rank test.
 """
 
 from __future__ import annotations
@@ -116,19 +117,12 @@ class AssumptionReport:
         )
 
 
-def _rank(M: np.ndarray) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
 def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> AssumptionReport:
     """Run all assumption checks on the full scenario.
 
-    `agents` is a list of (name, AgentDynamics) pairs or a dict. Rank tests
-    share a single singular-value threshold; the rank condition at leader
-    eigenvalues is evaluated over complex arithmetic. Each distinct plant
+    `agents` is a list of (name, AgentDynamics) pairs or a dict. The rank
+    tests (observability, stabilizability, the rank condition at the leader
+    eigenvalues) are each one batched complex SVD. Each distinct plant
     (see `AgentDynamics.key`) is checked once, and its checks and
     diagnostics are reported under every agent that has it, in order.
     """
@@ -164,20 +158,25 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
     )
 
 
+def _rank_drops(M: np.ndarray, n: int, lams: np.ndarray) -> np.ndarray:
+    """Which of `lams` make M - lam [I_n 0; 0 0] lose full rank, for M one of
+    [A; C], [A, B] and [[A, B], [C, D]]: one batched SVD of the stacked complex
+    pencils, full rank meaning sigma_min > RANK_RTOL * sigma_max."""
+    pencils = np.repeat(M[None].astype(complex), len(lams), axis=0)
+    pencils[:, :n, :n] -= lams[:, None, None] * np.eye(n)
+    sv = np.linalg.svd(pencils, compute_uv=False)
+    return ~(sv[:, -1] > RANK_RTOL * sv[:, 0])
+
+
 def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     """The checks of one plant against the leader eigenvalues `s_eigs`, and
-    the text of each failed check."""
-    n, m = ag.n, ag.m
+    the text of each failed check, naming the first eigenvalue that fails."""
+    n = ag.n
     texts = []
     eigs = spectrum(ag.A).values
 
-    # PBH: [A - lambda I; C] has rank n at every eigenvalue lambda of A,
-    # tested by one batched SVD over the stacked pencils
-    pencils = np.empty((n, n + ag.p, n), dtype=complex)
-    pencils[:, :n] = ag.A - eigs[:, None, None] * np.eye(n)
-    pencils[:, n:] = ag.C
-    sv = np.linalg.svd(pencils, compute_uv=False)
-    observable = bool(np.all(sv[:, -1] > RANK_RTOL * sv[:, 0]))
+    # PBH: [A - lambda I; C] has rank n at every eigenvalue lambda of A
+    observable = not _rank_drops(np.vstack([ag.A, ag.C]), n, eigs).any()
     if not observable:
         texts.append("(A, C) not observable")
 
@@ -186,25 +185,24 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     if not feedthrough_invertible:
         texts.append("D^T D numerically singular")
 
-    stabilizable = True
-    for lam in eigs:
-        if lam.real >= 0:
-            pbh = np.hstack([ag.A - lam * np.eye(n), ag.B]).astype(complex)
-            if _rank(pbh) < n:
-                stabilizable = False
-                texts.append(f"PBH fails at eigenvalue {lam:.4g}")
-                break
+    # PBH: [A - lambda I, B] has rank n at every eigenvalue of A with Re >= 0
+    ab = np.hstack([ag.A, ag.B])
+    unstable = eigs[eigs.real >= 0]
+    drops = _rank_drops(ab, n, unstable)
+    stabilizable = not drops.any()
+    if not stabilizable:
+        texts.append(f"PBH fails at eigenvalue {unstable[drops.argmax()]:.4g}")
 
-    rank_condition = True
-    for lam in s_eigs:
-        block = np.block([
-            [ag.A - lam * np.eye(n), ag.B.astype(complex)],
-            [ag.C.astype(complex), ag.D.astype(complex)],
-        ])
-        if _rank(block) < n + m:
-            rank_condition = False
-            texts.append(f"rank condition fails at leader eigenvalue {lam:.4g}")
-            break
+    # regulator condition: [[A - lambda I, B], [C, D]] is square (p = m, as the
+    # regulator solve needs) and nonsingular at every eigenvalue lambda of S
+    if ag.p != ag.m:
+        rank_condition = False
+        texts.append(f"rank condition needs p = m, got p = {ag.p}, m = {ag.m}")
+    else:
+        drops = _rank_drops(np.vstack([ab, np.hstack([ag.C, ag.D])]), n, s_eigs)
+        rank_condition = not drops.any()
+        if not rank_condition:
+            texts.append(f"rank condition fails at leader eigenvalue {s_eigs[drops.argmax()]:.4g}")
 
     checks = AgentChecks(
         observable=observable,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import is_hurwitz
+from .numkernel import spectrum
 from .protocol import AugmentedPlant, GainSet, design_compensator
 
 BLOWUP_LIMIT = 1e12
@@ -54,7 +54,7 @@ class AugmentedTrajectory:
     times: np.ndarray
     X: np.ndarray  # T x (q+n)
     e: np.ndarray  # T x p
-    closed_a: np.ndarray  # A - B K of the run, for horizon checks
+    abscissa: float  # max real part of the spectrum of A - B K, for horizon checks
 
 
 @dataclass(frozen=True)
@@ -266,11 +266,12 @@ def simulate_augmented(plant: AugmentedPlant, K, X0, t_end: float, dt: float) ->
     K = np.asarray(K, dtype=float)
     X0 = np.asarray(X0, dtype=float)
     Acl = plant.A - plant.B @ K
-    if not is_hurwitz(Acl):
+    abscissa = spectrum(Acl).max_real
+    if not abscissa < 0:
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
     times, X = _rk4(Acl, X0, t_end, dt)
     e = X @ (plant.C - plant.D @ K).T
-    return AugmentedTrajectory(times=times, X=X, e=e, closed_a=Acl)
+    return AugmentedTrajectory(times=times, X=X, e=e, abscissa=abscissa)
 
 
 def evaluate_cost(run: AugmentedTrajectory, P) -> CostReport:
@@ -284,7 +285,7 @@ def evaluate_cost(run: AugmentedTrajectory, P) -> CostReport:
     tail = _tail_error(run.times, run.e)
 
     warning = None
-    slowest = np.linalg.eigvals(run.closed_a).real.max()
+    slowest = run.abscissa
     t_end = run.times[-1]
     if slowest < 0 and t_end < 5.0 / abs(slowest):
         warning = (

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "validation failure" in err and "Traceback" not in err
 
+    def test_more_outputs_than_inputs_exits_2(self, tmp_path, scenario_dict, capsys):
+        # agent1 keeps p = 2 outputs but only its first input: the regulator
+        # equations are not square, which every verb must report as exit 2
+        agent1 = scenario_dict["agents"][0]
+        agent1["B"] = [row[:1] for row in agent1["B"]]
+        agent1["D"] = [row[:1] for row in agent1["D"]]
+        del scenario_dict["k1_override"]["agent1"]
+        path = write_scenario(tmp_path, scenario_dict)
+        for verb in ("validate", "design", "learn", "simulate", "compare"):
+            rc = cli.main([verb, str(path), "--out", str(tmp_path)])
+            out, err = capsys.readouterr()
+            assert rc == 2, (verb, out, err)
+            assert "agent1: rank condition needs p = m, got p = 2, m = 1" in out + err, verb
+            assert "Traceback" not in err
+
+    def test_svg_without_matplotlib_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--svg"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--svg needs matplotlib" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON", "no stamp",
                                         "other seed", "other scenario"])
     def test_bad_gains_file_exits_2(self, tmp_path, scenario_dict, capsys, defect):
@@ -291,6 +314,11 @@ def test_mutated_scenario_keeps_exit_contract(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    if rc == 0:
+        rc = cli.main(["design", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), err
+        assert "Traceback" not in err
 
 
 BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from syncopt import cli
-from syncopt.plant import AgentDynamics, LeaderModel, check_assumptions
+from syncopt.plant import RANK_RTOL, AgentDynamics, LeaderModel, check_assumptions
 from syncopt.topology import build_topology
 
 
@@ -32,11 +32,16 @@ def test_zero_feedthrough_fails():
 
 
 def test_unstabilizable_agent_fails():
-    ag = AgentDynamics(
-        A=[[0, 1], [0, 0]], B=[[0], [0]], C=[[1, 0]], D=[[1]], E=[[0], [0]], F=[[1]]
-    )
-    report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
-    assert not report.per_agent["a"].stabilizable
+    for A, B, first in [
+        ([[0, 1], [0, 0]], [[0], [0]], "0"),
+        # unstable eigenvalues 1 and 2; B reaches the first mode only, so the
+        # batched test must report the later of the two
+        ([[1, 0], [0, 2]], [[1], [0]], "2"),
+    ]:
+        ag = AgentDynamics(A=A, B=B, C=[[1, 1]], D=[[1]], E=[[0], [0]], F=[[1]])
+        report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
+        assert not report.per_agent["a"].stabilizable
+        assert f"a: PBH fails at eigenvalue {first}" in report.diagnostics
 
 
 def test_unobservable_agent_fails():
@@ -121,3 +126,44 @@ def test_report_deterministic(paper_scenario):
     a = check_assumptions(paper_scenario.agents, paper_scenario.leader, paper_scenario.topology)
     b = check_assumptions(paper_scenario.agents, paper_scenario.leader, paper_scenario.topology)
     assert a == b
+
+
+def full_rank(M) -> bool:
+    sv = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    return int(np.sum(sv > RANK_RTOL * sv[0])) == min(np.shape(M))
+
+
+def reference_checks(ag: AgentDynamics, S) -> tuple:
+    """(observable, stabilizable, rank_condition), one pencil and one SVD
+    per eigenvalue."""
+    eye = np.eye(ag.n)
+    eigs = np.linalg.eigvals(ag.A)
+    observable = all(full_rank(np.vstack([ag.A - lam * eye, ag.C])) for lam in eigs)
+    stabilizable = all(full_rank(np.hstack([ag.A - lam * eye, ag.B]))
+                       for lam in eigs if lam.real >= 0)
+    rank_condition = ag.p == ag.m and all(
+        full_rank(np.vstack([np.hstack([ag.A - lam * eye, ag.B]), np.hstack([ag.C, ag.D])]))
+        for lam in np.linalg.eigvals(S)
+    )
+    return observable, stabilizable, rank_condition
+
+
+@pytest.mark.parametrize("S", [
+    [[0, 0], [0, 1]],  # real eigenvalues 0 and 1
+    [[0, 1], [-1, 0]],  # eigenvalues +/- i
+    [[1, 1], [0, 1]],  # eigenvalue 1, one Jordan block of size 2
+], ids=["real", "complex", "defective"])
+def test_batched_rank_tests_match_per_eigenvalue_reference(S):
+    rng = np.random.default_rng(11)
+    leader = LeaderModel(S=S, w0=[1, 0])
+    fails = np.zeros(3, dtype=int)  # per flag
+    for _ in range(300):
+        n, m, p = rng.integers(1, 4), rng.integers(1, 3), rng.integers(1, 3)
+        ag = AgentDynamics(A=rng.integers(-2, 3, (n, n)), B=rng.integers(-1, 2, (n, m)),
+                           C=rng.integers(-1, 2, (p, n)), D=rng.integers(-1, 2, (p, m)),
+                           E=np.zeros((n, 2)), F=np.zeros((p, 2)))
+        checks = check_assumptions([("a", ag)], leader, SINGLE).per_agent["a"]
+        got = (checks.observable, checks.stabilizable, checks.rank_condition)
+        assert got == reference_checks(ag, leader.S), (ag, got)
+        fails += np.logical_not(got)
+    assert fails.min() > 10  # integer plants are often rank-deficient
