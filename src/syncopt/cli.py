@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -29,12 +30,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-# The trajectory CSV copies 512 KB of values out of the trajectory at a time
-# (one copy costs about 0.6 us per trajectory array, two per agent, so it
-# must not be done per formatted block on a wide table), and fmt17 formats
-# them with about 1.5 MB of temporaries: about 2 MB at any time.
-_CSV_GATHER_BYTES = 1 << 19
 
 
 @dataclass
@@ -348,30 +343,40 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
     return out
 
 
-def write_trajectory_csv(path: Path, scenario: Scenario, traj: simulator.Trajectory):
+def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
+    """Write the trajectory CSV of a network run given as consecutive row
+    blocks (`Trajectory`s, as a `simulator.NetworkRun` yields them), each
+    block as it comes. The rows go to a temporary file beside `path`, which
+    replaces `path` once the last block is written; if anything fails first,
+    it is removed and `path` is left as it was."""
     from . import fmt17  # only here, so that the verbs writing no CSV do not load it
 
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
-    arrays = [traj.times[:, None], traj.leader_states]
     for name, ag in scenario.agents:
-        stream = traj.followers[name]
         header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
         header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
-        arrays += [stream.e, stream.x]
-    width = len(header)
-    gather = max(1, _CSV_GATHER_BYTES // (8 * width))
-    rows = max(1, fmt17.BLOCK_CELLS // width)
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(header)  # quotes any agent name that needs it
-        f.flush()  # the rows go to the byte stream below the text layer
-        for g0 in range(0, len(traj.times), gather):
-            block = np.concatenate([a[g0 : g0 + gather] for a in arrays], axis=1)
-            for r0 in range(0, len(block), rows):
-                f.buffer.write(fmt17.csv_rows(block[r0 : r0 + rows]))
+    rows = max(1, fmt17.BLOCK_CELLS // len(header))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            csv.writer(f).writerow(header)  # quotes any agent name that needs it
+            f.flush()  # the rows go to the byte stream below the text layer
+            for block in blocks:
+                arrays = [block.times[:, None], block.leader_states]
+                for name, _ in scenario.agents:
+                    arrays += [block.followers[name].e, block.followers[name].x]
+                table = np.concatenate(arrays, axis=1)
+                for r0 in range(0, len(table), rows):
+                    f.buffer.write(fmt17.csv_rows(table[r0 : r0 + rows]))
+                del table  # before the next block is integrated
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_error_svg(path: Path, scenario: Scenario, traj: simulator.Trajectory):
+def write_error_svg(path: Path, norms: simulator.ErrorNorms):
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -381,9 +386,8 @@ def write_error_svg(path: Path, scenario: Scenario, traj: simulator.Trajectory):
             "--svg needs matplotlib; install the `plot` extra (pip install syncopt[plot])"
         ) from exc
     fig, ax = plt.subplots(figsize=(8, 4.5))
-    for name, _ in scenario.agents:
-        mag = np.linalg.norm(traj.followers[name].e, axis=1)
-        ax.plot(traj.times, mag, label=name)
+    for name, mag in zip(norms.names, norms.values.T):
+        ax.plot(norms.times, mag, label=name)
     ax.set_xlabel("time [s]")
     ax.set_ylabel("|tracking error|")
     ax.set_yscale("log")
@@ -463,13 +467,13 @@ def cmd_simulate(args) -> int:
             gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
-    traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
+    run = simulator.NetworkRun(scenario, gains, scenario.t_end, scenario.dt)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
-    write_trajectory_csv(csv_path, scenario, traj)
+    write_trajectory_csv(csv_path, scenario, run)
     if args.svg:
-        write_error_svg(out / f"errors_{args.gains}.svg", scenario, traj)
-    metrics = simulator.tracking_metrics(traj)
+        write_error_svg(out / f"errors_{args.gains}.svg", run.error_norms)
+    metrics = simulator.tracking_metrics(run.error_norms)
     for name, met in metrics.items():
         settle = "not settled" if met.settle_time is None else f"{met.settle_time:.3f} s"
         print(f"{name}: tail error {met.tail_error:.3e}, settle {settle}")
@@ -502,11 +506,11 @@ def cmd_compare(args) -> int:
         rows[ad.name] = entry
 
     for label, gains in (("initial", init_gains), ("optimal", opt_gains)):
-        # one network trajectory at a time: only its metrics are kept
-        traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
-        for name, met in simulator.tracking_metrics(traj).items():
+        run = simulator.NetworkRun(scenario, gains, scenario.t_end, scenario.dt)
+        for _ in run:  # only the error norms of the blocks are kept
+            pass
+        for name, met in simulator.tracking_metrics(run.error_norms).items():
             rows[name][label]["network_tail_error"] = met.tail_error
-        del traj
 
     _write_json(Path(args.out) / "comparison.json", {"seed": scenario.seed, "agents": rows})
     print(f"{'agent':>8} {'J_initial':>12} {'J_optimal':>12}")

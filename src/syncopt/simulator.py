@@ -4,14 +4,20 @@ of the per-agent augmented error systems, plus tracking and cost metrics.
 The network (leader, compensators, local generators, followers under the
 distributed protocol) is one large LTI system; it is assembled once, from
 the agents and the edge list, as the nonzeros of its block matrix and
-integrated with classical 4th-order Runge-Kutta (see `_rk4`). A system of
-fewer than 363 states is made dense and advanced by its precomputed
-one-step map, several steps per matrix product. From 363 states on, one
-dense step map alone fills the 2 MB chunk budget, so a chunk holds a single
-step and there is nothing to amortise; such a system, in practice a large
-and almost entirely zero network matrix, runs the four RK4 stages on the
-matrix's nonzeros instead. Inputs and tracking errors are memoryless
-functions of the state and are recomputed per sample after integration.
+integrated with classical 4th-order Runge-Kutta (see `_rk4_blocks`). A
+system of fewer than 363 states is made dense and advanced by its
+precomputed one-step map, several steps per matrix product. From 363 states
+on, one dense step map alone fills the 2 MB chunk budget, so a chunk holds a
+single step and there is nothing to amortise; such a system, in practice a
+large and almost entirely zero network matrix, runs the four RK4 stages on
+the matrix's nonzeros instead.
+
+The samples come out in row blocks of about 1 MB (at least 256 rows), so a
+network run need never be held whole: a `NetworkRun` yields each block as a
+`Trajectory` of its own rows, with the followers' inputs and tracking errors
+(memoryless functions of the state) computed for those rows, and keeps only
+the per-sample norms of the tracking errors, 8 bytes per follower and
+sample. `simulate_network` joins the same blocks into one `Trajectory`.
 """
 
 from __future__ import annotations
@@ -29,8 +35,14 @@ SETTLE_THRESHOLD = 1e-2
 
 # Chunked RK4 propagation: byte budget of the stack of step-map powers, and
 # the longest chunk.
-_BLOCK_BYTES = 2 << 20
+_CHUNK_BYTES = 2 << 20
 _MAX_CHUNK = 128
+# Row blocks of a run: about this many bytes of samples each, but at least
+# this many rows, so that the fixed work of a network block (a dozen numpy
+# calls per group of followers, a few views per follower) is spread over
+# enough samples.
+_BLOCK_BYTES = 1 << 20
+_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -43,10 +55,21 @@ class FollowerStream:
 
 
 @dataclass(frozen=True)
+class ErrorNorms:
+    times: np.ndarray  # T
+    names: tuple  # followers, scenario order
+    values: np.ndarray  # T x N, |e| of each follower at each sample
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray  # uniform grid 0..t_end
+    times: np.ndarray  # the uniform grid 0..t_end, or a block of consecutive samples of it
     leader_states: np.ndarray  # T x q
     followers: dict  # name -> FollowerStream
+
+    def error_norms(self) -> ErrorNorms:
+        mag = [np.linalg.norm(stream.e, axis=1) for stream in self.followers.values()]
+        return ErrorNorms(self.times, tuple(self.followers), np.stack(mag, axis=1))
 
 
 @dataclass(frozen=True)
@@ -73,7 +96,14 @@ class TrackingMetrics:
 
 def _chunk_length(n: int) -> int:
     """Longest stack R^1..R^B of n x n step-map powers one chunk may use."""
-    return max(1, min(_MAX_CHUNK, _BLOCK_BYTES // (8 * n * n)))
+    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // (8 * n * n)))
+
+
+def _block_rows(n: int, chunk: int) -> int:
+    """Samples per row block of an n-state run: whole chunks of `chunk`
+    steps, so that every sample is the same float whatever the blocks."""
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
+    return -(-rows // chunk) * chunk
 
 
 def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
@@ -88,8 +118,25 @@ def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
     out[...] = p
 
 
+def _time_grid(t_end: float, dt: float) -> np.ndarray:
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be non-negative")
+    return np.arange(int(np.floor(t_end / dt + 1e-9)) + 1) * dt
+
+
 def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4 for dy = M y; returns (times, samples).
+    """Classical fixed-step RK4 for dy = M y; returns (times, samples), the
+    blocks of `_rk4_blocks` joined."""
+    blocks = list(_rk4_blocks(M, y0, t_end, dt))
+    return _time_grid(t_end, dt), blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
+    """Classical fixed-step RK4 for dy = M y, yielded as consecutive blocks
+    of samples: y0 and the first `_block_rows` steps, then that many steps
+    a block. Each block is a new array.
 
     M is the n x n matrix; from n = 363 on it may instead be given as its
     nonzeros (rows, cols, vals), sorted row-major.
@@ -98,19 +145,17 @@ def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.nda
     stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
     While a chunk can stack at least two powers of R (n < 363 states), R is
     built once and the samples are emitted in chunks,
-    out[k+1 : k+1+b] = (R^1 .. R^b) out[k]. Powers are stacked only while
-    their entries stay below BLOWUP_LIMIT, so a zero state stays exactly
-    zero under an unstable M instead of becoming inf * 0. From n = 363 on a
-    chunk holds one step, so the dense R would cost n^3 flops to build and
-    n^2 reads per step for nothing; there the four stages run on the
-    nonzeros of M (see `_rk4_stages`).
+    out[k+1 : k+1+b] = (R^1 .. R^b) out[k], with blocks of whole chunks.
+    Powers are stacked only while their entries stay below BLOWUP_LIMIT, so
+    a zero state stays exactly zero under an unstable M instead of becoming
+    inf * 0. From n = 363 on a chunk holds one step, so the dense R would
+    cost n^3 flops to build and n^2 reads per step for nothing; there the
+    four stages run on the nonzeros of M (see `_rk4_stages`). Either way a
+    sample that is non-finite or beyond BLOWUP_LIMIT stops the run, before
+    the block that holds it is yielded.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
-    steps = int(np.floor(t_end / dt + 1e-9))
-    times = np.arange(steps + 1) * dt
+    times = _time_grid(t_end, dt)
+    steps = len(times) - 1
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NumericalError("non-finite initial state")
@@ -120,43 +165,53 @@ def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.nda
         if isinstance(M, np.ndarray):
             rows, cols = np.nonzero(M)
             M = rows, cols, M[rows, cols]
-        return times, _rk4_stages(*M, y0, times, dt)
+        chunk = 1
 
-    powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
-    _step_map(M, dt, out=powers[0])
-    chunk = 1
-    while chunk < len(powers):
-        np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
-        if not np.abs(powers[chunk]).max() <= BLOWUP_LIMIT:
-            break
-        chunk += 1
-    flat = powers.reshape(-1, n)
+        def advance(y, out, k):
+            _rk4_stages(*M, y, out, times[k + 1 :], dt)
+    else:
+        powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
+        _step_map(M, dt, out=powers[0])
+        chunk = 1
+        while chunk < len(powers):
+            np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
+            if not np.abs(powers[chunk]).max() <= BLOWUP_LIMIT:
+                break
+            chunk += 1
+        flat = powers.reshape(-1, n)
 
-    out = np.empty((steps + 1, n))
-    out[0] = y0
-    for k in range(0, steps, chunk):
-        b = min(chunk, steps - k)
-        rows = out[k + 1 : k + 1 + b]
-        np.dot(flat[: b * n], out[k], out=rows.reshape(-1))
-        bad = ~np.isfinite(rows) | (np.abs(rows) > BLOWUP_LIMIT)
-        if bad.any():
-            first = k + 1 + int(np.argmax(bad.any(axis=1)))
-            raise NumericalError(f"state blow-up at t = {times[first]:.6g}")
-    return times, out
+        def advance(y, out, k):
+            for i in range(0, len(out), chunk):
+                rows = out[i : i + chunk]
+                np.dot(flat[: len(rows) * n], y, out=rows.reshape(-1))
+                bad = ~np.isfinite(rows) | (np.abs(rows) > BLOWUP_LIMIT)
+                if bad.any():
+                    first = k + i + 1 + int(np.argmax(bad.any(axis=1)))
+                    raise NumericalError(f"state blow-up at t = {times[first]:.6g}")
+                y = rows[-1]
+
+    per_block = _block_rows(n, chunk)
+    block = np.empty((1 + min(per_block, steps), n))
+    block[0] = y0
+    advance(y0, block[1:], 0)
+    yield block
+    for k in range(len(block) - 1, steps, per_block):
+        y = block[-1].copy()  # not a view, which would keep the block alive
+        block = np.empty((min(per_block, steps - k), n))
+        advance(y, block, k)
+        yield block
 
 
-def _rk4_stages(rows, cols, vals, y0, times, dt) -> np.ndarray:
+def _rk4_stages(rows, cols, vals, y, out, times, dt) -> None:
     """Textbook four-stage RK4 for dy = M y, with M given by its nonzeros
-    M[rows, cols] = vals; the guard checks every step."""
-    n = len(y0)
+    M[rows, cols] = vals: from y, fill `out` with the samples at `times`;
+    the guard checks every step."""
+    n = len(y)
 
     def f(y):
         return np.bincount(rows, weights=vals * y[cols], minlength=n)
 
-    out = np.empty((len(times), n))
-    out[0] = y0
-    for k in range(1, len(times)):
-        y = out[k - 1]
+    for k in range(len(out)):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
@@ -164,60 +219,121 @@ def _rk4_stages(rows, cols, vals, y0, times, dt) -> np.ndarray:
         out[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.abs(out[k]).max() <= BLOWUP_LIMIT:
             raise NumericalError(f"state blow-up at t = {times[k]:.6g}")
-    return out
+        y = out[k]
 
 
-def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajectory:
-    """Integrate the whole closed-loop network under the given gain sets.
+class NetworkRun:
+    """The whole closed-loop network under the given gain sets, assembled
+    and ready to integrate.
 
     `scenario` provides leader, agents, topology, the design constant r, and
     initial conditions; `gains` maps agent name -> GainSet. The compensator
     state of the leader node is the leader state itself.
+
+    Each iteration integrates the network from its initial state and yields
+    the run as consecutive row blocks (see `_rk4_blocks`), each a
+    `Trajectory` over the samples of that block. As a block passes, the
+    norms of its followers' tracking errors are written into `error_norms`,
+    which covers the whole run once an iteration has ended.
     """
-    leader = scenario.leader
-    agents = list(scenario.agents)
-    topo = scenario.topology
-    design = design_compensator(leader, topo, scenario.r)
-    q = leader.q
-    N = topo.n_followers
-    if len(agents) != N:
-        raise ValueError(f"{len(agents)} agents for {N} followers")
 
-    names = [name for name, _ in agents]
-    for name in names:
-        if name not in gains:
-            raise ValueError(f"no gain set for agent {name}")
+    def __init__(self, scenario, gains: dict, t_end: float, dt: float):
+        leader = scenario.leader
+        agents = list(scenario.agents)
+        topo = scenario.topology
+        design = design_compensator(leader, topo, scenario.r)
+        q = leader.q
+        N = topo.n_followers
+        if len(agents) != N:
+            raise ValueError(f"{len(agents)} agents for {N} followers")
 
-    n_list = [ag.n for _, ag in agents]
-    xi_off = q + q * np.arange(N)
-    z_off = q + N * q + q * np.arange(N)
-    x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
-    dim = q + 2 * N * q + sum(n_list)
+        names = [name for name, _ in agents]
+        for name in names:
+            if name not in gains:
+                raise ValueError(f"no gain set for agent {name}")
 
-    y0 = np.zeros(dim)
-    y0[:q] = leader.w0
-    for i, (name, ag) in enumerate(agents):
-        y0[xi_off[i] : xi_off[i] + q] = scenario.xi0[name]
-        y0[z_off[i] : z_off[i] + q] = scenario.zeta0
-        y0[x_off[i] : x_off[i] + ag.n] = scenario.x0[name]
+        n_list = [ag.n for _, ag in agents]
+        xi_off = q + q * np.arange(N)
+        z_off = q + N * q + q * np.arange(N)
+        x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
+        dim = q + 2 * N * q + sum(n_list)
 
-    matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
-    if _chunk_length(dim) > 1:  # made dense for the step map
-        rows, cols, vals = matrix
-        matrix = np.zeros((dim, dim))
-        matrix[rows, cols] = vals
-    times, samples = _rk4(matrix, y0, t_end, dt)
-    w = samples[:, :q]
-    followers = {}
-    for i, (name, ag) in enumerate(agents):
-        x = samples[:, x_off[i] : x_off[i] + ag.n]
-        xi = samples[:, xi_off[i] : xi_off[i] + q]
-        zeta = samples[:, z_off[i] : z_off[i] + q]
-        g = gains[name]
-        u = -(x @ g.K1.T + xi @ g.K2.T + zeta @ g.K3.T)
-        e = x @ ag.C.T + u @ ag.D.T - w @ ag.F.T
-        followers[name] = FollowerStream(x=x, xi=xi, zeta=zeta, u=u, e=e)
-    return Trajectory(times=times, leader_states=w, followers=followers)
+        y0 = np.zeros(dim)
+        y0[:q] = leader.w0
+        for i, (name, ag) in enumerate(agents):
+            y0[xi_off[i] : xi_off[i] + q] = scenario.xi0[name]
+            y0[z_off[i] : z_off[i] + q] = scenario.zeta0
+            y0[x_off[i] : x_off[i] + ag.n] = scenario.x0[name]
+
+        matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
+        if _chunk_length(dim) > 1:  # made dense for the step map
+            rows, cols, vals = matrix
+            matrix = np.zeros((dim, dim))
+            matrix[rows, cols] = vals
+
+        times = _time_grid(t_end, dt)
+        self.error_norms = ErrorNorms(times, tuple(names), np.empty((len(times), N)))
+        # Followers of one shape (n, m, p) that follow each other lie at even
+        # strides in every part of the state, so the outputs of each such
+        # group are computed by stacked products, per group and not per
+        # follower. numpy makes one BLAS call per follower for a stacked
+        # product, the call that follower's own product would make, so the
+        # values are the same bits.
+        self._q = q
+        self._groups = []
+        shapes = [(ag.n, ag.m, ag.p) for _, ag in agents]
+        starts = [i for i in range(N) if i == 0 or shapes[i] != shapes[i - 1]]
+        for start, stop in zip(starts, starts[1:] + [N]):
+            ags = [ag for _, ag in agents[start:stop]]
+            gs = [gains[name] for name in names[start:stop]]
+            self._groups.append((
+                names[start:stop], start, shapes[start][0],
+                (x_off[start], xi_off[start], z_off[start]),
+                *(np.stack(mats).transpose(0, 2, 1) for mats in (  # each matrix transposed
+                    [g.K1 for g in gs], [g.K2 for g in gs], [g.K3 for g in gs],
+                    [ag.C for ag in ags], [ag.D for ag in ags], [ag.F for ag in ags],
+                )),
+            ))
+        self._integration = matrix, y0, t_end, dt
+
+    def __iter__(self):
+        times = self.error_norms.times
+        q = self._q
+        k = 0
+        for samples in _rk4_blocks(*self._integration):
+            b = len(samples)
+            w = samples[:, :q]
+            followers = {}
+            for names, first, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
+                G = len(names)
+
+                def stacked(col, width):  # G x b x width, follower-major views
+                    return samples[:, col : col + G * width].reshape(b, G, width).transpose(1, 0, 2)
+
+                x, xi, zeta = stacked(x0, n), stacked(xi0, q), stacked(z0, q)
+                u = -(x @ K1 + xi @ K2 + zeta @ K3)
+                e = x @ C + u @ D - w @ F
+                self.error_norms.values[k : k + b, first : first + G] = np.linalg.norm(e, axis=2).T
+                for j, name in enumerate(names):
+                    followers[name] = FollowerStream(x=x[j], xi=xi[j], zeta=zeta[j], u=u[j], e=e[j])
+            k += b
+            yield Trajectory(times=times[k - b : k], leader_states=w, followers=followers)
+
+
+def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajectory:
+    """Integrate the whole closed-loop network under the given gain sets:
+    the blocks of its `NetworkRun`, joined into one `Trajectory`."""
+    run = NetworkRun(scenario, gains, t_end, dt)
+    w, streams = [], {name: [] for name in run.error_norms.names}
+    for block in run:
+        w.append(block.leader_states)
+        for name, s in block.followers.items():
+            streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
+    return Trajectory(
+        times=run.error_norms.times, leader_states=np.concatenate(w),
+        followers={name: FollowerStream(*map(np.concatenate, zip(*parts)))
+                   for name, parts in streams.items()},
+    )
 
 
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
@@ -282,7 +398,7 @@ def evaluate_cost(run: AugmentedTrajectory, P) -> CostReport:
     j_quad = float(np.trapezoid(e2, run.times))
     x0 = run.X[0]
     j_closed = float(x0 @ P @ x0)
-    tail = _tail_error(run.times, run.e)
+    tail = float(np.linalg.norm(run.e[_tail_start(len(run.e)) :], axis=1).max())
 
     warning = None
     slowest = run.abscissa
@@ -297,23 +413,23 @@ def evaluate_cost(run: AugmentedTrajectory, P) -> CostReport:
     )
 
 
-def tracking_metrics(traj: Trajectory) -> dict:
-    """Per-follower tail error and settle time of the tracking error."""
+def tracking_metrics(norms: ErrorNorms) -> dict:
+    """Per-follower tail error and settle time of the tracking error, from
+    its per-sample norms."""
     out = {}
-    for name, stream in traj.followers.items():
-        mag = np.linalg.norm(stream.e, axis=1)
-        tail = _tail_error(traj.times, stream.e)
+    for name, mag in zip(norms.names, norms.values.T):
         above = np.nonzero(mag >= SETTLE_THRESHOLD)[0]
         if above.size == 0:
             settle = 0.0
         elif above[-1] == len(mag) - 1:
             settle = None  # not settled within the horizon
         else:
-            settle = float(traj.times[above[-1] + 1])
+            settle = float(norms.times[above[-1] + 1])
+        tail = float(mag[_tail_start(len(mag)) :].max())
         out[name] = TrackingMetrics(tail_error=tail, settle_time=settle)
     return out
 
 
-def _tail_error(times: np.ndarray, e: np.ndarray) -> float:
-    start = int(np.ceil(0.9 * (len(times) - 1)))
-    return float(np.linalg.norm(e[start:], axis=1).max())
+def _tail_start(samples: int) -> int:
+    """First sample of the last 10% of the horizon."""
+    return int(np.ceil(0.9 * (samples - 1)))

@@ -1,9 +1,9 @@
 """Directed communication graph over a leader (node 0) and N followers.
 
-Builds the Laplacian decomposition L = [[0, 0], [-A0*1, H]] with
-H = A0 + Ls, and checks the structural requirements: no directed loop,
-a spanning tree rooted at the leader, and an isolated leader row.
-Edge weights are unit only.
+Keeps the edge list, the in-degrees and H = A0 + Ls, the follower block of
+the Laplacian L = [[0, 0], [-A0*1, H]], built from the edges, and checks the
+structural requirements: no directed loop, a spanning tree rooted at the
+leader, and an isolated leader row. Edge weights are unit only.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .errors import ValidationError
 class Topology:
     n_followers: int
     edges: tuple  # ordered pairs (j, i): follower/leader j feeds agent i
-    adjacency: np.ndarray  # (N+1)x(N+1) 0/1, row i lists senders to i
     in_degrees: np.ndarray  # d_i per node, leader included (d_0 = 0 enforced later)
-    laplacian: np.ndarray  # (N+1)x(N+1), D - A
-    leader_adjacency: np.ndarray  # A0 = diag(rho_10..rho_N0)
-    follower_laplacian: np.ndarray  # Ls, N x N
-    h_matrix: np.ndarray  # H = A0 + Ls
+    h_matrix: np.ndarray  # H = A0 + Ls, N x N: d_i on the diagonal, -1 at (i, j) per edge j -> i
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ class ValidationReport:
 
 
 def build_topology(n_followers: int, edges) -> Topology:
-    """Construct the graph and all derived matrices from an edge list.
+    """Construct the graph, its in-degrees and H from an edge list.
 
     Edges are ordered pairs (j, i) meaning agent i receives from agent j;
     node 0 is the leader. An edge that is not a pair of integers, a
@@ -64,25 +60,13 @@ def build_topology(n_followers: int, edges) -> Topology:
             raise ValidationError(f"duplicate edge ({j},{i})")
         seen.add((j, i))
 
-    adj = np.zeros((n + 1, n + 1))
-    for j, i in seen:
-        adj[i, j] = 1.0
-    deg = adj.sum(axis=1)
-    lap = np.diag(deg) - adj
-    a0 = np.diag(adj[1:, 0])
-    adj_s = adj[1:, 1:]
-    ls = np.diag(adj_s.sum(axis=1)) - adj_s
-    h = a0 + ls
-    return Topology(
-        n_followers=n,
-        edges=tuple(sorted(seen)),
-        adjacency=adj,
-        in_degrees=deg,
-        laplacian=lap,
-        leader_adjacency=a0,
-        follower_laplacian=ls,
-        h_matrix=h,
-    )
+    edges = tuple(sorted(seen))
+    senders, receivers = np.array(edges, dtype=int).reshape(-1, 2).T
+    deg = np.bincount(receivers, minlength=n + 1).astype(float)
+    h = np.diag(deg[1:])
+    among = (senders > 0) & (receivers > 0)  # follower-to-follower edges
+    h[receivers[among] - 1, senders[among] - 1] = -1.0
+    return Topology(n_followers=n, edges=edges, in_degrees=deg, h_matrix=h)
 
 
 def validate_topology(t: Topology) -> ValidationReport:

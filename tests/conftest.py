@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from networks import chain_payload
 from syncopt import cli, simulator
 
 
@@ -28,26 +29,16 @@ def paper_traces(paper_scenario, paper_bundle):
 @pytest.fixture(scope="session")
 def chain_network(tmp_path_factory):
     """60 bundled paper agents round-robin on a chain: 422 states, past the
-    363 from which `_rk4` integrates by stages instead of a dense step map.
-    Returns the scenario, its initial gain sets and the (M, y0) it integrates,
-    with M made dense from the nonzeros (rows, cols, vals) `_rk4` receives."""
-    raw = json.loads(cli.bundled_scenario_path().read_text())
-    paper = raw["agents"]
-    agents, x0, xi0, k1 = [], {}, {}, {}
-    for i in range(60):
-        spec, name = paper[i % 5], f"a{i}"
-        agents.append(dict(spec, name=name))
-        x0[name] = raw["init"]["x0"][spec["name"]]
-        xi0[name] = raw["init"]["xi0"][spec["name"]]
-        k1[name] = raw["k1_override"][spec["name"]]
-    raw.update(agents=agents, k1_override=k1,
-               topology={"n_followers": 60, "edges": [[i, i + 1] for i in range(60)]})
-    raw["init"].update(x0=x0, xi0=xi0)
+    363 from which `_rk4_blocks` integrates by stages instead of a dense step
+    map. Returns the scenario, its initial gain sets and the (M, y0) it
+    integrates, with M made dense from the nonzeros (rows, cols, vals)
+    `_rk4_blocks` receives."""
+    raw = chain_payload(60)
     path = tmp_path_factory.mktemp("chain") / "chain.json"
     path.write_text(json.dumps(raw))
     scenario = cli.load_scenario(path)
     gains = {ad.name: ad.initial for ad in cli.run_design(scenario).per_agent}
-    calls, rk4 = [], simulator._rk4
+    calls, rk4 = [], simulator._rk4_blocks
 
     def recording(M, y0, t_end, dt):
         rows, cols, vals = M
@@ -57,7 +48,7 @@ def chain_network(tmp_path_factory):
         return rk4(M, y0, t_end, dt)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_rk4", recording)
+        mp.setattr(simulator, "_rk4_blocks", recording)
         simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
     (M, y0), = calls
     assert M.shape == (422, 422) and simulator._chunk_length(422) == 1

@@ -1,0 +1,56 @@
+"""Networks for tests: a chain scenario larger than the paper's, and the
+dense graph matrices of a topology, rebuilt from its edge list."""
+
+import json
+
+import numpy as np
+
+from syncopt import cli
+
+
+def chain_payload(n_followers: int) -> dict:
+    """The bundled paper agents round-robin on a chain of `n_followers`, each
+    with its paper K1: 7 states a follower besides the leader's 2."""
+    raw = json.loads(cli.bundled_scenario_path().read_text())
+    paper = raw["agents"]
+    agents, x0, xi0, k1 = [], {}, {}, {}
+    for i in range(n_followers):
+        spec, name = paper[i % 5], f"a{i}"
+        agents.append(dict(spec, name=name))
+        x0[name] = raw["init"]["x0"][spec["name"]]
+        xi0[name] = raw["init"]["xi0"][spec["name"]]
+        k1[name] = raw["k1_override"][spec["name"]]
+    edges = [[i, i + 1] for i in range(n_followers)]
+    raw.update(agents=agents, k1_override=k1, topology={"n_followers": n_followers, "edges": edges})
+    raw["init"].update(x0=x0, xi0=xi0)
+    return raw
+
+
+def with_extra_state(payload: dict, names) -> dict:
+    """The named agents of a payload given one more state, stable (-1.5),
+    unforced and seen by every output, so that their order grows by one
+    and the standing assumptions still hold; its initial value is 0.3."""
+    for spec in payload["agents"]:
+        if spec["name"] in names:
+            n, m = len(spec["A"]), len(spec["B"][0])
+            spec["A"] = [row + [0.0] for row in spec["A"]] + [[0.0] * n + [-1.5]]
+            spec["B"] = spec["B"] + [[0.0] * m]
+            spec["C"] = [row + [1.0] for row in spec["C"]]
+            spec["E"] = spec["E"] + [[0.0] * len(spec["E"][0])]
+            payload["init"]["x0"][spec["name"]] = payload["init"]["x0"][spec["name"]] + [0.3]
+            k1 = payload["k1_override"][spec["name"]]
+            payload["k1_override"][spec["name"]] = [row + [0.0] for row in k1]
+    return payload
+
+
+def graph_matrices(topo) -> tuple:
+    """(A, L, A0, Ls) of a topology, dense, from its edge list: the adjacency
+    (row i lists the senders to node i), the Laplacian D - A, the leader
+    adjacency diag(A[1:, 0]) and the follower Laplacian."""
+    n = topo.n_followers
+    adj = np.zeros((n + 1, n + 1))
+    for j, i in topo.edges:
+        adj[i, j] = 1.0
+    adj_s = adj[1:, 1:]
+    return (adj, np.diag(adj.sum(axis=1)) - adj, np.diag(adj[1:, 0]),
+            np.diag(adj_s.sum(axis=1)) - adj_s)

@@ -2,12 +2,14 @@ import copy
 import csv
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from networks import chain_payload
 from syncopt import cli, simulator
 from syncopt.errors import ValidationError
 
@@ -55,7 +57,7 @@ class TestLoadScenario:
             cli.load_scenario(write_scenario(tmp_path, scenario_dict))
 
     def test_follower_count_checked_before_topology(self, tmp_path, scenario_dict, monkeypatch):
-        # a wrong count must not allocate the dense (N+1)^2 graph matrices first
+        # a wrong count must not allocate the dense N x N H matrix first
         def unreachable(*args):
             raise AssertionError("build_topology called")
 
@@ -237,18 +239,109 @@ class TestCommands:
         assert rc == 2
         assert "validation failure" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("table, t_end", [("paper", 0.5), ("chain", 1.0)], ids=["paper", "chain"])
-    def test_csv_bytes_match_row_writer(self, tmp_path, request, table, t_end):
-        # chain: 303 columns, 1001 rows, so several gathers and formatter calls
-        if table == "paper":
-            scenario = request.getfixturevalue("paper_scenario")
-            gains = {ad.name: ad.initial for ad in request.getfixturevalue("paper_bundle").per_agent}
-        else:
-            scenario, gains, _, _ = request.getfixturevalue("chain_network")
-        traj = simulator.simulate_network(scenario, gains, t_end=t_end, dt=1e-3)
-        path = tmp_path / "new.csv"
-        cli.write_trajectory_csv(path, scenario, traj)
-        assert path.read_bytes() == row_writer_csv(tmp_path / "old.csv", scenario, traj)
+    @pytest.mark.parametrize("table", ["paper", "chain"])
+    def test_csv_bytes_match_row_writer(self, tmp_path, capsys, table):
+        # `simulate` writes its CSV a row block at a time, while integrating.
+        # Runs that end one step before, on and one step after the end of
+        # the first block must give the bytes of the row writer over the
+        # joined trajectory, and print its metrics. paper: 28 columns, the
+        # dense step map; chain: 303 columns, 422 states, the sparse stages.
+        payload = json.loads(SCENARIO.read_text()) if table == "paper" else chain_payload(60)
+        path = write_scenario(tmp_path, payload)
+        scenario = cli.load_scenario(path)
+        initial = {ad.name: ad.initial for ad in cli.run_design(scenario).per_agent}
+        edge = first_block_steps(scenario, initial)
+        for steps in (edge - 1, edge, edge + 1):
+            payload["sim"]["t_end"] = steps * payload["sim"]["dt"]
+            path = write_scenario(tmp_path, payload)
+            out = tmp_path / str(steps)
+            assert cli.main(["simulate", str(path), "--out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            scenario = cli.load_scenario(path)
+            traj = simulator.simulate_network(scenario, initial, scenario.t_end, scenario.dt)
+            assert len(traj.times) == steps + 1
+            csv_path = out / "trajectory_initial.csv"
+            assert csv_path.read_bytes() == row_writer_csv(tmp_path / "rows.csv", scenario, traj)
+            lines = [
+                f"{name}: tail error {met.tail_error:.3e}, settle "
+                + ("not settled" if met.settle_time is None else f"{met.settle_time:.3f} s")
+                for name, met in simulator.tracking_metrics(traj.error_norms()).items()
+            ]
+            assert printed == "\n".join(lines + [f"wrote {csv_path}"]) + "\n"
+
+    @pytest.mark.parametrize("steps_from_edge", [-1, 0, 1])
+    def test_compare_network_metrics_match_trajectory(self, tmp_path, paper_scenario, paper_bundle,
+                                                      paper_traces, steps_from_edge):
+        # `compare` keeps only the per-sample error norms of each network run
+        initial = {ad.name: ad.initial for ad in paper_bundle.per_agent}
+        optimal = cli.optimal_gain_sets(paper_bundle, paper_traces)
+        payload = json.loads(SCENARIO.read_text())
+        steps = first_block_steps(paper_scenario, initial) + steps_from_edge
+        payload["sim"]["t_end"] = steps * payload["sim"]["dt"]
+        path = write_scenario(tmp_path, payload)
+        assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
+        scenario = cli.load_scenario(path)
+        for label, gains in (("initial", initial), ("optimal", optimal)):
+            traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
+            assert len(traj.times) == steps + 1
+            for name, met in simulator.tracking_metrics(traj.error_norms()).items():
+                assert rows[name][label]["network_tail_error"] == met.tail_error
+
+    def test_failed_simulation_leaves_no_csv(self, tmp_path, capsys, paper_scenario, paper_bundle):
+        # a stamped gains file whose agent3 Kic, negated and halved, is finite
+        # but destabilises the network: it blows up at t = 15.535 s, after
+        # the first row blocks went to the CSV's temporary file
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
+        gains_file = tmp_path / "optimal_gains.json"
+        gains = json.loads(gains_file.read_text())
+        kic = gains["agents"]["agent3"]["optimal"]["Kic"]
+        gains["agents"]["agent3"]["optimal"]["Kic"] = (-0.5 * np.array(kic)).tolist()
+        gains_file.write_text(json.dumps(gains))
+        initial = {ad.name: ad.initial for ad in paper_bundle.per_agent}
+        assert first_block_steps(paper_scenario, initial) * paper_scenario.dt < 15.535
+        files = sorted(p.name for p in tmp_path.iterdir())
+        csv_path = tmp_path / "trajectory_optimal.csv"
+        for earlier in (None, b"t,w_1\r\n0,1\r\n"):
+            if earlier is not None:
+                csv_path.write_bytes(earlier)
+            capsys.readouterr()
+            rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"])
+            err = capsys.readouterr().err
+            assert rc == 3
+            assert "numerical failure: state blow-up at t = 15.535" in err and "Traceback" not in err
+            if earlier is None:
+                assert sorted(p.name for p in tmp_path.iterdir()) == files
+            else:
+                assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + [csv_path.name])
+                assert csv_path.read_bytes() == earlier
+
+    def test_simulate_memory_is_bounded_by_blocks(self, tmp_path, capsys):
+        # 150 followers on a chain, 1052 states, 4001 samples: 33.7 MB of
+        # samples, where a row block holds 256 rows, 2.2 MB. numpy reports
+        # its allocations to tracemalloc, so the traced peak is deterministic.
+        payload = chain_payload(150)
+        payload["sim"]["t_end"] = 0.01  # a first run loads what is loaded once
+        assert cli.main(["simulate", str(write_scenario(tmp_path, payload)),
+                         "--out", str(tmp_path / "first")]) == 0
+        payload["sim"]["t_end"] = 4.0
+        path = write_scenario(tmp_path, payload)
+        samples_bytes = 4001 * 1052 * 8
+        assert samples_bytes >= 4 * simulator._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", str(path), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < samples_bytes / 2
+
+
+def first_block_steps(scenario, gains) -> int:
+    """Steps in the first row block of the scenario's network run."""
+    block = next(iter(simulator.NetworkRun(scenario, gains, t_end=100.0, dt=scenario.dt)))
+    return len(block.times) - 1
 
 
 def json_paths(node, prefix=()):

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from networks import chain_payload, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
 from syncopt.errors import NumericalError
@@ -41,15 +43,15 @@ def zero_start(scenario):
 
 
 def captured_rk4_inputs(monkeypatch):
-    """Record (M, y0) of every _rk4 call made while the patch is active."""
+    """Record (M, y0) of every _rk4_blocks call made while the patch is active."""
     calls = []
-    original = simulator._rk4
+    original = simulator._rk4_blocks
 
     def recording(M, y0, t_end, dt):
         calls.append((M.copy(), np.array(y0, dtype=float)))
         return original(M, y0, t_end, dt)
 
-    monkeypatch.setattr(simulator, "_rk4", recording)
+    monkeypatch.setattr(simulator, "_rk4_blocks", recording)
     return calls
 
 
@@ -78,7 +80,7 @@ class TestSimulateNetwork:
         traj = simulator.simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(traj)
+        metrics = simulator.tracking_metrics(traj.error_norms())
         for met in metrics.values():
             assert met.tail_error < 1e-2
 
@@ -154,7 +156,7 @@ def dense_network_matrix(scenario, gains, design, xi_off, z_off, x_off):
     dim = x_off[-1] + scenario.agents[-1][1].n
     M = np.zeros((dim, dim))
     M[:q, :q] = leader.S
-    adj = topo.adjacency
+    adj = graph_matrices(topo)[0]
     for i, (name, ag) in enumerate(scenario.agents):
         node = i + 1
         a = design.alphas[i]
@@ -173,6 +175,37 @@ def dense_network_matrix(scenario, gains, design, xi_off, z_off, x_off):
         M[xl, zl] = -ag.B @ g.K3
         M[xl, :q] = ag.E
     return M
+
+
+def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, monkeypatch):
+    # orders 3 3 4 4 3 4 3 3 on a chain: the outputs are computed over five
+    # groups of followers of one shape, and must be the columns of the
+    # integrated state and, bit for bit, the products of one follower
+    payload = with_extra_state(chain_payload(8), {"a2", "a3", "a5"})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    scenario = cli.load_scenario(path)
+    gains = initial_gain_sets(cli.run_design(scenario))
+    calls = captured_rk4_inputs(monkeypatch)
+    traj = simulator.simulate_network(scenario, gains, t_end=0.6, dt=1e-3)
+    (M, y0), = calls
+    _, samples = simulator._rk4(M, y0, 0.6, 1e-3)
+    q, N = 2, 8
+    x_col = q + 2 * q * N
+    for i, (name, ag) in enumerate(scenario.agents):
+        s, g = traj.followers[name], gains[name]
+        assert np.array_equal(s.xi, samples[:, q + q * i : q + q * (i + 1)])
+        assert np.array_equal(s.zeta, samples[:, q + q * (N + i) : q + q * (N + i + 1)])
+        assert np.array_equal(s.x, samples[:, x_col : x_col + ag.n])
+        x_col += ag.n
+        u = -(s.x @ g.K1.T + s.xi @ g.K2.T + s.zeta @ g.K3.T)
+        assert np.array_equal(s.u, u)
+        assert np.array_equal(s.e, s.x @ ag.C.T + u @ ag.D.T - traj.leader_states @ ag.F.T)
+    assert x_col == len(y0)
+    run = simulator.NetworkRun(scenario, gains, t_end=0.6, dt=1e-3)
+    for _ in run:
+        pass
+    assert run.error_norms.values.tobytes() == traj.error_norms().values.tobytes()
 
 
 @pytest.mark.parametrize("network", ["paper", "chain"])
@@ -213,6 +246,20 @@ class TestRk4StepMap:
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-10)
 
+    @pytest.mark.parametrize("min_rows", [1, 130, 300])
+    def test_blocks_hold_the_samples_of_one_block(self, monkeypatch, min_rows):
+        # blocks of whole chunks: every sample is the same float however
+        # the run is cut
+        M, y0 = stable_matrix(6, seed=4), np.linspace(-1.0, 1.0, 6)
+        _, whole = simulator._rk4(M, y0, 10.0, 0.01)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
+        blocks = list(simulator._rk4_blocks(M, y0, 10.0, 0.01))
+        assert len(blocks) > 1
+        assert (len(blocks[0]) - 1) % CHUNK == 0
+        assert all(len(block) % CHUNK == 0 for block in blocks[1:-1])
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("n", [3, 7])
     def test_step_map_is_rk4_polynomial(self, n):
         M, h = stable_matrix(n, seed=6), 0.05
@@ -248,6 +295,15 @@ class TestRk4Stages:
         assert len(times) == steps + 1
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-12)
+
+    def test_blocks_hold_the_samples_of_one_block(self, chain_network, monkeypatch):
+        _, _, M, y0 = chain_network
+        _, whole = simulator._rk4(M, y0, 1.0, 0.01)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", 7)
+        blocks = list(simulator._rk4_blocks(M, y0, 1.0, 0.01))
+        assert [len(block) for block in blocks] == [8] + [7] * 13 + [2]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     def test_blowup_time_matches_textbook_rk4(self, chain_network):
         _, _, M, y0 = chain_network
@@ -371,14 +427,14 @@ class TestTrackingMetrics:
         traj = simulator.simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(traj).values():
+        for met in simulator.tracking_metrics(traj.error_norms()).values():
             assert met.settle_time == 0.0
 
     def test_paper_run_settles(self, paper_scenario, paper_bundle):
         traj = simulator.simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(traj).values():
+        for met in simulator.tracking_metrics(traj.error_norms()).values():
             assert met.settle_time is not None
 
     def test_not_settled_reported(self, paper_scenario, paper_bundle):
@@ -386,5 +442,5 @@ class TestTrackingMetrics:
         traj = simulator.simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=0.5, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(traj)
+        metrics = simulator.tracking_metrics(traj.error_norms())
         assert any(met.settle_time is None for met in metrics.values())

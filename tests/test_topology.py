@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from networks import graph_matrices
 from paper_tables import LAPLACIAN
 from syncopt.errors import ValidationError
 from syncopt.numkernel import spectrum
@@ -11,8 +12,24 @@ PAPER_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
 
 def test_paper_laplacian():
     t = build_topology(5, PAPER_EDGES)
-    assert np.array_equal(t.laplacian, LAPLACIAN)
-    assert np.array_equal(t.h_matrix, t.leader_adjacency + t.follower_laplacian)
+    adj, lap, a0, ls = graph_matrices(t)
+    assert np.array_equal(lap, LAPLACIAN)
+    assert np.array_equal(t.h_matrix, a0 + ls)
+    assert np.array_equal(t.in_degrees, adj.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_h_matrix_bits_are_the_dense_construction(seed):
+    # H from the edge list holds the bits of A0 + Ls built from the dense
+    # adjacency, an edge into the leader included
+    rng = np.random.default_rng(seed)
+    n = 12
+    pairs = [(j, i) for i in range(1, n + 1) for j in range(n + 1) if i != j]
+    edges = [pairs[k] for k in rng.choice(len(pairs), size=30, replace=False)] + [(3, 0)]
+    t = build_topology(n, edges)
+    adj, _, a0, ls = graph_matrices(t)
+    assert t.h_matrix.tobytes() == (a0 + ls).tobytes()
+    assert t.in_degrees.tobytes() == adj.sum(axis=1).tobytes()
 
 
 def test_single_follower():
@@ -29,13 +46,13 @@ def test_chain_h_triangular():
 
 def test_leader_row_zero():
     t = build_topology(5, PAPER_EDGES)
-    assert np.array_equal(t.laplacian[0], np.zeros(6))
+    assert np.array_equal(graph_matrices(t)[1][0], np.zeros(6))
 
 
 def test_laplacian_row_sums():
     # full-graph Laplacian annihilates the all-ones vector
     t = build_topology(5, PAPER_EDGES)
-    assert np.allclose(t.laplacian @ np.ones(6), 0)
+    assert np.allclose(graph_matrices(t)[1] @ np.ones(6), 0)
 
 
 @pytest.mark.parametrize(
