@@ -285,6 +285,9 @@ def _gains_json(g: protocol.GainSet) -> dict:
 def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario) -> dict:
     agents = {}
     optimal = {} if traces is None else optimal_gain_sets(bundle, traces)
+    rows, cols, vals = bundle.transform.U
+    U = np.zeros((len(bundle.transform.c),) * 2)  # the reports hold U dense
+    U[rows, cols] = vals
     for ad in bundle.per_agent:
         entry = {
             "Pi": _mat(ad.reg.Pi),
@@ -306,7 +309,7 @@ def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario)
         "r": bundle.design.r,
         "lambda_M": bundle.design.lambda_M,
         "alphas": _mat(bundle.design.alphas),
-        "U": _mat(bundle.transform.U),
+        "U": _mat(U),
         "c": _mat(bundle.transform.c),
         "h": _mat(bundle.transform.h),
         "transform_residual": bundle.transform.residual,

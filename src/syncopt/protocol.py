@@ -13,7 +13,7 @@ from .errors import NumericalError, ValidationError
 from .numkernel import is_hurwitz, spectrum, stabilize
 from .plant import AgentDynamics, LeaderModel
 from .regulator import RegulatorSolution
-from .topology import Topology, validate_topology
+from .topology import Topology, topological_order, validate_topology
 
 TRANSFORM_RESIDUAL_TOL = 1e-8
 
@@ -28,7 +28,7 @@ class CompensatorDesign:
 
 @dataclass(frozen=True)
 class TransformU:
-    U: np.ndarray  # N x N, invertible
+    U: tuple  # nonzeros (rows, cols, vals) of the N x N U, invertible
     c: np.ndarray  # c_i = T_i U^{-1} 1_N
     h: np.ndarray  # h_i = T_i H U^{-1} 1_N
     residual: float  # Frobenius residual of the defining identity
@@ -75,14 +75,11 @@ def design_compensator(leader: LeaderModel, topo: Topology, r: float) -> Compens
     report = validate_topology(topo)
     if not report.passed:
         raise ValidationError(f"topology invalid: {report.diagnostics}")
-    d = topo.in_degrees[1:]
-    if np.any(d <= 0):
-        raise ValidationError("every follower needs at least one incoming edge")
     lam_m = spectrum(leader.S).max_real
     return CompensatorDesign(
         r=float(r),
         lambda_M=lam_m,
-        alphas=-(lam_m + r) / d,
+        alphas=-(lam_m + r) / topo.in_degrees[1:],
         s_shifted=leader.S - (lam_m + r) * np.eye(leader.q),
     )
 
@@ -92,49 +89,47 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     zeta generators, plus the per-follower coupling scalars c_i and h_i.
 
     Defining identity (M := S - (lambda_M + r) I_q), block by block:
-        U_ij M = delta_ij S + (Lambda H)_ij I_q.
-    Its closed form is U = I - Nstrict / r with Nstrict = Lambda H +
-    (lambda_M + r) I, which has a zero diagonal. The off-diagonal blocks
-    then hold only when S is a multiple of I_q or no follower feeds another
-    (H diagonal, so U = I); any other case fails the residual check.
+        U_ij M = delta_ij S + (Lambda H)_ij I_q, with H = A0 + Ls.
+    Its closed form U = I - (Lambda H + (lambda_M + r) I) / r is nonzero
+    only on the diagonal and at the follower edges j -> i (alpha_i / r). U
+    is kept as those nonzeros, each the same float as in the dense form,
+    and the residual is taken over their blocks; every other block is
+    exactly zero. The off-diagonal blocks hold only when S is a multiple of
+    I_q or no follower feeds another (U = I); any other case fails the
+    residual check.
 
-    U and Lambda H are nonzero only on the diagonal and at the follower
-    edges, so the residual is taken over those blocks alone, found from the
-    edge list; every other block of the identity is exactly zero. Each
-    entry is the same float as in the Kronecker form of the identity, and
-    U, c and h are unchanged. (The per-follower design that uses them is
-    done once per distinct plant; see `run_design` in the CLI.)
+    In topological order U is unit lower triangular, so c = U^{-1} 1 and
+    h = H c follow by substitution: c_i = (1 - (alpha_i / r) s_i) / U_ii and
+    h_i = d_i c_i - s_i, with s_i the sum of c_j over the follower senders.
     """
-    q = leader.q
     N = topo.n_followers
-    r, lam_m = design.r, design.lambda_M
-    H = topo.h_matrix
-    lam_h = design.alphas[:, None] * H
-    M = design.s_shifted
-
-    n_strict = lam_h + (lam_m + r) * np.eye(N)
-    U = np.eye(N) - n_strict / r
-
-    # blocks (i, j) at the follower edges j -> i and on the diagonal
+    r, alphas, d = design.r, design.alphas, topo.in_degrees[1:]
+    # follower edges j -> i as 0-based (row i, column j), then the diagonal
     ij = [(i - 1, j - 1) for j, i in topo.edges if j > 0] + [(i, i) for i in range(N)]
     rows, cols = np.array(ij, dtype=int).T
-    delta = (rows == cols)[:, None, None]
-    blocks = (
-        U[rows, cols][:, None, None] * M
-        - delta * leader.S
-        - lam_h[rows, cols][:, None, None] * np.eye(q)
-    )
+    diag = rows == cols
+    lam_h = np.where(diag, alphas[rows] * d[rows], -alphas[rows])
+    u_diag = 1.0 - (alphas * d + (design.lambda_M + r)) / r
+    vals = np.where(diag, u_diag[rows], alphas[rows] / r)
+    blocks = (vals[:, None, None] * design.s_shifted - diag[:, None, None] * leader.S
+              - lam_h[:, None, None] * np.eye(leader.q))
     residual = np.linalg.norm(blocks.ravel())
     if residual >= TRANSFORM_RESIDUAL_TOL:
         raise NumericalError(
             "transform not representable: the defining identity has no exact "
             f"solution for S = {leader.S.tolist()} (residual {residual:.3e})"
         )
-    try:
-        v = np.linalg.solve(U, np.ones(N))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"transform U is singular: {exc}") from exc
-    return TransformU(U=U, c=v, h=H @ v, residual=float(residual))
+    c, h = np.empty(N), np.empty(N)
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for i in topological_order(topo):
+            s = sum(c[j - 1] for j in topo.senders[i] if j > 0)
+            c[i - 1] = (1.0 - alphas[i - 1] / r * s) / u_diag[i - 1]
+            h[i - 1] = d[i - 1] * c[i - 1] - s
+    bad = np.flatnonzero(~(np.isfinite(c) & np.isfinite(h)))
+    if bad.size:
+        raise NumericalError(f"coupling scalars c, h overflow at follower {bad[0] + 1}: "
+                             f"c = {c[bad[0]]:.3g}, h = {h[bad[0]]:.3g}")
+    return TransformU(U=(rows, cols, vals), c=c, h=h, residual=float(residual))
 
 
 def build_augmented_plant(

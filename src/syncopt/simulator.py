@@ -349,15 +349,12 @@ def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
     topo = scenario.topology
     q = leader.q
     eye = np.eye(q)
-    senders = [[] for _ in range(topo.n_followers + 1)]
-    for j, i in topo.edges:
-        senders[i].append(0 if j == 0 else xi_off[j - 1])  # leader or compensator j
     strips = [_row_strip(0, [(0, leader.S)])]
     for i, a in enumerate(design.alphas):
         own = (xi_off[i], leader.S + a * topo.in_degrees[i + 1] * eye)
-        strips.append(_row_strip(xi_off[i], sorted(
-            [(c0, -a * eye) for c0 in senders[i + 1]] + [own], key=lambda b: b[0]
-        )))
+        coupled = [(0 if j == 0 else xi_off[j - 1], -a * eye)  # leader or compensator j
+                   for j in topo.senders[i + 1]]
+        strips.append(_row_strip(xi_off[i], sorted(coupled + [own], key=lambda b: b[0])))
     strips += [_row_strip(z, [(z, design.s_shifted)]) for z in z_off]
     for i, (name, ag) in enumerate(scenario.agents):
         g = gains[name]

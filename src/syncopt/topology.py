@@ -1,9 +1,9 @@
 """Directed communication graph over a leader (node 0) and N followers.
 
-Keeps the edge list, the in-degrees and H = A0 + Ls, the follower block of
-the Laplacian L = [[0, 0], [-A0*1, H]], built from the edges, and checks the
-structural requirements: no directed loop, a spanning tree rooted at the
-leader, and an isolated leader row. Edge weights are unit only.
+Keeps the graph as its edge list, with the in-degrees and each node's
+senders, and checks the structural requirements: no directed loop, a
+spanning tree rooted at the leader, and an isolated leader row. Edge
+weights are unit only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class Topology:
     n_followers: int
     edges: tuple  # ordered pairs (j, i): follower/leader j feeds agent i
     in_degrees: np.ndarray  # d_i per node, leader included (d_0 = 0 enforced later)
-    h_matrix: np.ndarray  # H = A0 + Ls, N x N: d_i on the diagonal, -1 at (i, j) per edge j -> i
+    senders: tuple  # per node i, the nodes j of its edges j -> i, ascending
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ValidationReport:
 
 
 def build_topology(n_followers: int, edges) -> Topology:
-    """Construct the graph, its in-degrees and H from an edge list.
+    """Construct the graph, its in-degrees and senders from an edge list.
 
     Edges are ordered pairs (j, i) meaning agent i receives from agent j;
     node 0 is the leader. An edge that is not a pair of integers, a
@@ -61,12 +61,12 @@ def build_topology(n_followers: int, edges) -> Topology:
         seen.add((j, i))
 
     edges = tuple(sorted(seen))
-    senders, receivers = np.array(edges, dtype=int).reshape(-1, 2).T
-    deg = np.bincount(receivers, minlength=n + 1).astype(float)
-    h = np.diag(deg[1:])
-    among = (senders > 0) & (receivers > 0)  # follower-to-follower edges
-    h[receivers[among] - 1, senders[among] - 1] = -1.0
-    return Topology(n_followers=n, edges=edges, in_degrees=deg, h_matrix=h)
+    senders = [[] for _ in range(n + 1)]
+    for j, i in edges:  # ascending j per receiver
+        senders[i].append(j)
+    deg = np.array([len(s) for s in senders], dtype=float)
+    return Topology(n_followers=n, edges=edges, in_degrees=deg,
+                    senders=tuple(map(tuple, senders)))
 
 
 def validate_topology(t: Topology) -> ValidationReport:
@@ -111,9 +111,8 @@ def validate_topology(t: Topology) -> ValidationReport:
 def topological_order(t: Topology) -> list[int]:
     """Follower permutation in which every edge points forward.
 
-    Under this order the permuted H matrix is triangular with the in-degrees
-    on its diagonal. Ties break on the lowest original index for
-    reproducibility.
+    Every follower comes after all of its senders. Ties break on the lowest
+    original index for reproducibility.
     """
     order = _try_topological_order(t)
     if order is None:

@@ -1,5 +1,6 @@
-"""Networks for tests: a chain scenario larger than the paper's, and the
-dense graph matrices of a topology, rebuilt from its edge list."""
+"""Networks for tests: a chain scenario larger than the paper's, the dense
+graph matrices of a topology, rebuilt from its edge list or its senders,
+and a dense matrix from its nonzeros."""
 
 import json
 
@@ -54,3 +55,22 @@ def graph_matrices(topo) -> tuple:
     adj_s = adj[1:, 1:]
     return (adj, np.diag(adj.sum(axis=1)) - adj, np.diag(adj[1:, 0]),
             np.diag(adj_s.sum(axis=1)) - adj_s)
+
+
+def h_matrix(topo) -> np.ndarray:
+    """H = A0 + Ls, dense, from a topology's senders and in-degrees: d_i on
+    the diagonal and -1 at (i, j) per follower edge j -> i."""
+    h = np.diag(topo.in_degrees[1:])
+    for i, senders in enumerate(topo.senders[1:]):
+        for j in senders:
+            if j > 0:
+                h[i, j - 1] = -1.0
+    return h
+
+
+def dense(nonzeros, n: int) -> np.ndarray:
+    """The n x n matrix whose nonzeros are (rows, cols, vals)."""
+    rows, cols, vals = nonzeros
+    a = np.zeros((n, n))
+    a[rows, cols] = vals
+    return a

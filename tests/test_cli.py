@@ -206,6 +206,23 @@ class TestCommands:
             assert "agent1: rank condition needs p = m, got p = 2, m = 1" in out + err, verb
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["design", "learn", "simulate"])
+    @pytest.mark.parametrize("n, r, follower", [(160, 0.01, 155), (200, 0.01, 155), (400, 0.1, 297)])
+    def test_overflowing_coupling_scalars_exit_3(self, tmp_path, capsys, verb, n, r, follower):
+        # on the chain c_i = 1 + ((lambda_M + r) / r) c_{i-1}, with lambda_M = 1:
+        # c grows as 101^i at r = 0.01 and as 11^i at r = 0.1, and is no
+        # longer finite from `follower` on; the scenario passes validate
+        payload = chain_payload(n)
+        payload["design"]["r"] = r
+        path = write_scenario(tmp_path, payload)
+        assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = cli.main([verb, str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert f"coupling scalars c, h overflow at follower {follower}" in err
+        assert "Traceback" not in err
+
     def test_svg_without_matplotlib_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
         rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--svg"])

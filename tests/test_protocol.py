@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import paper_tables
+from networks import dense, graph_matrices, h_matrix
 from syncopt import cli, protocol
 from syncopt.errors import NumericalError, ValidationError
 from syncopt.numkernel import is_hurwitz
@@ -31,11 +34,24 @@ def random_dag(seed, n):
 def kron_residual(tf, design, topo, leader):
     """Frobenius residual of the defining identity in Kronecker form."""
     N, q = topo.n_followers, leader.q
-    lam_h = design.alphas[:, None] * topo.h_matrix
+    lam_h = design.alphas[:, None] * h_matrix(topo)
     return np.linalg.norm(
-        np.kron(tf.U, design.s_shifted) - np.kron(np.eye(N), leader.S) - np.kron(lam_h, np.eye(q)),
+        np.kron(dense(tf.U, N), design.s_shifted) - np.kron(np.eye(N), leader.S)
+        - np.kron(lam_h, np.eye(q)),
         "fro",
     )
+
+
+def dense_transform(design, topo):
+    """U = I - (Lambda H + (lambda_M + r) I) / r, dense, with H = A0 + Ls
+    from the dense graph matrices, and c = U^{-1} 1 and h = H c by an LU
+    solve."""
+    N = topo.n_followers
+    _, _, a0, ls = graph_matrices(topo)
+    H = a0 + ls
+    U = np.eye(N) - (design.alphas[:, None] * H + (design.lambda_M + design.r) * np.eye(N)) / design.r
+    c = np.linalg.solve(U, np.ones(N))
+    return U, c, H @ c
 
 
 class TestDesignCompensator:
@@ -68,7 +84,7 @@ class TestBuildTransform:
         leader = LeaderModel(S=[[0]], w0=[1])
         design = design_compensator(leader, SINGLE, 1.0)
         tf = build_transform(design, SINGLE, leader)
-        assert np.array_equal(tf.U, np.eye(1))
+        assert np.array_equal(dense(tf.U, 1), np.eye(1))
         assert tf.c[0] == pytest.approx(1.0)
         assert tf.h[0] == pytest.approx(1.0)
 
@@ -76,11 +92,12 @@ class TestBuildTransform:
         leader, topo = paper_scenario.leader, paper_scenario.topology
         design = design_compensator(leader, topo, 1.0)
         tf = build_transform(design, topo, leader)
-        assert np.allclose(np.diag(tf.U), 1.0)
-        assert np.array_equal(tf.U, np.tril(tf.U))
+        U = dense(tf.U, 5)
+        assert np.allclose(np.diag(U), 1.0)
+        assert np.array_equal(U, np.tril(U))
         # defining identity holds by substitution
-        lam_h = np.diag(design.alphas) @ topo.h_matrix
-        lhs = np.kron(tf.U, design.s_shifted)
+        lam_h = np.diag(design.alphas) @ h_matrix(topo)
+        lhs = np.kron(U, design.s_shifted)
         rhs = np.kron(np.eye(5), leader.S) + np.kron(lam_h, np.eye(2))
         assert np.linalg.norm(lhs - rhs, "fro") < 1e-12
 
@@ -88,8 +105,8 @@ class TestBuildTransform:
         leader, topo = paper_scenario.leader, paper_scenario.topology
         design = design_compensator(leader, topo, 1.0)
         tf = build_transform(design, topo, leader)
-        assert np.allclose(tf.c, [1, 3, 3, 7, 15])
-        assert np.allclose(tf.h, [1, 2, 2, 8, 8])
+        assert np.array_equal(tf.c, [1, 3, 3, 7, 15])
+        assert np.array_equal(tf.h, [1, 2, 2, 8, 8])
 
     @pytest.mark.parametrize("S", [[[0, 1], [-1, 0]], [[0, 1], [0, 0]], [[1, 2], [0, -1]]])
     def test_nonscalar_leader_star_is_identity(self, S):
@@ -97,7 +114,7 @@ class TestBuildTransform:
         topo = build_topology(3, [(0, 1), (0, 2), (0, 3)])
         leader = LeaderModel(S=S, w0=[1, 0])
         tf = build_transform(design_compensator(leader, topo, 1.0), topo, leader)
-        assert np.array_equal(tf.U, np.eye(3))
+        assert np.array_equal(dense(tf.U, 3), np.eye(3))
         assert tf.residual < 1e-12
 
     def test_near_scalar_leader_on_chain(self):
@@ -107,8 +124,9 @@ class TestBuildTransform:
         leader = LeaderModel(S=np.diag([1.0, 1.0 + 1e-10]), w0=[1, 0])
         design = design_compensator(leader, topo, 1.0)
         tf = build_transform(design, topo, leader)
-        assert np.array_equal(np.diag(tf.U), [1.0, 1.0])
-        assert tf.U[1, 0] != 0.0
+        U = dense(tf.U, 2)
+        assert np.array_equal(np.diag(U), [1.0, 1.0])
+        assert U[1, 0] != 0.0
         assert tf.residual < 1e-9
 
     @pytest.mark.parametrize("case", ["paper", "random DAG, scalar S", "near-scalar chain"])
@@ -131,6 +149,58 @@ class TestBuildTransform:
         want = kron_residual(tf, design, topo, leader)
         assert abs(tf.residual - want) <= 4 * np.spacing(want)
         assert (want > 0) == (case != "paper")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coupling_scalars_match_a_dense_lu_solve(self, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        topo = random_dag(seed, 30)
+        q = int(rng.integers(1, 4))
+        leader = LeaderModel(S=rng.uniform(0.0, 1.0) * np.eye(q), w0=np.ones(q))
+        design = design_compensator(leader, topo, rng.uniform(0.2, 2.0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol.np.linalg, "solve", refuse)
+            tf = build_transform(design, topo, leader)
+        _, c, h = dense_transform(design, topo)
+        assert np.abs(tf.c - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.abs(tf.h - h).max() <= 1e-12 * np.abs(h).max()
+
+    @pytest.mark.parametrize("case", ["paper", "random DAG 0", "random DAG 1", "near-scalar chain"])
+    def test_u_nonzeros_are_the_dense_closed_form(self, case, paper_scenario):
+        # every listed nonzero holds the bits of the dense closed form, and
+        # every entry it does not list is 0 there
+        leader, topo, r = {
+            "paper": (paper_scenario.leader, paper_scenario.topology, 1.0),
+            "random DAG 0": (LeaderModel(S=0.7 * np.eye(2), w0=[1, 0]), random_dag(0, 25), 0.3),
+            "random DAG 1": (LeaderModel(S=np.eye(1), w0=[1]), random_dag(1, 25), 1.7),
+            "near-scalar chain": (LeaderModel(S=np.diag([1.0, 1.0 + 1e-10]), w0=[1, 0]),
+                                  build_topology(2, [(0, 1), (1, 2)]), 1.0),
+        }[case]
+        design = design_compensator(leader, topo, r)
+        tf = build_transform(design, topo, leader)
+        rows, cols, vals = tf.U
+        U, _, _ = dense_transform(design, topo)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(vals)
+        assert vals.tobytes() == U[rows, cols].tobytes()
+        assert dense(tf.U, topo.n_followers).tobytes() == U.tobytes()
+
+    def test_topology_and_transform_memory_is_linear(self):
+        # 2000 followers: a dense N x N float64 matrix is 32 MB; building the
+        # graph and the transform must stay under a quarter of that
+        n = 2000
+        edges = random_dag(7, n).edges
+        leader = LeaderModel(S=np.eye(2), w0=[1, 0])
+        tracemalloc.start()
+        try:
+            topo = build_topology(n, edges)
+            build_transform(design_compensator(leader, topo, 1.0), topo, leader)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, peak
 
     def test_nonscalar_leader_rejected(self):
         # with a nontrivial coupling the defining identity has no solution

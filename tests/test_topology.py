@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from networks import graph_matrices
+from networks import graph_matrices, h_matrix
 from paper_tables import LAPLACIAN
 from syncopt.errors import ValidationError
 from syncopt.numkernel import spectrum
@@ -14,34 +14,38 @@ def test_paper_laplacian():
     t = build_topology(5, PAPER_EDGES)
     adj, lap, a0, ls = graph_matrices(t)
     assert np.array_equal(lap, LAPLACIAN)
-    assert np.array_equal(t.h_matrix, a0 + ls)
+    assert np.array_equal(h_matrix(t), a0 + ls)
     assert np.array_equal(t.in_degrees, adj.sum(axis=1))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_h_matrix_bits_are_the_dense_construction(seed):
-    # H from the edge list holds the bits of A0 + Ls built from the dense
-    # adjacency, an edge into the leader included
+    # H from the senders holds the bits of A0 + Ls built from the dense
+    # adjacency, an edge into the leader included; the senders of node i are
+    # the nonzeros of row i of the adjacency, ascending
     rng = np.random.default_rng(seed)
     n = 12
     pairs = [(j, i) for i in range(1, n + 1) for j in range(n + 1) if i != j]
     edges = [pairs[k] for k in rng.choice(len(pairs), size=30, replace=False)] + [(3, 0)]
     t = build_topology(n, edges)
     adj, _, a0, ls = graph_matrices(t)
-    assert t.h_matrix.tobytes() == (a0 + ls).tobytes()
+    assert h_matrix(t).tobytes() == (a0 + ls).tobytes()
     assert t.in_degrees.tobytes() == adj.sum(axis=1).tobytes()
+    assert t.senders == tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
 
 
 def test_single_follower():
     t = build_topology(1, [(0, 1)])
-    assert t.h_matrix == np.array([[1.0]])
+    assert h_matrix(t) == np.array([[1.0]])
+    assert t.senders == ((), (0,))
     assert t.in_degrees[1] == 1
 
 
 def test_chain_h_triangular():
     t = build_topology(3, [(0, 1), (1, 2), (2, 3)])
-    assert np.array_equal(np.diag(t.h_matrix), [1, 1, 1])
-    assert np.array_equal(t.h_matrix, np.tril(t.h_matrix))
+    h = h_matrix(t)
+    assert np.array_equal(np.diag(h), [1, 1, 1])
+    assert np.array_equal(h, np.tril(h))
 
 
 def test_leader_row_zero():
@@ -100,7 +104,7 @@ class TestTopologicalOrder:
         t = build_topology(5, edges)
         order = topological_order(t)
         perm = [i - 1 for i in order]
-        h = t.h_matrix[np.ix_(perm, perm)]
+        h = h_matrix(t)[np.ix_(perm, perm)]
         assert np.array_equal(h, np.tril(h)) or np.array_equal(h, np.triu(h))
         assert np.array_equal(np.diag(h), t.in_degrees[1:][perm])
 
@@ -122,9 +126,9 @@ class TestTopologicalOrder:
 
 def test_h_spectrum_is_in_degrees():
     t = build_topology(5, PAPER_EDGES)
-    eigs = np.sort(spectrum(t.h_matrix).values.real)
+    eigs = np.sort(spectrum(h_matrix(t)).values.real)
     assert np.allclose(eigs, np.sort(t.in_degrees[1:]))
-    assert np.abs(spectrum(t.h_matrix).values.imag).max() < 1e-12
+    assert np.abs(spectrum(h_matrix(t)).values.imag).max() < 1e-12
 
 
 def test_follower_in_degrees_positive():
