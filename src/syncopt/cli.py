@@ -18,13 +18,17 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import policy_iteration, protocol, regulator, simulator
+from . import policy_iteration, protocol, regulator
 from .errors import NumericalError, ToolkitError, ValidationError
 from .plant import AgentDynamics, LeaderModel, check_assumptions
 from .topology import Topology, build_topology
+
+if TYPE_CHECKING:
+    from . import simulator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -240,17 +244,95 @@ def run_design(scenario: Scenario) -> DesignBundle:
     return DesignBundle(design=design, transform=transform, per_agent=per_agent)
 
 
-def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
-    """Policy iteration per agent; returns name -> PiTrace."""
-    def one(ad: AgentDesign):
-        try:
-            return ad.name, policy_iteration.run_pi(
-                ad.plant, ad.initial.Kic, epsilon=scenario.epsilon, max_iter=scenario.max_iter
-            )
-        except ToolkitError as exc:
-            raise type(exc)(f"agent {ad.name} (learn): {exc}") from exc
+def shape_groups(per_agent: list) -> list:
+    """The agents of each shape (augmented order, m, p), in scenario order:
+    the followers whose policy iterations and augmented runs go in
+    lockstep."""
+    groups = {}
+    for ad in per_agent:
+        groups.setdefault((ad.plant.order, *ad.plant.D.shape), []).append(ad)
+    return list(groups.values())
 
-    return dict(map(one, bundle.per_agent))
+
+def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
+    """Policy iteration for every agent, the agents of one shape in lockstep;
+    returns name -> PiTrace in scenario order. A failure is reported for the
+    first agent, in scenario order, that fails."""
+    traces = {}
+    for group in shape_groups(bundle.per_agent):
+        outcomes = policy_iteration.run_pi_group(
+            [ad.plant for ad in group], [ad.initial.Kic for ad in group],
+            epsilon=scenario.epsilon, max_iter=scenario.max_iter,
+        )
+        traces.update(zip((ad.name for ad in group), outcomes))
+    for ad in bundle.per_agent:
+        exc = traces[ad.name]
+        if isinstance(exc, ToolkitError):
+            raise type(exc)(f"agent {ad.name} (learn): {exc}") from exc
+        if isinstance(exc, Exception):
+            raise exc
+    return {ad.name: traces[ad.name] for ad in bundle.per_agent}
+
+
+def compare_gains(path: Path, bundle: DesignBundle, scenario: Scenario) -> tuple:
+    """The optimal gain sets `compare` runs, and the cost matrices of the
+    initial gains that are known already (name -> P).
+
+    A gains file that `learn` wrote for this run is read as `simulate
+    --gains optimal` reads it. A missing or malformed file, or one stamped
+    for another run, is left alone and the gains are learned; the first
+    iterate of each trace evaluated the initial gain, the same call on the
+    same K that `compare` would make.
+    """
+    try:
+        return load_gain_sets(path, bundle, scenario), {}
+    except (OSError, ValidationError):
+        traces = run_learn(scenario, bundle)
+        return (optimal_gain_sets(bundle, traces),
+                {name: tr.iterates[0].P for name, tr in traces.items()})
+
+
+def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict,
+                    costs_known: dict) -> dict:
+    """Cost report of every agent's closed augmented loop under each gain set
+    of `gain_sets` (label -> name -> GainSet), keyed (name, label).
+
+    The runs of the agents of one shape, and the evaluations of their gains,
+    go in lockstep, in batches of the size `simulator.augmented_batch` sets;
+    `costs_known` (name -> P) holds the cost matrices of the "initial" gains
+    that learning evaluated already. A failure is reported for the first
+    run, agent by agent and label by label, whose integration or cost
+    matrix fails.
+    """
+    from . import simulator  # only here and in the verbs that run one, see cmd_simulate
+
+    t_end, dt = scenario.t_end, scenario.dt
+    costs = {}
+    for group in shape_groups(bundle.per_agent):
+        members = [(ad, label) for ad in group for label in gain_sets]
+        per = simulator.augmented_batch(group[0].plant.order, t_end, dt)
+        for batch in (members[b : b + per] for b in range(0, len(members), per)):
+            plants = [ad.plant for ad, _ in batch]
+            kics = [gain_sets[label][ad.name].Kic for ad, label in batch]
+            X0 = [np.concatenate([scenario.zeta0,
+                                  scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]])
+                  for ad, _ in batch]
+            runs = simulator.simulate_augmented(plants, kics, X0, t_end, dt)
+            P = [costs_known.get(ad.name) if label == "initial" else None for ad, label in batch]
+            unknown = [i for i, p in enumerate(P) if p is None]
+            if unknown:
+                evaluated = policy_iteration.policy_evaluation_group(
+                    [plants[i] for i in unknown], [kics[i] for i in unknown])
+                for i, ev in zip(unknown, evaluated):
+                    P[i] = ev if isinstance(ev, Exception) else ev[0]
+            for (ad, label), run, p in zip(batch, runs, P):
+                failed = next((x for x in (run, p) if isinstance(x, Exception)), None)
+                costs[ad.name, label] = failed or simulator.evaluate_cost(run, p)
+    for ad in bundle.per_agent:
+        for label in gain_sets:
+            if isinstance(costs[ad.name, label], Exception):
+                raise costs[ad.name, label]
+    return costs
 
 
 def optimal_gain_sets(bundle: DesignBundle, traces: dict) -> dict:
@@ -326,7 +408,7 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
     Only each agent's `optimal.Kic` is read; K1, K2 and K3 are rebuilt from
     the current design.
     """
-    payload, _ = _read_json(Path(path))
+    payload = _read_gains(Path(path))
     for key, current in (("scenario_sha256", scenario.sha256), ("seed", scenario.seed)):
         if not isinstance(payload, dict) or key not in payload:
             raise ValidationError(f"gains file {path} has no `{key}` stamp")
@@ -344,6 +426,27 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
         kic = _finite_array(kic, ad.initial.Kic.shape, f"gains file {path}: optimal Kic of {ad.name}")
         out[ad.name] = protocol.GainSet.from_kic(kic, ad.reg)
     return out
+
+
+def _read_gains(path: Path):
+    """The parsed content of a gains file, less its dense `U`, which nothing
+    reads back. `json.dump(indent=2)` writes U one number a line, from
+    `  "U": [` to the `  ],` that closes it: at N = 2000, 4 million lines,
+    and over 100 MB parsed. They are dropped as they are read. A file that
+    does not parse so is read whole, for the error of the file as it is."""
+    kept, in_u = bytearray(), False
+    with open(path, "rb") as f:
+        for line in f:
+            if in_u:
+                in_u = line != b"  ],\n"
+            elif line == b'  "U": [\n':
+                in_u = True
+            else:
+                kept += line
+    try:
+        return json.loads(kept)
+    except ValueError:
+        return _read_json(path)[0]
 
 
 def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
@@ -460,6 +563,10 @@ def cmd_learn(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the simulator is loaded by the verbs that run one, so that the others
+    # (and the start of every verb) do not compile it
+    from . import simulator
+
     scenario = _load_checked(args)
     bundle = run_design(scenario)
     if args.gains == "initial":
@@ -485,30 +592,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import simulator  # see cmd_simulate
+
     scenario = _load_checked(args)
     bundle = run_design(scenario)
-    traces = run_learn(scenario, bundle)
-    opt_gains = optimal_gain_sets(bundle, traces)
-    init_gains = {ad.name: ad.initial for ad in bundle.per_agent}
+    opt_gains, costs_known = compare_gains(Path(args.out) / "optimal_gains.json", bundle, scenario)
+    gain_sets = {"initial": {ad.name: ad.initial for ad in bundle.per_agent}, "optimal": opt_gains}
 
-    rows = {}
-    for ad in bundle.per_agent:
-        x0_tilde = scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]
-        X0 = np.concatenate([scenario.zeta0, x0_tilde])
-        entry = {}
-        for label, kic in (("initial", ad.initial.Kic), ("optimal", traces[ad.name].K)):
-            run = simulator.simulate_augmented(ad.plant, kic, X0, scenario.t_end, scenario.dt)
-            P = policy_iteration.policy_evaluation(ad.plant, kic)[0]
-            cost = simulator.evaluate_cost(run, P)
-            entry[label] = {
+    costs = augmented_costs(scenario, bundle, gain_sets, costs_known)
+    del costs_known  # lets the learned traces go before the network runs
+    rows = {
+        ad.name: {
+            label: {
                 "J_quadrature": cost.j_quadrature,
                 "J_closed_form": cost.j_closed_form,
                 "tail_error": cost.tail_error,
                 "horizon_warning": cost.horizon_warning,
             }
-        rows[ad.name] = entry
+            for label in gain_sets for cost in [costs[ad.name, label]]
+        }
+        for ad in bundle.per_agent
+    }
 
-    for label, gains in (("initial", init_gains), ("optimal", opt_gains)):
+    for label, gains in gain_sets.items():
         run = simulator.NetworkRun(scenario, gains, scenario.t_end, scenario.dt)
         for _ in run:  # only the error norms of the blocks are kept
             pass

@@ -21,6 +21,8 @@ from .errors import NotHurwitzError, NumericalError
 
 LYAP_RESIDUAL_RTOL = 1e-9
 PSD_EIG_TOL = -1e-9
+# Bytes of the Kronecker sums that one stacked Lyapunov solve may hold.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,12 @@ def spectrum(A) -> Spectrum:
     return Spectrum(values=vals, max_real=float(vals.real.max()))
 
 
+def abscissae(A: np.ndarray) -> np.ndarray:
+    """Spectral abscissa (max real part of the spectrum) of each of a stack of
+    finite square matrices, by one stacked eigenvalue decomposition."""
+    return _eigvals(A).real.max(axis=-1)
+
+
 def is_hurwitz(A, margin: float = 0.0) -> bool:
     """True iff every eigenvalue of A has real part < -margin."""
     if margin < 0:
@@ -60,24 +68,61 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     return spectrum(A).max_real < -margin
 
 
+def lockstep(run, stacks: tuple, *args) -> list:
+    """The outcome of `run(*stacks, *args)` for each member: `run` works on
+    stacks of members of one shape in lockstep and returns, per member, a
+    result or the error that member's own run would raise.
+
+    numpy computes a stacked call by each member's own LAPACK or BLAS call,
+    but fails the whole stack when one member fails, and the run then
+    raises. Each member is then run on its own, so that a failure costs the
+    members nothing, and a lone member's raised error is its outcome.
+    """
+    try:
+        return run(*stacks, *args)
+    except (np.linalg.LinAlgError, NumericalError) as exc:
+        if len(stacks[0]) == 1:
+            return [exc]
+        return [lockstep(run, tuple(s[g : g + 1] for s in stacks), *args)[0]
+                for g in range(len(stacks[0]))]
+
+
+def sole(outcomes: list):
+    """The result of a one-member lockstep run, or its error, raised."""
+    (out,) = outcomes
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def undecided(outcomes: list) -> np.ndarray:
+    """Indices of the members whose outcome is still open (None)."""
+    return np.array([g for g, out in enumerate(outcomes) if out is None], dtype=int)
+
+
 def _kronecker_sum(A: np.ndarray) -> np.ndarray:
     """The matrix kron(I, A^T) + kron(A^T, I) of vec(A^T P + P A), written in
-    place: block (i, j) is delta_ij A^T + A[j, i] I.
+    place, for one matrix A or each of a stack: block (i, j) is
+    delta_ij A^T + A[j, i] I.
 
     Each entry is the same one- or two-term sum as the two `kron` products
     give, less their products with zero, so every nonzero entry has the same
     bits; only the sign of a zero entry can differ.
     """
-    n = A.shape[0]
+    *lead, n, _ = A.shape
     nn = n * n
-    M = np.zeros((nn, nn))
+    M = np.zeros((*lead, nn, nn))
     step = M.itemsize
-    # [i, j, k] -> M[i n + k, j n + k]: the A[j, i] I of block (i, j)
-    scalars = np.ndarray((n, n, n), buffer=M, strides=(n * nn * step, n * step, (nn + 1) * step))
-    # [i, k, l] -> M[i n + k, i n + l]: the A^T of diagonal block (i, i)
-    blocks = np.ndarray((n, n, n), buffer=M, strides=((n * nn + n) * step, nn * step, step))
-    scalars[...] = A.T[:, :, None]
-    blocks += A.T
+    one = nn * nn * step  # bytes of one member
+    At = A.mT.reshape(-1, n, n)
+    # [g, i, j, k] -> M[g, i n + k, j n + k]: the A[j, i] I of block (i, j)
+    scalars = np.ndarray((len(At), n, n, n), buffer=M,
+                         strides=(one, n * nn * step, n * step, (nn + 1) * step))
+    # [g, i, k, l] -> M[g, i n + k, i n + l]: the A^T of diagonal block (i, i)
+    blocks = np.ndarray((len(At), n, n, n), buffer=M,
+                        strides=(one, (n * nn + n) * step, nn * step, step))
+    scalars[...] = At[:, :, :, None]
+    blocks += At[:, None]
     return M
 
 
@@ -89,35 +134,91 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
     and the result is re-symmetrized and verified by substitution. Returns
     P, the Frobenius norm of that substitution residual, and the spectral
     abscissa of Abar that was tested. A non-Hurwitz Abar raises
-    `NotHurwitzError`.
+    `NotHurwitzError`. This is the one-member call of
+    `solve_lyapunov_stack`.
     """
     Abar = _as_square(Abar, "Abar")
     Q = _as_square(Q, "Q")
     if Abar.shape != Q.shape:
         raise ValueError(f"shape mismatch: Abar {Abar.shape} vs Q {Q.shape}")
-    if np.abs(Q - Q.T).max() > 1e-12:
-        raise ValueError("Q is not symmetric within 1e-12")
-    abscissa = float(_eigvals(Abar).real.max())
-    if not abscissa < 0:
-        raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
+    return sole(solve_lyapunov_stack(Abar[None], Q[None]))
 
-    n = Abar.shape[0]
+
+def solve_lyapunov_stack(Abar: np.ndarray, Q: np.ndarray) -> list:
+    """`solve_lyapunov` for a stack of G equations of one order, in lockstep
+    (see `lockstep`): one eigenvalue decomposition, one Kronecker solve and
+    one eigvalsh call for the stack, in batches whose Kronecker sums fit in
+    _STACK_BYTES. Returns, per member, (P, residual, abscissa) or the error
+    `solve_lyapunov` raises for it, with the same bits and texts."""
+    per = max(1, _STACK_BYTES // (8 * Abar.shape[-1] ** 4))
+    out = []
+    for b in range(0, len(Abar), per):
+        out += lockstep(_lyapunov_lockstep, (Abar[b : b + per], Q[b : b + per]))
+    return out
+
+
+def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> list:
+    out = [None] * len(Abar)
+    live = range(len(Abar))
+
+    def symmetric():
+        return np.abs(Q - Q.mT).max(axis=(1, 2)) <= 1e-12
+
+    finite = np.isfinite(Abar).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
+    if finite.all():
+        valid = symmetric()
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf, in a member that is not finite
+            valid = finite & symmetric()
+    if not valid.all():
+        for g in np.flatnonzero(~valid):
+            out[g] = ValueError("Abar has non-finite entries" if not np.isfinite(Abar[g]).all()
+                                else "Q has non-finite entries" if not np.isfinite(Q[g]).all()
+                                else "Q is not symmetric within 1e-12")
+        live = undecided(out)
+        Abar, Q = Abar[live], Q[live]
+
+    abscissa = abscissae(Abar).tolist()
+    hurwitz = [j for j, a in enumerate(abscissa) if a < 0]
+    if len(hurwitz) < len(abscissa):
+        for j, a in enumerate(abscissa):
+            if not a < 0:
+                out[live[j]] = NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
+        live, abscissa = [live[j] for j in hurwitz], [abscissa[j] for j in hurwitz]
+        if not live:
+            return out
+        Abar, Q = Abar[hurwitz], Q[hurwitz]
+
+    G, n = Abar.shape[:2]
+    vec_q = Q.mT.reshape(G, n * n, 1)  # each Q in column order
     try:
-        vec_p = np.linalg.solve(_kronecker_sum(Abar), -Q.flatten(order="F"))
+        vec_p = np.linalg.solve(_kronecker_sum(Abar), -vec_q)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"vectorized Lyapunov system singular: {exc}") from exc
-    P = vec_p.reshape((n, n), order="F")
-    P = (P + P.T) / 2.0
+    P = vec_p.reshape(G, n, n).mT
+    P = (P + P.mT) / 2.0
 
-    qnorm = np.linalg.norm(Q, "fro")
-    residual = np.linalg.norm(Abar.T @ P + P @ Abar + Q, "fro")
-    if residual >= LYAP_RESIDUAL_RTOL * (1.0 + qnorm):
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance for ||Q||={qnorm:.3e}"
+    # 2-D norms: a norm over a stack would sum in another order
+    sub = Abar.mT @ P + P @ Abar + Q
+    accurate = []
+    for j in range(G):
+        qnorm = np.linalg.norm(Q[j], "fro")
+        residual = float(np.linalg.norm(sub[j], "fro"))
+        if residual >= LYAP_RESIDUAL_RTOL * (1.0 + qnorm):
+            out[live[j]] = NumericalError(
+                f"Lyapunov residual {residual:.3e} exceeds tolerance for ||Q||={qnorm:.3e}"
+            )
+        else:
+            accurate.append((j, residual))
+    if len(accurate) < G:
+        P = P[[j for j, _ in accurate]]
+    least = np.linalg.eigvalsh(P).min(axis=1)
+    for (j, residual), low, p in zip(accurate, least.tolist(), P):
+        out[live[j]] = (
+            NumericalError("Lyapunov solution is not PSD within tolerance") if low < PSD_EIG_TOL
+            else (p, residual, abscissa[j])
         )
-    if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
-        raise NumericalError("Lyapunov solution is not PSD within tolerance")
-    return P, float(residual), abscissa
+    return out
 
 
 def stabilize(A, B) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import solve_lyapunov
+from .numkernel import lockstep, sole, solve_lyapunov_stack, undecided
 from .protocol import AugmentedPlant
 
 DEFAULT_EPSILON = 1e-6
@@ -61,22 +61,30 @@ def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float, floa
     """Cost matrix of the fixed gain K, its Lyapunov residual and the spectral
     abscissa of A - B K: solve the closed-loop Lyapunov equation with the
     tracking-error weight (C - D K)^T (C - D K). A gain that is not
-    stabilizing is rejected with `NotHurwitzError`."""
-    K = np.asarray(K, dtype=float)
-    Cbar = plant.C - plant.D @ K
-    return solve_lyapunov(plant.A - plant.B @ K, Cbar.T @ Cbar)
+    stabilizing is rejected with `NotHurwitzError`. This is the one-member
+    call of `policy_evaluation_group`."""
+    return sole(policy_evaluation_group([plant], [K]))
 
 
-def _improve(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(gram, plant.D.T @ plant.C + plant.B.T @ P)
+def policy_evaluation_group(plants, Ks) -> list:
+    """`policy_evaluation` of the gain Ks[g] on each of the augmented plants
+    of one shape, in lockstep (see `numkernel.lockstep`). Returns, per
+    member, (P, residual, abscissa) or the error `policy_evaluation` raises
+    for it."""
+    return _evaluate(*_stack(plants), np.array(Ks, dtype=float))
 
 
-def policy_improvement(plant: AugmentedPlant, P) -> np.ndarray:
-    """Greedy gain for the cost matrix P: K = (D^T D)^{-1} (D^T C + B^T P)."""
-    return _improve(plant, _gram(plant), np.asarray(P, dtype=float))
+def _stack(plants) -> tuple:
+    return tuple(np.array([getattr(p, f) for p in plants]) for f in "ABCD")
+
+
+def _evaluate(A, B, C, D, K) -> list:
+    Cbar = C - D @ K
+    return solve_lyapunov_stack(A - B @ K, Cbar.mT @ Cbar)
 
 
 def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> float:
+    """Frobenius norm of the cross-term Riccati residual at P."""
     cross = plant.D.T @ plant.C + plant.B.T @ P
     res = (
         plant.A.T @ P
@@ -85,11 +93,6 @@ def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> flo
         - cross.T @ np.linalg.solve(gram, cross)
     )
     return float(np.linalg.norm(res, "fro"))
-
-
-def are_residual(plant: AugmentedPlant, P) -> float:
-    """Frobenius norm of the cross-term Riccati residual at P."""
-    return _are_residual(plant, _gram(plant), np.asarray(P, dtype=float))
 
 
 def run_pi(
@@ -107,41 +110,99 @@ def run_pi(
     matrices decrease monotonically (min-eigenvalue tolerance -1e-9), and
     the converged pair satisfies the Riccati equation within 1e-8 relative
     to the error weight. D^T D is checked once, before the first iterate.
+    This is the one-member call of `run_pi_group`.
+    """
+    return sole(run_pi_group([plant], [K0], epsilon, max_iter))
+
+
+def run_pi_group(
+    plants,
+    K0s,
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list:
+    """`run_pi` from K0s[g] on each of the augmented plants of one shape
+    (order, m, p), in lockstep (see `numkernel.lockstep`).
+
+    Followers learn from their own plants alone, so each member keeps its
+    own iterates and checks, and leaves the group when it converges or
+    fails. An iteration evaluates the members with one stacked eigenvalue
+    decomposition, Kronecker solve and eigvalsh, tests their monotonicity
+    with one eigvalsh and improves their gains with one solve; the norms
+    are taken per member. Returns, per member, its PiTrace or the error
+    `run_pi` raises for it, with the same bits and texts.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    return lockstep(_pi_lockstep, (list(plants), list(K0s)), epsilon, max_iter)
 
-    gram = _gram(plant)
-    K = np.asarray(K0, dtype=float)
-    iterates: list[PiIterate] = []
+
+def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
+    out = [None] * len(plants)
+    grams = {}
+    for g, plant in enumerate(plants):
+        try:
+            grams[g] = _gram(plant)
+        except NumericalError as exc:
+            out[g] = exc
+    live = undecided(out).tolist()
+    if not live:
+        return out
+    iterates = {g: [] for g in live}
+    A, B, C, D = _stack([plants[g] for g in live])
+    gram = np.array([grams[g] for g in live])
+    K = np.array([K0s[g] for g in live], dtype=float)
     p_prev = None
     for k in range(max_iter):
-        try:
-            P, lyap_res, abscissa = policy_evaluation(plant, K)
-        except NotHurwitzError as exc:
-            raise NumericalError(f"gain at iteration {k} is not stabilizing") from exc
+        evaluated = _evaluate(A, B, C, D, K)
+        failed = [None] * len(live)
+        P = np.zeros(A.shape)  # a failed member's rows stay zero
+        for j, ev in enumerate(evaluated):
+            if isinstance(ev, NotHurwitzError):
+                failed[j] = NumericalError(f"gain at iteration {k} is not stabilizing")
+                failed[j].__cause__ = ev
+            elif isinstance(ev, Exception):
+                failed[j] = ev
+            else:
+                P[j] = ev[0]
         if p_prev is not None:
-            drop = np.linalg.eigvalsh(p_prev - P).min()
-            if drop < MONOTONE_EIG_TOL:
-                raise NumericalError(
-                    f"cost monotonicity violated at iteration {k} (min-eig {drop:.3e})"
-                )
-        p_prev = P
-        K_next = _improve(plant, gram, P)
-        delta = float(np.linalg.norm(K_next - K, "fro"))
-        iterates.append(
-            PiIterate(k=k, P=P, K=K_next, gain_delta=delta, lyap_residual=lyap_res, abscissa=abscissa)
-        )
-        if delta < epsilon:
-            final_res = _are_residual(plant, gram, P)
-            scale = 1.0 + np.linalg.norm(plant.C.T @ plant.C, "fro")
-            if final_res >= ARE_RESIDUAL_RTOL * scale:
-                raise NumericalError(
-                    f"converged gain fails the Riccati fixed-point check ({final_res:.3e})"
-                )
-            return PiTrace(iterates=iterates, converged=True, are_residual_final=final_res)
-        K = K_next
+            drop = np.linalg.eigvalsh(p_prev - P).min(axis=1)
+            for j, low in enumerate(drop.tolist()):
+                if low < MONOTONE_EIG_TOL:
+                    failed[j] = failed[j] or NumericalError(
+                        f"cost monotonicity violated at iteration {k} (min-eig {low:.3e})"
+                    )
+        K_next = np.linalg.solve(gram, D.mT @ C + B.mT @ P)
+        going = []
+        for j, g in enumerate(live):
+            if failed[j] is not None:
+                out[g] = failed[j]
+                continue
+            delta = float(np.linalg.norm(K_next[j] - K[j], "fro"))
+            iterates[g].append(PiIterate(k=k, P=P[j], K=K_next[j], gain_delta=delta,
+                                         lyap_residual=evaluated[j][1], abscissa=evaluated[j][2]))
+            if delta < epsilon:
+                out[g] = _converged(plants[g], grams[g], iterates[g])
+            else:
+                going.append(j)
+        if not going:
+            return out
+        if len(going) < len(live):
+            live = [live[j] for j in going]
+            A, B, C, D, gram, K_next, P = (x[going] for x in (A, B, C, D, gram, K_next, P))
+        K, p_prev = K_next, P
+    for g in live:
+        out[g] = NumericalError(f"policy iteration did not converge within {max_iter} iterations")
+    return out
 
-    raise NumericalError(f"policy iteration did not converge within {max_iter} iterations")
+
+def _converged(plant: AugmentedPlant, gram: np.ndarray, iterates: list):
+    """The trace of a member whose gain update fell below epsilon, or the
+    error of its Riccati fixed-point check."""
+    final_res = _are_residual(plant, gram, iterates[-1].P)
+    scale = 1.0 + np.linalg.norm(plant.C.T @ plant.C, "fro")
+    if final_res >= ARE_RESIDUAL_RTOL * scale:
+        return NumericalError(f"converged gain fails the Riccati fixed-point check ({final_res:.3e})")
+    return PiTrace(iterates=iterates, converged=True, are_residual_final=final_res)

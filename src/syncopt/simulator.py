@@ -13,11 +13,12 @@ large and almost entirely zero network matrix, runs the four RK4 stages on
 the matrix's nonzeros instead.
 
 The samples come out in row blocks of about 1 MB (at least 256 rows), so a
-network run need never be held whole: a `NetworkRun` yields each block as a
+run need never be held whole: a `NetworkRun` yields each block as a
 `Trajectory` of its own rows, with the followers' inputs and tracking errors
 (memoryless functions of the state) computed for those rows, and keeps only
 the per-sample norms of the tracking errors, 8 bytes per follower and
-sample. `simulate_network` joins the same blocks into one `Trajectory`.
+sample. The closed augmented loops of followers of one shape are integrated
+in lockstep (`simulate_augmented`), and each keeps only what its cost needs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import spectrum
-from .protocol import AugmentedPlant, GainSet, design_compensator
+from .numkernel import abscissae, lockstep, undecided
+from .protocol import design_compensator
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -43,6 +44,9 @@ _MAX_CHUNK = 128
 # enough samples.
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 256
+# Bytes of the power stacks and kept |e|^2 of the augmented runs that one
+# `simulate_augmented` call should take (see `augmented_batch`).
+_GROUP_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -67,16 +71,12 @@ class Trajectory:
     leader_states: np.ndarray  # T x q
     followers: dict  # name -> FollowerStream
 
-    def error_norms(self) -> ErrorNorms:
-        mag = [np.linalg.norm(stream.e, axis=1) for stream in self.followers.values()]
-        return ErrorNorms(self.times, tuple(self.followers), np.stack(mag, axis=1))
-
 
 @dataclass(frozen=True)
-class AugmentedTrajectory:
+class AugmentedRun:
     times: np.ndarray
-    X: np.ndarray  # T x (q+n)
-    e: np.ndarray  # T x p
+    X0: np.ndarray  # the initial state
+    e2: np.ndarray  # T, |e|^2 at each sample, e = (C - D K) X
     abscissa: float  # max real part of the spectrum of A - B K, for horizon checks
 
 
@@ -99,22 +99,24 @@ def _chunk_length(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // (8 * n * n)))
 
 
-def _block_rows(n: int, chunk: int) -> int:
-    """Samples per row block of an n-state run: whole chunks of `chunk`
-    steps, so that every sample is the same float whatever the blocks."""
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
+def _block_rows(width: int, chunk: int) -> int:
+    """Samples per row block of a run of `width` states in all (n for one
+    system, G n for G systems of order n in lockstep): whole chunks of
+    `chunk` steps, so that every sample is the same float whatever the
+    blocks."""
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * width))
     return -(-rows // chunk) * chunk
 
 
 def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
     """Write the RK4 step map R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
-    into `out`, by Horner."""
-    diag = np.diag_indices(M.shape[0])
-    p = np.eye(M.shape[0])
+    of M, or of each of a stack, into `out`, by Horner."""
+    diag = np.arange(M.shape[-1])
+    p = np.eye(M.shape[-1])
     for d in (4.0, 3.0, 2.0, 1.0):
         p = M @ p
         p *= h / d
-        p[diag] += 1.0
+        p[..., diag, diag] += 1.0
     out[...] = p
 
 
@@ -136,70 +138,134 @@ def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.nda
 def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
     """Classical fixed-step RK4 for dy = M y, yielded as consecutive blocks
     of samples: y0 and the first `_block_rows` steps, then that many steps
-    a block. Each block is a new array.
+    a block. Each block is a new array. M is the n x n matrix; from n = 363
+    on it may instead be given as its nonzeros (rows, cols, vals), sorted
+    row-major. A non-finite start, or a sample that is non-finite or beyond
+    BLOWUP_LIMIT, raises before the block that holds it is yielded. This is
+    the one-system call of `_rk4_lockstep`."""
+    failures = {}
+    systems = M[None] if isinstance(M, np.ndarray) else [M]
+    for _, _, block in _rk4_lockstep(systems, np.asarray(y0, dtype=float)[None], t_end, dt,
+                                     failures):
+        if failures:
+            raise failures[0]
+        yield block[0]
 
-    M is the n x n matrix; from n = 363 on it may instead be given as its
-    nonzeros (rows, cols, vals), sorted row-major.
+
+def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
+    """Classical fixed-step RK4 for G systems dy = M_g y of one order n, in
+    lockstep, yielded as blocks of samples (members, first, block): block[j]
+    holds the samples of system members[j] from sample `first` on. The
+    systems of one chunk length (below) run together, y0 and the first
+    `_block_rows` steps, then that many steps a block; each block is a new
+    array.
+
+    M is the (G, n, n) stack of the matrices; from n = 363 on it may instead
+    be the list of their nonzeros (rows, cols, vals), sorted row-major.
 
     For a linear system one RK4 step is exactly y <- R y with R the RK4
     stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
     While a chunk can stack at least two powers of R (n < 363 states), R is
     built once and the samples are emitted in chunks,
-    out[k+1 : k+1+b] = (R^1 .. R^b) out[k], with blocks of whole chunks.
-    Powers are stacked only while their entries stay below BLOWUP_LIMIT, so
-    a zero state stays exactly zero under an unstable M instead of becoming
-    inf * 0. From n = 363 on a chunk holds one step, so the dense R would
-    cost n^3 flops to build and n^2 reads per step for nothing; there the
-    four stages run on the nonzeros of M (see `_rk4_stages`). Either way a
-    sample that is non-finite or beyond BLOWUP_LIMIT stops the run, before
-    the block that holds it is yielded.
+    out[k+1 : k+1+b] = (R^1 .. R^b) out[k], with blocks of whole chunks;
+    numpy makes each system's own BLAS call for the stacked products, so
+    every sample has the bits of a run of its system alone. Powers are
+    stacked only while their entries stay below BLOWUP_LIMIT, so a zero
+    state stays exactly zero under an unstable M instead of becoming
+    inf * 0; the chunk length b is each system's own. From n = 363 on a
+    chunk holds one step, so the dense R would cost n^3 flops to build and
+    n^2 reads per step for nothing; there the four stages run on the
+    nonzeros of M (see `_rk4_stages`), one system at a time.
+
+    A system whose start is non-finite, or that reaches a sample that is
+    non-finite or beyond BLOWUP_LIMIT, fails: its error goes into `failures`
+    under its index, before the block that holds that sample is yielded,
+    and its samples are zero from there on.
     """
     times = _time_grid(t_end, dt)
     steps = len(times) - 1
-    y0 = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y0)):
-        raise NumericalError("non-finite initial state")
-    n = len(y0)
+    Y0 = np.array(Y0, dtype=float)
+    G, n = Y0.shape
+    for g in np.flatnonzero(~np.isfinite(Y0).all(axis=1)):
+        failures[g] = NumericalError("non-finite initial state")
+        Y0[g] = 0.0
+
+    def blocks(members, chunk, advance):
+        per_block = _block_rows(len(members) * n, chunk)
+        block = np.empty((len(members), 1 + min(per_block, steps), n))
+        block[:, 0] = Y0[members]
+        advance(block[:, 0], block, 1, 0)
+        yield members, 0, block
+        for k in range(block.shape[1] - 1, steps, per_block):
+            y = block[:, -1].copy()  # not a view, which would keep the block alive
+            block = np.empty((len(members), min(per_block, steps - k), n))
+            advance(y, block, 0, k)
+            yield members, k + 1, block
 
     if _chunk_length(n) == 1:
         if isinstance(M, np.ndarray):
-            rows, cols = np.nonzero(M)
-            M = rows, cols, M[rows, cols]
-        chunk = 1
+            M = [(*np.nonzero(m), m[np.nonzero(m)]) for m in M]
 
-        def advance(y, out, k):
-            _rk4_stages(*M, y, out, times[k + 1 :], dt)
-    else:
-        powers = np.empty((min(_chunk_length(n), max(steps, 1)), n, n))
-        _step_map(M, dt, out=powers[0])
-        chunk = 1
-        while chunk < len(powers):
-            np.matmul(powers[0], powers[chunk - 1], out=powers[chunk])
-            if not np.abs(powers[chunk]).max() <= BLOWUP_LIMIT:
-                break
-            chunk += 1
-        flat = powers.reshape(-1, n)
+        def stages(y, block, r0, k):  # rows r0.. of the block from y, at step k
+            for g in range(G):
+                if g not in failures:
+                    try:
+                        _rk4_stages(*M[g], y[g], block[g, r0:], times[k + 1 :], dt)
+                        continue
+                    except NumericalError as exc:
+                        failures[g] = exc
+                block[g, r0:] = 0.0
 
-        def advance(y, out, k):
-            for i in range(0, len(out), chunk):
-                rows = out[i : i + chunk]
-                np.dot(flat[: len(rows) * n], y, out=rows.reshape(-1))
-                bad = ~np.isfinite(rows) | (np.abs(rows) > BLOWUP_LIMIT)
-                if bad.any():
-                    first = k + i + 1 + int(np.argmax(bad.any(axis=1)))
-                    raise NumericalError(f"state blow-up at t = {times[first]:.6g}")
-                y = rows[-1]
+        yield from blocks(np.arange(G), 1, stages)
+        return
 
-    per_block = _block_rows(n, chunk)
-    block = np.empty((1 + min(per_block, steps), n))
-    block[0] = y0
-    advance(y0, block[1:], 0)
-    yield block
-    for k in range(len(block) - 1, steps, per_block):
-        y = block[-1].copy()  # not a view, which would keep the block alive
-        block = np.empty((min(per_block, steps - k), n))
-        advance(y, block, k)
-        yield block
+    def guard(block, r0, k, members):
+        """Fail each system with a sample from row r0 on (step k + 1 on) that
+        is non-finite or beyond BLOWUP_LIMIT, and zero its samples from the
+        first such sample on."""
+        rows = block[:, r0:]
+        top = np.maximum(rows.max(axis=(1, 2), initial=0.0), -rows.min(axis=(1, 2), initial=0.0))
+        for j in np.flatnonzero(~(top <= BLOWUP_LIMIT)):
+            first = int(np.argmax(~(np.abs(block[j, r0:]) <= BLOWUP_LIMIT).all(axis=1)))
+            failures.setdefault(members[j], NumericalError(
+                f"state blow-up at t = {times[k + 1 + first]:.6g}"))
+            block[j, r0 + first :] = 0.0
+
+    powers, chunks = _power_stack(M, dt, steps)
+    for chunk in sorted(set(chunks.tolist()), reverse=True):
+        members = np.flatnonzero(chunks == chunk)
+        every = slice(None) if len(members) == G else members
+        flat = powers[every, :chunk].reshape(len(members), chunk * n, n)
+
+        def products(y, block, r0, k, members=members, chunk=chunk, flat=flat):
+            out = block.reshape(len(block), -1)  # a view: the block is contiguous
+            with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
+                for i in range(r0, block.shape[1], chunk):
+                    rows = block[:, i : i + chunk]
+                    np.matmul(flat[:, : rows.shape[1] * n], y[:, :, None],
+                              out=out[:, i * n : i * n + rows[0].size, None])
+                    y = rows[:, -1]
+            guard(block, r0, k, members)
+
+        yield from blocks(members, chunk, products)
+
+
+def _power_stack(M: np.ndarray, dt: float, steps: int) -> tuple:
+    """The RK4 step map R of each of a stack of G matrices and its powers,
+    R^1 .. R^B in a (G, B, n, n) stack, B the longest chunk `_chunk_length`
+    allows (and no longer than the run), and each system's chunk length b:
+    the powers up to the last one whose entries stay below BLOWUP_LIMIT.
+    The powers past b are not used."""
+    G, n = M.shape[:2]
+    powers = np.empty((G, min(_chunk_length(n), max(steps, 1)), n, n))
+    _step_map(M, dt, out=powers[:, 0])
+    with np.errstate(all="ignore"):
+        for c in range(1, powers.shape[1]):
+            np.matmul(powers[:, 0], powers[:, c - 1], out=powers[:, c])
+        rest = powers[:, 1:]
+        below = np.maximum(rest.max(axis=(2, 3)), -rest.min(axis=(2, 3))) <= BLOWUP_LIMIT
+    chunks = 1 + np.cumprod(below, axis=1).sum(axis=1)  # 1 + the leading powers below
+    return powers, chunks
 
 
 def _rk4_stages(rows, cols, vals, y, out, times, dt) -> None:
@@ -320,22 +386,6 @@ class NetworkRun:
             yield Trajectory(times=times[k - b : k], leader_states=w, followers=followers)
 
 
-def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> Trajectory:
-    """Integrate the whole closed-loop network under the given gain sets:
-    the blocks of its `NetworkRun`, joined into one `Trajectory`."""
-    run = NetworkRun(scenario, gains, t_end, dt)
-    w, streams = [], {name: [] for name in run.error_norms.names}
-    for block in run:
-        w.append(block.leader_states)
-        for name, s in block.followers.items():
-            streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
-    return Trajectory(
-        times=run.error_norms.times, leader_states=np.concatenate(w),
-        followers={name: FollowerStream(*map(np.concatenate, zip(*parts)))
-                   for name, parts in streams.items()},
-    )
-
-
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
     """Nonzeros (rows, cols, vals) of the block system matrix of the
     closed-loop network in the state layout
@@ -374,28 +424,70 @@ def _row_strip(r0, blocks) -> tuple:
     return r + r0, col[c], strip[r, c]
 
 
-def simulate_augmented(plant: AugmentedPlant, K, X0, t_end: float, dt: float) -> AugmentedTrajectory:
-    """Integrate the closed augmented error system dX = (A - B K) X."""
-    K = np.asarray(K, dtype=float)
-    X0 = np.asarray(X0, dtype=float)
-    Acl = plant.A - plant.B @ K
-    abscissa = spectrum(Acl).max_real
-    if not abscissa < 0:
-        raise NumericalError("gain is not stabilizing; refusing the augmented run")
-    times, X = _rk4(Acl, X0, t_end, dt)
-    e = X @ (plant.C - plant.D @ K).T
-    return AugmentedTrajectory(times=times, X=X, e=e, abscissa=abscissa)
+def augmented_batch(order: int, t_end: float, dt: float) -> int:
+    """How many augmented runs of `order` states over the grid 0..t_end one
+    `simulate_augmented` call should take: as many as keep their power
+    stacks and the |e|^2 they keep within _GROUP_BYTES."""
+    samples = len(_time_grid(t_end, dt))
+    return max(1, _GROUP_BYTES // (8 * (_chunk_length(order) * order * order + samples)))
 
 
-def evaluate_cost(run: AugmentedTrajectory, P) -> CostReport:
+def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
+    """Integrate the closed augmented error systems dX = (A - B K) X of the
+    plants of one shape under the gains Ks, from X0s, in lockstep (see
+    `numkernel.lockstep` and `_rk4_lockstep`) and a row block at a time.
+
+    Each run keeps only what `evaluate_cost` reads: |e|^2 at every sample,
+    e = (C - D K) X, its X0 and the spectral abscissa of A - B K. Returns,
+    per member, its AugmentedRun or its error: a gain that is not
+    stabilizing is refused, and a blow-up stops the run.
+    """
+    return lockstep(_augmented_lockstep, (list(plants), list(Ks), list(X0s)), t_end, dt)
+
+
+def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
+    out = [None] * len(plants)
+    K = np.array(Ks, dtype=float)
+    A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
+    Acl = A - B @ K
+    for g in np.flatnonzero(~np.isfinite(Acl).all(axis=(1, 2))):
+        out[g] = ValueError("A has non-finite entries")
+    live = undecided(out)
+    abscissa = abscissae(Acl[live])
+    for j in np.flatnonzero(~(abscissa < 0)):
+        out[live[j]] = NumericalError("gain is not stabilizing; refusing the augmented run")
+    live, abscissa = live[abscissa < 0], abscissa[abscissa < 0]
+    if not len(live):
+        return out
+
+    times = _time_grid(t_end, dt)
+    X0 = np.array(X0s, dtype=float)[live]
+    Cbar = (C - D @ K)[live]
+    e2 = np.empty((len(live), len(times)))
+    failures = {}
+    for members, first, block in _rk4_lockstep(Acl[live], X0, t_end, dt, failures):
+        rows = block.shape[1]
+        # a one-row product takes another BLAS path than the rows of a taller
+        # one, so a lone last row goes with the row before it
+        X = block if rows > 1 or first == 0 else np.concatenate([before, block], axis=1)
+        sq = (X @ Cbar[members].mT)[:, -rows:] ** 2
+        # numpy sums fewer than 8 terms left to right, so adding the columns
+        # in turn gives the floats of np.sum(sq, axis=2), and fast
+        e2[members, first : first + rows] = (sum(np.moveaxis(sq, 2, 0)) if sq.shape[2] < 8
+                                             else np.sum(sq, axis=2))
+        before = block[:, -1:]
+    for j, g in enumerate(live):
+        out[g] = failures.get(j) or AugmentedRun(times, X0[j], e2[j], float(abscissa[j]))
+    return out
+
+
+def evaluate_cost(run: AugmentedRun, P) -> CostReport:
     """Cost of an augmented run both by quadrature and by the closed form
     X0^T P X0 (the P must evaluate the same gain that produced the run)."""
     P = np.asarray(P, dtype=float)
-    e2 = np.sum(run.e**2, axis=1)
-    j_quad = float(np.trapezoid(e2, run.times))
-    x0 = run.X[0]
-    j_closed = float(x0 @ P @ x0)
-    tail = float(np.linalg.norm(run.e[_tail_start(len(run.e)) :], axis=1).max())
+    j_quad = float(np.trapezoid(run.e2, run.times))
+    j_closed = float(run.X0 @ P @ run.X0)
+    tail = float(np.sqrt(run.e2[_tail_start(len(run.e2)) :]).max())
 
     warning = None
     slowest = run.abscissa

@@ -1,13 +1,14 @@
 """Directed communication graph over a leader (node 0) and N followers.
 
-Keeps the graph as its edge list, with the in-degrees and each node's
-senders, and checks the structural requirements: no directed loop, a
-spanning tree rooted at the leader, and an isolated leader row. Edge
-weights are unit only.
+Keeps the graph as its edge list, with the in-degrees, each node's
+senders and the followers' topological order, and checks the structural
+requirements: no directed loop, a spanning tree rooted at the leader, and
+an isolated leader row. Edge weights are unit only.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ class Topology:
     edges: tuple  # ordered pairs (j, i): follower/leader j feeds agent i
     in_degrees: np.ndarray  # d_i per node, leader included (d_0 = 0 enforced later)
     senders: tuple  # per node i, the nodes j of its edges j -> i, ascending
+    order: tuple | None  # followers in topological order, None if there is a directed cycle
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,8 @@ class ValidationReport:
 
 
 def build_topology(n_followers: int, edges) -> Topology:
-    """Construct the graph, its in-degrees and senders from an edge list.
+    """Construct the graph, its in-degrees, senders and topological order
+    from an edge list.
 
     Edges are ordered pairs (j, i) meaning agent i receives from agent j;
     node 0 is the leader. An edge that is not a pair of integers, a
@@ -66,7 +69,7 @@ def build_topology(n_followers: int, edges) -> Topology:
         senders[i].append(j)
     deg = np.array([len(s) for s in senders], dtype=float)
     return Topology(n_followers=n, edges=edges, in_degrees=deg,
-                    senders=tuple(map(tuple, senders)))
+                    senders=tuple(map(tuple, senders)), order=_try_topological_order(n, edges))
 
 
 def validate_topology(t: Topology) -> ValidationReport:
@@ -74,8 +77,7 @@ def validate_topology(t: Topology) -> ValidationReport:
     n = t.n_followers
     diagnostics = []
 
-    order = _try_topological_order(t)
-    acyclic = order is not None
+    acyclic = t.order is not None
     if not acyclic:
         diagnostics.append("directed cycle among followers")
 
@@ -114,32 +116,28 @@ def topological_order(t: Topology) -> list[int]:
     Every follower comes after all of its senders. Ties break on the lowest
     original index for reproducibility.
     """
-    order = _try_topological_order(t)
-    if order is None:
+    if t.order is None:
         raise ValidationError("graph has a directed cycle; no topological order")
-    return order
+    return list(t.order)
 
 
-def _try_topological_order(t: Topology):
-    """Kahn's algorithm over followers (leader edges only reduce in-degree)."""
-    n = t.n_followers
-    indeg = {i: 0 for i in range(1, n + 1)}
-    succ = {i: [] for i in range(1, n + 1)}
-    for j, i in t.edges:
+def _try_topological_order(n: int, edges) -> tuple | None:
+    """Kahn's algorithm over the followers 1..n (leader edges only reduce
+    in-degree), taking the lowest ready follower first; None if there is a
+    directed cycle."""
+    indeg = [0] * (n + 1)
+    succ = [[] for _ in range(n + 1)]
+    for j, i in edges:
         if j >= 1 and i >= 1:
             indeg[i] += 1
             succ[j].append(i)
-    ready = sorted(i for i, d in indeg.items() if d == 0)
+    ready = [i for i in range(1, n + 1) if indeg[i] == 0]  # ascending: a heap
     order = []
     while ready:
-        node = ready.pop(0)
+        node = heapq.heappop(ready)
         order.append(node)
-        changed = False
         for nxt in succ[node]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort()
-    return order if len(order) == n else None
+                heapq.heappush(ready, nxt)
+    return tuple(order) if len(order) == n else None

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import simulate_network
 from networks import chain_payload
 from syncopt import cli, simulator
 
@@ -49,7 +50,7 @@ def chain_network(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_rk4_blocks", recording)
-        simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
+        simulate_network(scenario, gains, t_end=0.0, dt=0.01)
     (M, y0), = calls
     assert M.shape == (422, 422) and simulator._chunk_length(422) == 1
     return scenario, gains, M, y0

@@ -1,0 +1,73 @@
+"""Whole-run and one-plant forms of the library's streaming and lockstep
+APIs, which only tests call: the network run joined into one trajectory,
+its tracking-error norms, the closed augmented loop of one follower with
+its states, and the policy-improvement and Riccati-residual formulas of
+one plant."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from syncopt import policy_iteration, simulator
+from syncopt.errors import NumericalError
+from syncopt.numkernel import sole, spectrum
+
+
+def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulator.Trajectory:
+    """Integrate the whole closed-loop network under the given gain sets:
+    the blocks of its `NetworkRun`, joined into one `Trajectory`."""
+    run = simulator.NetworkRun(scenario, gains, t_end, dt)
+    w, streams = [], {name: [] for name in run.error_norms.names}
+    for block in run:
+        w.append(block.leader_states)
+        for name, s in block.followers.items():
+            streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
+    return simulator.Trajectory(
+        times=run.error_norms.times, leader_states=np.concatenate(w),
+        followers={name: simulator.FollowerStream(*map(np.concatenate, zip(*parts)))
+                   for name, parts in streams.items()},
+    )
+
+
+def error_norms(traj: simulator.Trajectory) -> simulator.ErrorNorms:
+    """|e| of each follower of a whole trajectory at each sample."""
+    mag = [np.linalg.norm(stream.e, axis=1) for stream in traj.followers.values()]
+    return simulator.ErrorNorms(traj.times, tuple(traj.followers), np.stack(mag, axis=1))
+
+
+@dataclass(frozen=True)
+class AugmentedTrajectory:
+    times: np.ndarray
+    X: np.ndarray  # T x (q+n)
+    e: np.ndarray  # T x p
+    abscissa: float  # max real part of the spectrum of A - B K
+
+
+def simulate_augmented(plant, K, X0, t_end: float, dt: float) -> AugmentedTrajectory:
+    """The closed augmented error system dX = (A - B K) X of one follower,
+    integrated whole, with its states and tracking errors."""
+    K = np.asarray(K, dtype=float)
+    Acl = plant.A - plant.B @ K
+    abscissa = spectrum(Acl).max_real
+    if not abscissa < 0:
+        raise NumericalError("gain is not stabilizing; refusing the augmented run")
+    times, X = simulator._rk4(Acl, np.asarray(X0, dtype=float), t_end, dt)
+    return AugmentedTrajectory(times=times, X=X, e=X @ (plant.C - plant.D @ K).T,
+                               abscissa=abscissa)
+
+
+def augmented_run(plant, K, X0, t_end: float, dt: float) -> simulator.AugmentedRun:
+    """The one-member call of `simulator.simulate_augmented`."""
+    return sole(simulator.simulate_augmented([plant], [K], [X0], t_end, dt))
+
+
+def policy_improvement(plant, P) -> np.ndarray:
+    """Greedy gain for the cost matrix P: K = (D^T D)^{-1} (D^T C + B^T P)."""
+    P = np.asarray(P, dtype=float)
+    return np.linalg.solve(policy_iteration._gram(plant), plant.D.T @ plant.C + plant.B.T @ P)
+
+
+def are_residual(plant, P) -> float:
+    """Frobenius norm of the cross-term Riccati residual at P."""
+    return policy_iteration._are_residual(plant, policy_iteration._gram(plant),
+                                          np.asarray(P, dtype=float))

@@ -1,12 +1,13 @@
-"""Networks for tests: a chain scenario larger than the paper's, the dense
-graph matrices of a topology, rebuilt from its edge list or its senders,
-and a dense matrix from its nonzeros."""
+"""Networks for tests: a chain scenario larger than the paper's, seeded
+random DAGs, the dense graph matrices of a topology, rebuilt from its edge
+list or its senders, and a dense matrix from its nonzeros."""
 
 import json
 
 import numpy as np
 
 from syncopt import cli
+from syncopt.topology import build_topology
 
 
 def chain_payload(n_followers: int) -> dict:
@@ -25,6 +26,16 @@ def chain_payload(n_followers: int) -> dict:
     raw.update(agents=agents, k1_override=k1, topology={"n_followers": n_followers, "edges": edges})
     raw["init"].update(x0=x0, xi0=xi0)
     return raw
+
+
+def random_dag(seed, n):
+    """Follower i draws one or two senders from the nodes before it."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(1, n + 1):
+        senders = rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False)
+        edges += [(int(j), i) for j in senders]
+    return build_topology(n, edges)
 
 
 def with_extra_state(payload: dict, names) -> dict:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import paper_tables
+from helpers import are_residual, augmented_run, simulate_network
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
 from syncopt import cli, simulator
 from syncopt.plant import LeaderModel
-from syncopt.policy_iteration import are_residual, policy_evaluation, run_pi
+from syncopt.policy_iteration import policy_evaluation, run_pi
 from syncopt.regulator import solve_regulator
 
 MASTER_SEED = 20260823
@@ -134,7 +135,7 @@ def test_synchronization(paper_scenario, paper_bundle, paper_traces):
         scenario = _with_w0(scenario, cli.seeded_w0(scenario.leader.q, seed))
         for gains in (initial, optimal):
             t0 = time.perf_counter()
-            traj = simulator.simulate_network(scenario, gains, t_end=20.0, dt=1e-3)
+            traj = simulate_network(scenario, gains, t_end=20.0, dt=1e-3)
             worst_time = max(worst_time, time.perf_counter() - t0)
             late = traj.times >= 15.0
             for stream in traj.followers.values():
@@ -165,7 +166,7 @@ def test_optimality_ordering(paper_scenario, paper_bundle, paper_traces):
         X0 = np.concatenate([zeta0, x0 - ad.reg.Pi @ xi0])
         costs = {}
         for label, gains in (("initial", ad.initial.Kic), ("optimal", paper_traces[ad.name].K)):
-            run = simulator.simulate_augmented(ad.plant, gains, X0, t_end=20.0, dt=1e-3)
+            run = augmented_run(ad.plant, gains, X0, t_end=20.0, dt=1e-3)
             rep = simulator.evaluate_cost(run, policy_evaluation(ad.plant, gains)[0])
             costs[label] = rep
             ok &= abs(rep.j_quadrature - rep.j_closed_form) <= max(
@@ -182,7 +183,7 @@ def test_optimality_ordering(paper_scenario, paper_bundle, paper_traces):
 def test_compensator_convergence(paper_scenario, paper_bundle):
     gains = {ad.name: ad.initial for ad in paper_bundle.per_agent}
     assert np.array_equal(paper_bundle.design.alphas, [-2, -2, -2, -1, -2])
-    traj = simulator.simulate_network(paper_scenario, gains, t_end=20.0, dt=1e-3)
+    traj = simulate_network(paper_scenario, gains, t_end=20.0, dt=1e-3)
     worst = 0.0
     for stream in traj.followers.values():
         worst = max(worst, np.linalg.norm(stream.xi[-1] - traj.leader_states[-1]))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import error_norms, simulate_network
 from networks import chain_payload
 from syncopt import cli, simulator
 from syncopt.errors import ValidationError
@@ -275,14 +276,14 @@ class TestCommands:
             assert cli.main(["simulate", str(path), "--out", str(out)]) == 0
             printed = capsys.readouterr().out
             scenario = cli.load_scenario(path)
-            traj = simulator.simulate_network(scenario, initial, scenario.t_end, scenario.dt)
+            traj = simulate_network(scenario, initial, scenario.t_end, scenario.dt)
             assert len(traj.times) == steps + 1
             csv_path = out / "trajectory_initial.csv"
             assert csv_path.read_bytes() == row_writer_csv(tmp_path / "rows.csv", scenario, traj)
             lines = [
                 f"{name}: tail error {met.tail_error:.3e}, settle "
                 + ("not settled" if met.settle_time is None else f"{met.settle_time:.3f} s")
-                for name, met in simulator.tracking_metrics(traj.error_norms()).items()
+                for name, met in simulator.tracking_metrics(error_norms(traj)).items()
             ]
             assert printed == "\n".join(lines + [f"wrote {csv_path}"]) + "\n"
 
@@ -300,9 +301,9 @@ class TestCommands:
         rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
         scenario = cli.load_scenario(path)
         for label, gains in (("initial", initial), ("optimal", optimal)):
-            traj = simulator.simulate_network(scenario, gains, scenario.t_end, scenario.dt)
+            traj = simulate_network(scenario, gains, scenario.t_end, scenario.dt)
             assert len(traj.times) == steps + 1
-            for name, met in simulator.tracking_metrics(traj.error_norms()).items():
+            for name, met in simulator.tracking_metrics(error_norms(traj)).items():
                 assert rows[name][label]["network_tail_error"] == met.tail_error
 
     def test_failed_simulation_leaves_no_csv(self, tmp_path, capsys, paper_scenario, paper_bundle):

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import are_residual, policy_improvement
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
 from syncopt import policy_iteration
 from syncopt.errors import NumericalError
 from syncopt.numkernel import spectrum
-from syncopt.policy_iteration import (
-    are_residual,
-    policy_evaluation,
-    policy_improvement,
-    run_pi,
-)
+from syncopt.policy_iteration import policy_evaluation, run_pi
 from syncopt.protocol import AugmentedPlant
 
 
@@ -128,13 +124,13 @@ class TestRunPi:
         # a = -1: the cost of the gain K is (1 - K)^2 / (2 (1 + K)). K0 = 0
         # costs 1/2; the stabilizing K = 5 costs 4/3. Evaluating K = 5 in place
         # of the improved gain makes the cost rise at iteration 1.
-        evaluate, gains = policy_iteration.policy_evaluation, []
+        evaluate, gains = policy_iteration._evaluate, []
 
-        def costlier(plant, K):
+        def costlier(A, B, C, D, K):
             gains.append(K)
-            return evaluate(plant, np.array([[5.0]]) if len(gains) == 2 else K)
+            return evaluate(A, B, C, D, np.array([[[5.0]]]) if len(gains) == 2 else K)
 
-        monkeypatch.setattr(policy_iteration, "policy_evaluation", costlier)
+        monkeypatch.setattr(policy_iteration, "_evaluate", costlier)
         with pytest.raises(NumericalError, match="cost monotonicity violated at iteration 1"):
             run_pi(scalar_plant(), np.array([[0.0]]))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paper_tables
-from networks import dense, graph_matrices, h_matrix
+from networks import dense, graph_matrices, h_matrix, random_dag
 from syncopt import cli, protocol
 from syncopt.errors import NumericalError, ValidationError
 from syncopt.numkernel import is_hurwitz
@@ -19,16 +19,6 @@ from syncopt.regulator import solve_regulator
 from syncopt.topology import build_topology
 
 SINGLE = build_topology(1, [(0, 1)])
-
-
-def random_dag(seed, n):
-    """Follower i draws one or two senders from the nodes before it."""
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(1, n + 1):
-        senders = rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False)
-        edges += [(int(j), i) for j in senders]
-    return build_topology(n, edges)
 
 
 def kron_residual(tf, design, topo, leader):

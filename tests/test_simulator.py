@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import augmented_run, error_norms, simulate_augmented, simulate_network
 from networks import chain_payload, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
@@ -70,24 +71,24 @@ def stable_matrix(n, seed):
 class TestSimulateNetwork:
     def test_zero_initial_conditions_equilibrium(self, paper_scenario, paper_bundle):
         scenario = zero_start(paper_scenario)
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
         for stream in traj.followers.values():
             assert np.abs(stream.e).max() == pytest.approx(0.0, abs=1e-14)
 
     def test_paper_scenario_errors_decay(self, paper_scenario, paper_bundle):
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(traj.error_norms())
+        metrics = simulator.tracking_metrics(error_norms(traj))
         for met in metrics.values():
             assert met.tail_error < 1e-2
 
     def test_step_halving_convergence(self, paper_scenario, paper_bundle):
         gains = initial_gain_sets(paper_bundle)
-        coarse = simulator.simulate_network(paper_scenario, gains, t_end=5.0, dt=1e-3)
-        fine = simulator.simulate_network(paper_scenario, gains, t_end=5.0, dt=5e-4)
+        coarse = simulate_network(paper_scenario, gains, t_end=5.0, dt=1e-3)
+        fine = simulate_network(paper_scenario, gains, t_end=5.0, dt=5e-4)
         a, b = coarse.leader_states[-1], fine.leader_states[-1]
         assert np.linalg.norm(a - b) < 1e-6 * np.linalg.norm(b)
         for name in gains:
@@ -97,14 +98,14 @@ class TestSimulateNetwork:
 
     def test_error_recomputation_identity(self, paper_scenario, paper_bundle):
         gains = initial_gain_sets(paper_bundle)
-        traj = simulator.simulate_network(paper_scenario, gains, t_end=2.0, dt=1e-3)
+        traj = simulate_network(paper_scenario, gains, t_end=2.0, dt=1e-3)
         for name, ag in paper_scenario.agents:
             s = traj.followers[name]
             recomputed = s.x @ ag.C.T + s.u @ ag.D.T - traj.leader_states @ ag.F.T
             assert np.array_equal(s.e, recomputed)
 
     def test_compensators_converge_to_leader(self, paper_scenario, paper_bundle):
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
         for stream in traj.followers.values():
@@ -113,7 +114,7 @@ class TestSimulateNetwork:
 
     def test_bad_dt_rejected(self, paper_scenario, paper_bundle):
         with pytest.raises(ValueError):
-            simulator.simulate_network(
+            simulate_network(
                 paper_scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=0.0
             )
 
@@ -121,7 +122,7 @@ class TestSimulateNetwork:
         calls = captured_rk4_inputs(monkeypatch)
         gains = destabilized_gain_sets(paper_bundle)
         with pytest.raises(NumericalError, match="blow-up") as info:
-            simulator.simulate_network(paper_scenario, gains, t_end=40.0, dt=1e-3)
+            simulate_network(paper_scenario, gains, t_end=40.0, dt=1e-3)
         # the textbook loop trips the guard at the same step
         (M, y0), = calls
         ref = rk4_loop(M, y0, 40000, 1e-3, limit=simulator.BLOWUP_LIMIT)
@@ -129,7 +130,7 @@ class TestSimulateNetwork:
         assert str(info.value) == f"state blow-up at t = {(len(ref) - 1) * 1e-3:.6g}"
 
     def test_zero_start_stays_zero_under_destabilizing_gains(self, paper_scenario, paper_bundle):
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             zero_start(paper_scenario), destabilized_gain_sets(paper_bundle), t_end=40.0, dt=1e-3
         )
         for stream in traj.followers.values():
@@ -138,7 +139,7 @@ class TestSimulateNetwork:
 
     def test_matches_textbook_rk4_on_paper_network(self, paper_scenario, paper_bundle, monkeypatch):
         calls = captured_rk4_inputs(monkeypatch)
-        simulator.simulate_network(
+        simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
         (M, y0), = calls
@@ -187,7 +188,7 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
     scenario = cli.load_scenario(path)
     gains = initial_gain_sets(cli.run_design(scenario))
     calls = captured_rk4_inputs(monkeypatch)
-    traj = simulator.simulate_network(scenario, gains, t_end=0.6, dt=1e-3)
+    traj = simulate_network(scenario, gains, t_end=0.6, dt=1e-3)
     (M, y0), = calls
     _, samples = simulator._rk4(M, y0, 0.6, 1e-3)
     q, N = 2, 8
@@ -205,7 +206,7 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
     run = simulator.NetworkRun(scenario, gains, t_end=0.6, dt=1e-3)
     for _ in run:
         pass
-    assert run.error_norms.values.tobytes() == traj.error_norms().values.tobytes()
+    assert run.error_norms.values.tobytes() == error_norms(traj).values.tobytes()
 
 
 @pytest.mark.parametrize("network", ["paper", "chain"])
@@ -222,7 +223,7 @@ def test_network_triplets_are_the_dense_assembly(network, request, paper_scenari
         return calls[-1][1]
 
     monkeypatch.setattr(simulator, "_network_matrix", recording)
-    simulator.simulate_network(scenario, gains, t_end=0.0, dt=0.01)
+    simulate_network(scenario, gains, t_end=0.0, dt=0.01)
     (args, (rows, cols, vals)), = calls
     want = dense_network_matrix(*args)
     dense = np.zeros_like(want)
@@ -333,16 +334,16 @@ class TestRk4Stages:
 
         monkeypatch.setattr(simulator, "_step_map", refuse)
         scenario, gains, _, _ = chain_network
-        simulator.simulate_network(scenario, gains, t_end=0.1, dt=0.01)
+        simulate_network(scenario, gains, t_end=0.1, dt=0.01)
         with pytest.raises(RuntimeError, match="dense step map built"):
-            simulator.simulate_network(
+            simulate_network(
                 paper_scenario, initial_gain_sets(paper_bundle), t_end=0.1, dt=0.01
             )
 
 
 class TestSimulateAugmented:
     def test_zero_start_stays_zero(self):
-        run = simulator.simulate_augmented(
+        run = simulate_augmented(
             scalar_plant(), np.array([[1.0]]), np.zeros(1), t_end=1.0, dt=1e-3
         )
         assert np.abs(run.X).max() == 0.0
@@ -350,7 +351,7 @@ class TestSimulateAugmented:
 
     def test_scalar_exponential(self):
         # closed loop a - b k = -2
-        run = simulator.simulate_augmented(
+        run = simulate_augmented(
             scalar_plant(), np.array([[1.0]]), np.array([3.0]), t_end=1.0, dt=1e-3
         )
         assert run.X[-1, 0] == pytest.approx(3.0 * np.exp(-2.0), abs=1e-8)
@@ -358,12 +359,12 @@ class TestSimulateAugmented:
     def test_decay_under_stabilizing_gain(self, paper_bundle):
         ad = paper_bundle.per_agent[1]
         x0 = np.ones(ad.plant.order)
-        run = simulator.simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=15.0, dt=1e-3)
+        run = simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=15.0, dt=1e-3)
         assert np.linalg.norm(run.X[-1]) < np.linalg.norm(x0)
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(NumericalError):
-            simulator.simulate_augmented(
+            augmented_run(
                 scalar_plant(a=1.0), np.zeros((1, 1)), np.ones(1), t_end=1.0, dt=1e-3
             )
 
@@ -381,7 +382,7 @@ class TestSimulateAugmented:
         exact = (vecs @ np.diag(np.exp(vals * 2.0)) @ np.linalg.inv(vecs) @ x0).real
         errs = []
         for dt in (0.08, 0.04):
-            run = simulator.simulate_augmented(plant, np.zeros((1, 3)), x0, t_end=2.0, dt=dt)
+            run = simulate_augmented(plant, np.zeros((1, 3)), x0, t_end=2.0, dt=dt)
             errs.append(np.linalg.norm(run.X[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 4.0 < ratio < 64.0
@@ -390,7 +391,7 @@ class TestSimulateAugmented:
         ad = paper_bundle.per_agent[0]
         p, _, _ = policy_evaluation(ad.plant, ad.initial.Kic)
         x0 = np.ones(ad.plant.order)
-        run = simulator.simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=5.0, dt=1e-3)
+        run = simulate_augmented(ad.plant, ad.initial.Kic, x0, t_end=5.0, dt=1e-3)
         energy = np.einsum("ti,ij,tj->t", run.X, p, run.X)
         assert np.all(np.diff(energy) <= 1e-9 * (1 + energy[:-1]))
 
@@ -398,7 +399,7 @@ class TestSimulateAugmented:
 class TestEvaluateCost:
     def test_zero_start(self):
         plant = scalar_plant()
-        run = simulator.simulate_augmented(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
+        run = augmented_run(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
         report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 1)))[0])
         assert report.j_quadrature == 0.0
         assert report.j_closed_form == 0.0
@@ -407,7 +408,7 @@ class TestEvaluateCost:
         # K=0: closed loop -1, e = x, J = int exp(-2t) = 0.5 = P
         plant = scalar_plant()
         k = np.zeros((1, 1))
-        run = simulator.simulate_augmented(plant, k, np.ones(1), t_end=20.0, dt=1e-3)
+        run = augmented_run(plant, k, np.ones(1), t_end=20.0, dt=1e-3)
         report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
         assert report.j_closed_form == pytest.approx(0.5)
         assert report.j_quadrature == pytest.approx(0.5, abs=1e-4)
@@ -416,7 +417,7 @@ class TestEvaluateCost:
     def test_short_horizon_warns(self):
         plant = scalar_plant()
         k = np.zeros((1, 1))
-        run = simulator.simulate_augmented(plant, k, np.ones(1), t_end=1.0, dt=1e-3)
+        run = augmented_run(plant, k, np.ones(1), t_end=1.0, dt=1e-3)
         report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
         assert report.horizon_warning is not None
 
@@ -424,23 +425,23 @@ class TestEvaluateCost:
 class TestTrackingMetrics:
     def test_zero_error_settles_immediately(self, paper_scenario, paper_bundle):
         scenario = zero_start(paper_scenario)
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(traj.error_norms()).values():
+        for met in simulator.tracking_metrics(error_norms(traj)).values():
             assert met.settle_time == 0.0
 
     def test_paper_run_settles(self, paper_scenario, paper_bundle):
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(traj.error_norms()).values():
+        for met in simulator.tracking_metrics(error_norms(traj)).values():
             assert met.settle_time is not None
 
     def test_not_settled_reported(self, paper_scenario, paper_bundle):
         # short horizon: the transient has not died down yet
-        traj = simulator.simulate_network(
+        traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=0.5, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(traj.error_norms())
+        metrics = simulator.tracking_metrics(error_norms(traj))
         assert any(met.settle_time is None for met in metrics.values())

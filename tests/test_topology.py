@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from networks import graph_matrices, h_matrix
+from networks import graph_matrices, h_matrix, random_dag
 from paper_tables import LAPLACIAN
+from syncopt import cli, topology
 from syncopt.errors import ValidationError
 from syncopt.numkernel import spectrum
 from syncopt.topology import build_topology, topological_order, validate_topology
@@ -134,3 +135,58 @@ def test_h_spectrum_is_in_degrees():
 def test_follower_in_degrees_positive():
     t = build_topology(5, PAPER_EDGES)
     assert np.all(t.in_degrees[1:] > 0)
+
+
+def sorted_list_kahn(t):
+    """Kahn's algorithm as it was written with a list kept sorted: pop the
+    lowest ready follower, re-sort when followers become ready."""
+    n = t.n_followers
+    indeg = {i: 0 for i in range(1, n + 1)}
+    succ = {i: [] for i in range(1, n + 1)}
+    for j, i in t.edges:
+        if j >= 1 and i >= 1:
+            indeg[i] += 1
+            succ[j].append(i)
+    ready = sorted(i for i, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        changed = False
+        for nxt in succ[node]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+                changed = True
+        if changed:
+            ready.sort()
+    return order if len(order) == n else None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_heap_order_is_the_sorted_list_order(seed):
+    # the lowest ready follower first, as before, on DAGs whose listing is
+    # not in topological order
+    n = 40
+    t = random_dag(seed, n)
+    perm = np.random.default_rng(seed).permutation(n) + 1
+    relabel = {0: 0, **{i + 1: int(p) for i, p in enumerate(perm)}}
+    shuffled = build_topology(n, [(relabel[j], relabel[i]) for j, i in t.edges])
+    for graph in (t, shuffled):
+        assert topological_order(graph) == sorted_list_kahn(graph)
+    j, i = next((j, i) for j, i in shuffled.edges if j > 0)
+    cyclic = build_topology(n, list(shuffled.edges) + [(i, j)])  # a two-cycle
+    assert cyclic.order is None and sorted_list_kahn(cyclic) is None
+
+
+@pytest.mark.parametrize("verb", ["validate", "design", "learn", "simulate", "compare"])
+def test_topological_order_once_per_verb(tmp_path, monkeypatch, capsys, verb):
+    calls, original = [], topology._try_topological_order
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topology, "_try_topological_order", counting)
+    assert cli.main([verb, str(cli.bundled_scenario_path()), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
