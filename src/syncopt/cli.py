@@ -350,14 +350,7 @@ def _mat(x) -> list:
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, default=_json_scalar)
-
-
-def _json_scalar(obj):
-    # numpy scalars (np.bool_, np.float64, ...) slip into reports
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        json.dump(payload, f, indent=2)
 
 
 def _gains_json(g: protocol.GainSet) -> dict:
@@ -367,9 +360,7 @@ def _gains_json(g: protocol.GainSet) -> dict:
 def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario) -> dict:
     agents = {}
     optimal = {} if traces is None else optimal_gain_sets(bundle, traces)
-    rows, cols, vals = bundle.transform.U
-    U = np.zeros((len(bundle.transform.c),) * 2)  # the reports hold U dense
-    U[rows, cols] = vals
+    rows, cols, vals = bundle.transform.U  # written 1-based, as the graph numbers followers
     for ad in bundle.per_agent:
         entry = {
             "Pi": _mat(ad.reg.Pi),
@@ -391,7 +382,8 @@ def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario)
         "r": bundle.design.r,
         "lambda_M": bundle.design.lambda_M,
         "alphas": _mat(bundle.design.alphas),
-        "U": _mat(U),
+        "U": {"n": len(bundle.transform.c), "rows": _mat(rows + 1), "cols": _mat(cols + 1),
+              "vals": _mat(vals)},
         "c": _mat(bundle.transform.c),
         "h": _mat(bundle.transform.h),
         "transform_residual": bundle.transform.residual,
@@ -408,7 +400,7 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
     Only each agent's `optimal.Kic` is read; K1, K2 and K3 are rebuilt from
     the current design.
     """
-    payload = _read_gains(Path(path))
+    payload = _read_json(Path(path))[0]
     for key, current in (("scenario_sha256", scenario.sha256), ("seed", scenario.seed)):
         if not isinstance(payload, dict) or key not in payload:
             raise ValidationError(f"gains file {path} has no `{key}` stamp")
@@ -426,27 +418,6 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
         kic = _finite_array(kic, ad.initial.Kic.shape, f"gains file {path}: optimal Kic of {ad.name}")
         out[ad.name] = protocol.GainSet.from_kic(kic, ad.reg)
     return out
-
-
-def _read_gains(path: Path):
-    """The parsed content of a gains file, less its dense `U`, which nothing
-    reads back. `json.dump(indent=2)` writes U one number a line, from
-    `  "U": [` to the `  ],` that closes it: at N = 2000, 4 million lines,
-    and over 100 MB parsed. They are dropped as they are read. A file that
-    does not parse so is read whole, for the error of the file as it is."""
-    kept, in_u = bytearray(), False
-    with open(path, "rb") as f:
-        for line in f:
-            if in_u:
-                in_u = line != b"  ],\n"
-            elif line == b'  "U": [\n':
-                in_u = True
-            else:
-                kept += line
-    try:
-        return json.loads(kept)
-    except ValueError:
-        return _read_json(path)[0]
 
 
 def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
@@ -577,7 +548,7 @@ def cmd_simulate(args) -> int:
             gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
-    run = simulator.NetworkRun(scenario, gains, scenario.t_end, scenario.dt)
+    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
     write_trajectory_csv(csv_path, scenario, run)
@@ -615,7 +586,7 @@ def cmd_compare(args) -> int:
     }
 
     for label, gains in gain_sets.items():
-        run = simulator.NetworkRun(scenario, gains, scenario.t_end, scenario.dt)
+        run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
         for _ in run:  # only the error norms of the blocks are kept
             pass
         for name, met in simulator.tracking_metrics(run.error_norms).items():

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .numkernel import abscissae, lockstep, undecided
-from .protocol import design_compensator
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -292,9 +291,10 @@ class NetworkRun:
     """The whole closed-loop network under the given gain sets, assembled
     and ready to integrate.
 
-    `scenario` provides leader, agents, topology, the design constant r, and
-    initial conditions; `gains` maps agent name -> GainSet. The compensator
-    state of the leader node is the leader state itself.
+    `scenario` provides leader, agents, topology and initial conditions;
+    `design` is the scenario's `protocol.CompensatorDesign`, and `gains`
+    maps agent name -> GainSet. The compensator state of the leader node is
+    the leader state itself.
 
     Each iteration integrates the network from its initial state and yields
     the run as consecutive row blocks (see `_rk4_blocks`), each a
@@ -303,11 +303,10 @@ class NetworkRun:
     which covers the whole run once an iteration has ended.
     """
 
-    def __init__(self, scenario, gains: dict, t_end: float, dt: float):
+    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float):
         leader = scenario.leader
         agents = list(scenario.agents)
         topo = scenario.topology
-        design = design_compensator(leader, topo, scenario.r)
         q = leader.q
         N = topo.n_followers
         if len(agents) != N:

@@ -8,15 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from syncopt import policy_iteration, simulator
+from syncopt import policy_iteration, protocol, simulator
 from syncopt.errors import NumericalError
 from syncopt.numkernel import sole, spectrum
+
+
+def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.NetworkRun:
+    """The scenario's `NetworkRun` under the given gain sets, with the
+    compensator design of the scenario's leader, topology and r."""
+    design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
+    return simulator.NetworkRun(scenario, design, gains, t_end, dt)
 
 
 def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulator.Trajectory:
     """Integrate the whole closed-loop network under the given gain sets:
     the blocks of its `NetworkRun`, joined into one `Trajectory`."""
-    run = simulator.NetworkRun(scenario, gains, t_end, dt)
+    run = network_run(scenario, gains, t_end, dt)
     w, streams = [], {name: [] for name in run.error_norms.names}
     for block in run:
         w.append(block.leader_states)

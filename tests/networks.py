@@ -1,6 +1,7 @@
-"""Networks for tests: a chain scenario larger than the paper's, seeded
-random DAGs, the dense graph matrices of a topology, rebuilt from its edge
-list or its senders, and a dense matrix from its nonzeros."""
+"""Networks for tests: a chain scenario larger than the paper's, the same
+agents on a seeded random DAG, seeded random DAGs, the dense graph matrices
+of a topology, rebuilt from its edge list or its senders, and a dense matrix
+from its nonzeros."""
 
 import json
 
@@ -25,6 +26,14 @@ def chain_payload(n_followers: int) -> dict:
     edges = [[i, i + 1] for i in range(n_followers)]
     raw.update(agents=agents, k1_override=k1, topology={"n_followers": n_followers, "edges": edges})
     raw["init"].update(x0=x0, xi0=xi0)
+    return raw
+
+
+def dag_payload(n_followers: int, seed: int) -> dict:
+    """`chain_payload`'s agents on `random_dag(seed, n_followers)` instead
+    of the chain."""
+    raw = chain_payload(n_followers)
+    raw["topology"]["edges"] = [list(edge) for edge in random_dag(seed, n_followers).edges]
     return raw
 
 

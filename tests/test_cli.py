@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import error_norms, simulate_network
-from networks import chain_payload
+from helpers import error_norms, network_run, simulate_network
+from networks import chain_payload, dag_payload, dense
 from syncopt import cli, simulator
 from syncopt.errors import ValidationError
 
@@ -355,10 +355,47 @@ class TestCommands:
         assert rc == 0
         assert peak < samples_bytes / 2
 
+    @pytest.mark.parametrize("network", ["paper", "random DAG"])
+    def test_reports_hold_u_as_its_nonzeros(self, tmp_path, network):
+        # design_report.json and optimal_gains.json hold the same U, as its
+        # nonzeros numbered 1..N like the graph's followers; the dense U
+        # rebuilt from either has the bits of the transform's own
+        if network == "paper":
+            path = SCENARIO
+        else:
+            path = write_scenario(tmp_path, dag_payload(20, seed=3))
+        assert cli.main(["design", str(path), "--out", str(tmp_path)]) == 0
+        assert cli.main(["learn", str(path), "--out", str(tmp_path)]) == 0
+        tf = cli.run_design(cli.load_scenario(path)).transform
+        n = len(tf.c)
+        written = [json.loads((tmp_path / name).read_text())["U"]
+                   for name in ("design_report.json", "optimal_gains.json")]
+        assert written[0] == written[1]
+        U = written[0]
+        assert sorted(U) == ["cols", "n", "rows", "vals"] and U["n"] == n
+        assert set(U["rows"]) == set(range(1, n + 1)) and set(U["cols"]) <= set(U["rows"])
+        assert len(U["vals"]) > n  # follower edges besides the diagonal
+        nonzeros = (np.array(U["rows"]) - 1, np.array(U["cols"]) - 1, np.array(U["vals"]))
+        assert dense(nonzeros, n).tobytes() == dense(tf.U, n).tobytes()
+
+    def test_gains_payload_memory_is_linear(self, tmp_path):
+        # 2000 followers: a dense N x N float64 matrix is 32 MB; building and
+        # writing a report must stay under a quarter of that
+        n = 2000
+        scenario = cli.load_scenario(write_scenario(tmp_path, dag_payload(n, seed=7)))
+        bundle = cli.run_design(scenario)
+        tracemalloc.start()
+        try:
+            cli._write_json(tmp_path / "design_report.json", cli.gains_payload(bundle, None, scenario))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, peak
+
 
 def first_block_steps(scenario, gains) -> int:
     """Steps in the first row block of the scenario's network run."""
-    block = next(iter(simulator.NetworkRun(scenario, gains, t_end=100.0, dt=scenario.dt)))
+    block = next(iter(network_run(scenario, gains, t_end=100.0, dt=scenario.dt)))
     return len(block.times) - 1
 
 
@@ -426,10 +463,11 @@ def test_mutated_scenario_keeps_exit_contract(tmp_path, capsys, payload):
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if rc == 0:
-        rc = cli.main(["design", str(path), "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc in (0, 2, 3, 4), err
-        assert "Traceback" not in err
+        for verb in ("design", "learn"):
+            rc = cli.main([verb, str(path), "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3, 4), (verb, err)
+            assert "Traceback" not in err
 
 
 BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)

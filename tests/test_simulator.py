@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import augmented_run, error_norms, simulate_augmented, simulate_network
+from helpers import augmented_run, error_norms, network_run, simulate_augmented, simulate_network
 from networks import chain_payload, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
@@ -203,7 +203,7 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
         assert np.array_equal(s.u, u)
         assert np.array_equal(s.e, s.x @ ag.C.T + u @ ag.D.T - traj.leader_states @ ag.F.T)
     assert x_col == len(y0)
-    run = simulator.NetworkRun(scenario, gains, t_end=0.6, dt=1e-3)
+    run = network_run(scenario, gains, t_end=0.6, dt=1e-3)
     for _ in run:
         pass
     assert run.error_norms.values.tobytes() == error_norms(traj).values.tobytes()
