@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+# The most RK4 steps, sim.t_end / sim.dt, a scenario may ask for: a run keeps
+# 8 bytes per follower and sample, and writes a CSV row per sample.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -126,6 +129,10 @@ def load_scenario(path) -> Scenario:
     dt = _positive(_require(sim, "dt", "sim"), "sim.dt")
     if t_end < dt:
         raise ValidationError(f"sim.t_end must be >= sim.dt, got {t_end}")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValidationError(
+            f"sim.t_end / sim.dt must be at most {MAX_STEPS} steps, got {t_end / dt:.3g}"
+        )
 
     agents = []
     names = set()
@@ -274,35 +281,25 @@ def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
     return {ad.name: traces[ad.name] for ad in bundle.per_agent}
 
 
-def compare_gains(path: Path, bundle: DesignBundle, scenario: Scenario) -> tuple:
-    """The optimal gain sets `compare` runs, and the cost matrices of the
-    initial gains that are known already (name -> P).
-
-    A gains file that `learn` wrote for this run is read as `simulate
-    --gains optimal` reads it. A missing or malformed file, or one stamped
-    for another run, is left alone and the gains are learned; the first
-    iterate of each trace evaluated the initial gain, the same call on the
-    same K that `compare` would make.
-    """
+def compare_gains(path: Path, bundle: DesignBundle, scenario: Scenario) -> dict:
+    """The optimal gain sets `compare` runs. A gains file that `learn` wrote
+    for this run is read as `simulate --gains optimal` reads it. A missing
+    or malformed file, or one stamped for another run, is left alone and the
+    gains are learned."""
     try:
-        return load_gain_sets(path, bundle, scenario), {}
+        return load_gain_sets(path, bundle, scenario)
     except (OSError, ValidationError):
-        traces = run_learn(scenario, bundle)
-        return (optimal_gain_sets(bundle, traces),
-                {name: tr.iterates[0].P for name, tr in traces.items()})
+        return optimal_gain_sets(bundle, run_learn(scenario, bundle))
 
 
-def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict,
-                    costs_known: dict) -> dict:
+def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict) -> dict:
     """Cost report of every agent's closed augmented loop under each gain set
     of `gain_sets` (label -> name -> GainSet), keyed (name, label).
 
     The runs of the agents of one shape, and the evaluations of their gains,
-    go in lockstep, in batches of the size `simulator.augmented_batch` sets;
-    `costs_known` (name -> P) holds the cost matrices of the "initial" gains
-    that learning evaluated already. A failure is reported for the first
-    run, agent by agent and label by label, whose integration or cost
-    matrix fails.
+    go in lockstep, in batches of the size `simulator.augmented_batch` sets.
+    A failure is reported for the first run, agent by agent and label by
+    label, whose integration or cost matrix fails.
     """
     from . import simulator  # only here and in the verbs that run one, see cmd_simulate
 
@@ -318,16 +315,10 @@ def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict,
                                   scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]])
                   for ad, _ in batch]
             runs = simulator.simulate_augmented(plants, kics, X0, t_end, dt)
-            P = [costs_known.get(ad.name) if label == "initial" else None for ad, label in batch]
-            unknown = [i for i, p in enumerate(P) if p is None]
-            if unknown:
-                evaluated = policy_iteration.policy_evaluation_group(
-                    [plants[i] for i in unknown], [kics[i] for i in unknown])
-                for i, ev in zip(unknown, evaluated):
-                    P[i] = ev if isinstance(ev, Exception) else ev[0]
-            for (ad, label), run, p in zip(batch, runs, P):
-                failed = next((x for x in (run, p) if isinstance(x, Exception)), None)
-                costs[ad.name, label] = failed or simulator.evaluate_cost(run, p)
+            evaluated = policy_iteration.policy_evaluation_group(plants, kics)
+            for (ad, label), run, ev in zip(batch, runs, evaluated):
+                failed = next((x for x in (run, ev) if isinstance(x, Exception)), None)
+                costs[ad.name, label] = failed or simulator.evaluate_cost(run, ev[0])
     for ad in bundle.per_agent:
         for label in gain_sets:
             if isinstance(costs[ad.name, label], Exception):
@@ -567,11 +558,10 @@ def cmd_compare(args) -> int:
 
     scenario = _load_checked(args)
     bundle = run_design(scenario)
-    opt_gains, costs_known = compare_gains(Path(args.out) / "optimal_gains.json", bundle, scenario)
+    opt_gains = compare_gains(Path(args.out) / "optimal_gains.json", bundle, scenario)
     gain_sets = {"initial": {ad.name: ad.initial for ad in bundle.per_agent}, "optimal": opt_gains}
 
-    costs = augmented_costs(scenario, bundle, gain_sets, costs_known)
-    del costs_known  # lets the learned traces go before the network runs
+    costs = augmented_costs(scenario, bundle, gain_sets)
     rows = {
         ad.name: {
             label: {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHurwitzError, NumericalError
+from .errors import NotHurwitzError, NumericalError, ToolkitError
 
 LYAP_RESIDUAL_RTOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -69,18 +69,21 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
 
 
 def lockstep(run, stacks: tuple, *args) -> list:
-    """The outcome of `run(*stacks, *args)` for each member: `run` works on
-    stacks of members of one shape in lockstep and returns, per member, a
-    result or the error that member's own run would raise.
+    """The outcome of `run(*stacks, *args)` for each member: its result, or
+    the error a run of that member alone raises.
 
-    numpy computes a stacked call by each member's own LAPACK or BLAS call,
-    but fails the whole stack when one member fails, and the run then
-    raises. Each member is then run on its own, so that a failure costs the
-    members nothing, and a lone member's raised error is its outcome.
+    `run` works on stacks of members of one shape in lockstep and returns a
+    result per member. At the first check that any member fails it raises,
+    the error that member alone would raise; numpy, which computes a
+    stacked call by each member's own LAPACK or BLAS call, likewise fails
+    the whole stack when one member's call fails. A failed stack is run
+    again one member at a time, so that a failure costs the other members
+    nothing, and a lone member's raised error is its outcome. This is the
+    one place where an error becomes a member's outcome.
     """
     try:
         return run(*stacks, *args)
-    except (np.linalg.LinAlgError, NumericalError) as exc:
+    except (ValueError, ToolkitError) as exc:  # numpy's LinAlgError is a ValueError
         if len(stacks[0]) == 1:
             return [exc]
         return [lockstep(run, tuple(s[g : g + 1] for s in stacks), *args)[0]
@@ -93,11 +96,6 @@ def sole(outcomes: list):
     if isinstance(out, Exception):
         raise out
     return out
-
-
-def undecided(outcomes: list) -> np.ndarray:
-    """Indices of the members whose outcome is still open (None)."""
-    return np.array([g for g, out in enumerate(outcomes) if out is None], dtype=int)
 
 
 def _kronecker_sum(A: np.ndarray) -> np.ndarray:
@@ -146,79 +144,52 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
 
 def solve_lyapunov_stack(Abar: np.ndarray, Q: np.ndarray) -> list:
     """`solve_lyapunov` for a stack of G equations of one order, in lockstep
-    (see `lockstep`): one eigenvalue decomposition, one Kronecker solve and
-    one eigvalsh call for the stack, in batches whose Kronecker sums fit in
-    _STACK_BYTES. Returns, per member, (P, residual, abscissa) or the error
-    `solve_lyapunov` raises for it, with the same bits and texts."""
-    per = max(1, _STACK_BYTES // (8 * Abar.shape[-1] ** 4))
-    out = []
-    for b in range(0, len(Abar), per):
-        out += lockstep(_lyapunov_lockstep, (Abar[b : b + per], Q[b : b + per]))
-    return out
+    (see `lockstep`): one eigenvalue decomposition and one eigvalsh call for
+    the stack, and one Kronecker solve for each batch of members whose
+    Kronecker sums fit in _STACK_BYTES. Returns, per member, (P, residual,
+    abscissa) or the error `solve_lyapunov` raises for it, with the same
+    bits and texts."""
+    return lockstep(_lyapunov_lockstep, (Abar, Q))
 
 
 def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> list:
-    out = [None] * len(Abar)
-    live = range(len(Abar))
-
-    def symmetric():
-        return np.abs(Q - Q.mT).max(axis=(1, 2)) <= 1e-12
-
-    finite = np.isfinite(Abar).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
-    if finite.all():
-        valid = symmetric()
-    else:
-        with np.errstate(invalid="ignore"):  # inf - inf, in a member that is not finite
-            valid = finite & symmetric()
-    if not valid.all():
-        for g in np.flatnonzero(~valid):
-            out[g] = ValueError("Abar has non-finite entries" if not np.isfinite(Abar[g]).all()
-                                else "Q has non-finite entries" if not np.isfinite(Q[g]).all()
-                                else "Q is not symmetric within 1e-12")
-        live = undecided(out)
-        Abar, Q = Abar[live], Q[live]
-
+    """The stacked solve of `solve_lyapunov_stack`, which raises at the
+    first check any member fails."""
+    if not np.isfinite(Abar).all():
+        raise ValueError("Abar has non-finite entries")
+    if not np.isfinite(Q).all():
+        raise ValueError("Q has non-finite entries")
+    if not (np.abs(Q - Q.mT) <= 1e-12).all():
+        raise ValueError("Q is not symmetric within 1e-12")
     abscissa = abscissae(Abar).tolist()
-    hurwitz = [j for j, a in enumerate(abscissa) if a < 0]
-    if len(hurwitz) < len(abscissa):
-        for j, a in enumerate(abscissa):
-            if not a < 0:
-                out[live[j]] = NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
-        live, abscissa = [live[j] for j in hurwitz], [abscissa[j] for j in hurwitz]
-        if not live:
-            return out
-        Abar, Q = Abar[hurwitz], Q[hurwitz]
+    if not all(a < 0 for a in abscissa):
+        raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
 
     G, n = Abar.shape[:2]
+    per = max(1, _STACK_BYTES // (8 * n**4))
     vec_q = Q.mT.reshape(G, n * n, 1)  # each Q in column order
-    try:
-        vec_p = np.linalg.solve(_kronecker_sum(Abar), -vec_q)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"vectorized Lyapunov system singular: {exc}") from exc
-    P = vec_p.reshape(G, n, n).mT
-    P = (P + P.mT) / 2.0
-
-    # 2-D norms: a norm over a stack would sum in another order
-    sub = Abar.mT @ P + P @ Abar + Q
-    accurate = []
-    for j in range(G):
-        qnorm = np.linalg.norm(Q[j], "fro")
-        residual = float(np.linalg.norm(sub[j], "fro"))
-        if residual >= LYAP_RESIDUAL_RTOL * (1.0 + qnorm):
-            out[live[j]] = NumericalError(
+    vec_p = np.empty_like(vec_q)
+    for b in range(0, G, per):
+        batch = slice(b, b + per)
+        try:
+            vec_p[batch] = np.linalg.solve(_kronecker_sum(Abar[batch]), -vec_q[batch])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"vectorized Lyapunov system singular: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # a result past the float range fails below
+        P = vec_p.reshape(G, n, n).mT
+        P = (P + P.mT) / 2.0
+        sub = Abar.mT @ P + P @ Abar + Q
+        # 2-D norms: a norm over a stack would sum in another order
+        norms = [(float(np.linalg.norm(s, "fro")), np.linalg.norm(q, "fro"))
+                 for s, q in zip(sub, Q)]
+    for residual, qnorm in norms:
+        if not residual < LYAP_RESIDUAL_RTOL * (1.0 + qnorm):
+            raise NumericalError(
                 f"Lyapunov residual {residual:.3e} exceeds tolerance for ||Q||={qnorm:.3e}"
             )
-        else:
-            accurate.append((j, residual))
-    if len(accurate) < G:
-        P = P[[j for j, _ in accurate]]
-    least = np.linalg.eigvalsh(P).min(axis=1)
-    for (j, residual), low, p in zip(accurate, least.tolist(), P):
-        out[live[j]] = (
-            NumericalError("Lyapunov solution is not PSD within tolerance") if low < PSD_EIG_TOL
-            else (p, residual, abscissa[j])
-        )
-    return out
+    if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
+        raise NumericalError("Lyapunov solution is not PSD within tolerance")
+    return [(p, residual, a) for p, (residual, _), a in zip(P, norms, abscissa)]
 
 
 def stabilize(A, B) -> np.ndarray:

@@ -180,7 +180,8 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     if not observable:
         texts.append("(A, C) not observable")
 
-    gram_sv = np.linalg.svd(ag.D.T @ ag.D, compute_uv=False)
+    with np.errstate(over="ignore"):  # an overflow gives NaN and fails the check
+        gram_sv = np.linalg.svd(ag.D.T @ ag.D, compute_uv=False)
     feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
     if not feedthrough_invertible:
         texts.append("D^T D numerically singular")

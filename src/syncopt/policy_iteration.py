@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import lockstep, sole, solve_lyapunov_stack, undecided
+from .numkernel import _lyapunov_lockstep, lockstep, sole
 from .protocol import AugmentedPlant
 
 DEFAULT_EPSILON = 1e-6
@@ -71,7 +71,7 @@ def policy_evaluation_group(plants, Ks) -> list:
     of one shape, in lockstep (see `numkernel.lockstep`). Returns, per
     member, (P, residual, abscissa) or the error `policy_evaluation` raises
     for it."""
-    return _evaluate(*_stack(plants), np.array(Ks, dtype=float))
+    return lockstep(_evaluate, (*_stack(plants), np.array(Ks, dtype=float)))
 
 
 def _stack(plants) -> tuple:
@@ -79,8 +79,12 @@ def _stack(plants) -> tuple:
 
 
 def _evaluate(A, B, C, D, K) -> list:
-    Cbar = C - D @ K
-    return solve_lyapunov_stack(A - B @ K, Cbar.mT @ Cbar)
+    """The stacked evaluation of `policy_evaluation_group`, which raises at
+    the first check any member fails."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+        Cbar = C - D @ K
+        Abar, Q = A - B @ K, Cbar.mT @ Cbar
+    return _lyapunov_lockstep(Abar, Q)
 
 
 def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> float:
@@ -125,12 +129,13 @@ def run_pi_group(
     (order, m, p), in lockstep (see `numkernel.lockstep`).
 
     Followers learn from their own plants alone, so each member keeps its
-    own iterates and checks, and leaves the group when it converges or
-    fails. An iteration evaluates the members with one stacked eigenvalue
+    own iterates and checks, and leaves the iteration when it converges. An
+    iteration evaluates the members with one stacked eigenvalue
     decomposition, Kronecker solve and eigvalsh, tests their monotonicity
     with one eigvalsh and improves their gains with one solve; the norms
-    are taken per member. Returns, per member, its PiTrace or the error
-    `run_pi` raises for it, with the same bits and texts.
+    are taken per member. A member that fails a check fails the stack, and
+    every member is then run alone. Returns, per member, its PiTrace or the
+    error `run_pi` raises for it, with the same bits and texts.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -140,69 +145,51 @@ def run_pi_group(
 
 
 def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
-    out = [None] * len(plants)
-    grams = {}
-    for g, plant in enumerate(plants):
-        try:
-            grams[g] = _gram(plant)
-        except NumericalError as exc:
-            out[g] = exc
-    live = undecided(out).tolist()
-    if not live:
-        return out
-    iterates = {g: [] for g in live}
-    A, B, C, D = _stack([plants[g] for g in live])
-    gram = np.array([grams[g] for g in live])
-    K = np.array([K0s[g] for g in live], dtype=float)
+    """The stacked iteration of `run_pi_group`, which raises at the first
+    check any member fails."""
+    grams = [_gram(plant) for plant in plants]
+    A, B, C, D = _stack(plants)
+    gram = np.array(grams)
+    K = np.array(K0s, dtype=float)
+    iterates = [[] for _ in plants]
+    live = list(range(len(plants)))  # the members that have not converged
     p_prev = None
     for k in range(max_iter):
-        evaluated = _evaluate(A, B, C, D, K)
-        failed = [None] * len(live)
-        P = np.zeros(A.shape)  # a failed member's rows stay zero
-        for j, ev in enumerate(evaluated):
-            if isinstance(ev, NotHurwitzError):
-                failed[j] = NumericalError(f"gain at iteration {k} is not stabilizing")
-                failed[j].__cause__ = ev
-            elif isinstance(ev, Exception):
-                failed[j] = ev
-            else:
-                P[j] = ev[0]
+        try:
+            evaluated = _evaluate(A, B, C, D, K)
+        except NotHurwitzError as exc:
+            raise NumericalError(f"gain at iteration {k} is not stabilizing") from exc
+        except ValueError as exc:  # a closed loop or cost weight that is not finite
+            raise NumericalError(f"policy evaluation at iteration {k} failed: {exc}") from exc
+        P = np.array([p for p, _, _ in evaluated])
         if p_prev is not None:
-            drop = np.linalg.eigvalsh(p_prev - P).min(axis=1)
-            for j, low in enumerate(drop.tolist()):
+            for low in np.linalg.eigvalsh(p_prev - P).min(axis=1).tolist():
                 if low < MONOTONE_EIG_TOL:
-                    failed[j] = failed[j] or NumericalError(
+                    raise NumericalError(
                         f"cost monotonicity violated at iteration {k} (min-eig {low:.3e})"
                     )
         K_next = np.linalg.solve(gram, D.mT @ C + B.mT @ P)
         going = []
         for j, g in enumerate(live):
-            if failed[j] is not None:
-                out[g] = failed[j]
-                continue
             delta = float(np.linalg.norm(K_next[j] - K[j], "fro"))
             iterates[g].append(PiIterate(k=k, P=P[j], K=K_next[j], gain_delta=delta,
                                          lyap_residual=evaluated[j][1], abscissa=evaluated[j][2]))
-            if delta < epsilon:
-                out[g] = _converged(plants[g], grams[g], iterates[g])
-            else:
+            if not delta < epsilon:
                 going.append(j)
         if not going:
-            return out
+            return [_converged(*member) for member in zip(plants, grams, iterates)]
         if len(going) < len(live):
             live = [live[j] for j in going]
             A, B, C, D, gram, K_next, P = (x[going] for x in (A, B, C, D, gram, K_next, P))
         K, p_prev = K_next, P
-    for g in live:
-        out[g] = NumericalError(f"policy iteration did not converge within {max_iter} iterations")
-    return out
+    raise NumericalError(f"policy iteration did not converge within {max_iter} iterations")
 
 
-def _converged(plant: AugmentedPlant, gram: np.ndarray, iterates: list):
-    """The trace of a member whose gain update fell below epsilon, or the
-    error of its Riccati fixed-point check."""
+def _converged(plant: AugmentedPlant, gram: np.ndarray, iterates: list) -> PiTrace:
+    """The trace of a member whose gain update fell below epsilon, after its
+    Riccati fixed-point check."""
     final_res = _are_residual(plant, gram, iterates[-1].P)
     scale = 1.0 + np.linalg.norm(plant.C.T @ plant.C, "fro")
     if final_res >= ARE_RESIDUAL_RTOL * scale:
-        return NumericalError(f"converged gain fails the Riccati fixed-point check ({final_res:.3e})")
+        raise NumericalError(f"converged gain fails the Riccati fixed-point check ({final_res:.3e})")
     return PiTrace(iterates=iterates, converged=True, are_residual_final=final_res)

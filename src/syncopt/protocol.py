@@ -113,7 +113,8 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     vals = np.where(diag, u_diag[rows], alphas[rows] / r)
     blocks = (vals[:, None, None] * design.s_shifted - diag[:, None, None] * leader.S
               - lam_h[:, None, None] * np.eye(leader.q))
-    residual = np.linalg.norm(blocks.ravel())
+    with np.errstate(over="ignore"):  # an overflow is an infinite residual, reported below
+        residual = np.linalg.norm(blocks.ravel())
     if residual >= TRANSFORM_RESIDUAL_TOL:
         raise NumericalError(
             "transform not representable: the defining identity has no exact "

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import abscissae, lockstep, undecided
+from .numkernel import abscissae, lockstep
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -142,16 +142,12 @@ def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
     row-major. A non-finite start, or a sample that is non-finite or beyond
     BLOWUP_LIMIT, raises before the block that holds it is yielded. This is
     the one-system call of `_rk4_lockstep`."""
-    failures = {}
     systems = M[None] if isinstance(M, np.ndarray) else [M]
-    for _, _, block in _rk4_lockstep(systems, np.asarray(y0, dtype=float)[None], t_end, dt,
-                                     failures):
-        if failures:
-            raise failures[0]
+    for _, _, block in _rk4_lockstep(systems, np.asarray(y0, dtype=float)[None], t_end, dt):
         yield block[0]
 
 
-def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
+def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
     """Classical fixed-step RK4 for G systems dy = M_g y of one order n, in
     lockstep, yielded as blocks of samples (members, first, block): block[j]
     holds the samples of system members[j] from sample `first` on. The
@@ -176,18 +172,16 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
     n^2 reads per step for nothing; there the four stages run on the
     nonzeros of M (see `_rk4_stages`), one system at a time.
 
-    A system whose start is non-finite, or that reaches a sample that is
-    non-finite or beyond BLOWUP_LIMIT, fails: its error goes into `failures`
-    under its index, before the block that holds that sample is yielded,
-    and its samples are zero from there on.
+    A start that is non-finite, or a sample that is non-finite or beyond
+    BLOWUP_LIMIT, fails the stack: the run raises the error of the first
+    such system, before the block that holds that sample is yielded.
     """
     times = _time_grid(t_end, dt)
     steps = len(times) - 1
-    Y0 = np.array(Y0, dtype=float)
+    Y0 = np.asarray(Y0, dtype=float)
     G, n = Y0.shape
-    for g in np.flatnonzero(~np.isfinite(Y0).all(axis=1)):
-        failures[g] = NumericalError("non-finite initial state")
-        Y0[g] = 0.0
+    if not np.isfinite(Y0).all():
+        raise NumericalError("non-finite initial state")
 
     def blocks(members, chunk, advance):
         per_block = _block_rows(len(members) * n, chunk)
@@ -207,28 +201,20 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
 
         def stages(y, block, r0, k):  # rows r0.. of the block from y, at step k
             for g in range(G):
-                if g not in failures:
-                    try:
-                        _rk4_stages(*M[g], y[g], block[g, r0:], times[k + 1 :], dt)
-                        continue
-                    except NumericalError as exc:
-                        failures[g] = exc
-                block[g, r0:] = 0.0
+                _rk4_stages(*M[g], y[g], block[g, r0:], times[k + 1 :], dt)
 
         yield from blocks(np.arange(G), 1, stages)
         return
 
-    def guard(block, r0, k, members):
-        """Fail each system with a sample from row r0 on (step k + 1 on) that
-        is non-finite or beyond BLOWUP_LIMIT, and zero its samples from the
-        first such sample on."""
+    def guard(block, r0, k):
+        """Raise at the first system with a sample from row r0 on (step k + 1
+        on) that is non-finite or beyond BLOWUP_LIMIT."""
         rows = block[:, r0:]
         top = np.maximum(rows.max(axis=(1, 2), initial=0.0), -rows.min(axis=(1, 2), initial=0.0))
-        for j in np.flatnonzero(~(top <= BLOWUP_LIMIT)):
-            first = int(np.argmax(~(np.abs(block[j, r0:]) <= BLOWUP_LIMIT).all(axis=1)))
-            failures.setdefault(members[j], NumericalError(
-                f"state blow-up at t = {times[k + 1 + first]:.6g}"))
-            block[j, r0 + first :] = 0.0
+        failed = np.flatnonzero(~(top <= BLOWUP_LIMIT))
+        if len(failed):
+            first = int(np.argmax(~(np.abs(rows[failed[0]]) <= BLOWUP_LIMIT).all(axis=1)))
+            raise NumericalError(f"state blow-up at t = {times[k + 1 + first]:.6g}")
 
     powers, chunks = _power_stack(M, dt, steps)
     for chunk in sorted(set(chunks.tolist()), reverse=True):
@@ -236,7 +222,7 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
         every = slice(None) if len(members) == G else members
         flat = powers[every, :chunk].reshape(len(members), chunk * n, n)
 
-        def products(y, block, r0, k, members=members, chunk=chunk, flat=flat):
+        def products(y, block, r0, k, chunk=chunk, flat=flat):
             out = block.reshape(len(block), -1)  # a view: the block is contiguous
             with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
                 for i in range(r0, block.shape[1], chunk):
@@ -244,7 +230,7 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, failures: dict):
                     np.matmul(flat[:, : rows.shape[1] * n], y[:, :, None],
                               out=out[:, i * n : i * n + rows[0].size, None])
                     y = rows[:, -1]
-            guard(block, r0, k, members)
+            guard(block, r0, k)
 
         yield from blocks(members, chunk, products)
 
@@ -257,8 +243,8 @@ def _power_stack(M: np.ndarray, dt: float, steps: int) -> tuple:
     The powers past b are not used."""
     G, n = M.shape[:2]
     powers = np.empty((G, min(_chunk_length(n), max(steps, 1)), n, n))
-    _step_map(M, dt, out=powers[:, 0])
     with np.errstate(all="ignore"):
+        _step_map(M, dt, out=powers[:, 0])
         for c in range(1, powers.shape[1]):
             np.matmul(powers[:, 0], powers[:, c - 1], out=powers[:, c])
         rest = powers[:, 1:]
@@ -437,34 +423,31 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     `numkernel.lockstep` and `_rk4_lockstep`) and a row block at a time.
 
     Each run keeps only what `evaluate_cost` reads: |e|^2 at every sample,
-    e = (C - D K) X, its X0 and the spectral abscissa of A - B K. Returns,
-    per member, its AugmentedRun or its error: a gain that is not
-    stabilizing is refused, and a blow-up stops the run.
+    e = (C - D K) X, its X0 and the spectral abscissa of A - B K. A gain
+    that is not stabilizing is refused, and a blow-up stops the run; a
+    member that fails fails the stack, and every member is then run alone.
+    Returns, per member, its AugmentedRun or its error.
     """
     return lockstep(_augmented_lockstep, (list(plants), list(Ks), list(X0s)), t_end, dt)
 
 
 def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
-    out = [None] * len(plants)
+    """The stacked runs of `simulate_augmented`, which raise at the first
+    check any member fails."""
     K = np.array(Ks, dtype=float)
     A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
     Acl = A - B @ K
-    for g in np.flatnonzero(~np.isfinite(Acl).all(axis=(1, 2))):
-        out[g] = ValueError("A has non-finite entries")
-    live = undecided(out)
-    abscissa = abscissae(Acl[live])
-    for j in np.flatnonzero(~(abscissa < 0)):
-        out[live[j]] = NumericalError("gain is not stabilizing; refusing the augmented run")
-    live, abscissa = live[abscissa < 0], abscissa[abscissa < 0]
-    if not len(live):
-        return out
+    if not np.isfinite(Acl).all():
+        raise ValueError("A has non-finite entries")
+    abscissa = abscissae(Acl).tolist()
+    if not all(a < 0 for a in abscissa):
+        raise NumericalError("gain is not stabilizing; refusing the augmented run")
 
     times = _time_grid(t_end, dt)
-    X0 = np.array(X0s, dtype=float)[live]
-    Cbar = (C - D @ K)[live]
-    e2 = np.empty((len(live), len(times)))
-    failures = {}
-    for members, first, block in _rk4_lockstep(Acl[live], X0, t_end, dt, failures):
+    X0 = np.array(X0s, dtype=float)
+    Cbar = C - D @ K
+    e2 = np.empty((len(plants), len(times)))
+    for members, first, block in _rk4_lockstep(Acl, X0, t_end, dt):
         rows = block.shape[1]
         # a one-row product takes another BLAS path than the rows of a taller
         # one, so a lone last row goes with the row before it
@@ -475,9 +458,7 @@ def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
         e2[members, first : first + rows] = (sum(np.moveaxis(sq, 2, 0)) if sq.shape[2] < 8
                                              else np.sum(sq, axis=2))
         before = block[:, -1:]
-    for j, g in enumerate(live):
-        out[g] = failures.get(j) or AugmentedRun(times, X0[j], e2[j], float(abscissa[j]))
-    return out
+    return [AugmentedRun(times, x0, e, a) for x0, e, a in zip(X0, e2, abscissa)]
 
 
 def evaluate_cost(run: AugmentedRun, P) -> CostReport:

@@ -73,7 +73,8 @@ class TestLoadScenario:
             cli.load_scenario(write_scenario(tmp_path, scenario_dict))
 
     @pytest.mark.parametrize("dt, t_end", [(0.0, 20.0), (-1e-3, 20.0), (float("nan"), 20.0),
-                                           (1e-3, 5e-4), (1e-3, -1.0), (1e-3, float("inf"))])
+                                           (1e-3, 5e-4), (1e-3, -1.0), (1e-3, float("inf")),
+                                           (1e-3, 1e5), (1e-3, 1e160)])
     def test_bad_time_grid_rejected(self, tmp_path, scenario_dict, dt, t_end):
         scenario_dict["sim"] = {"dt": dt, "t_end": t_end}
         with pytest.raises(ValidationError, match="sim"):
@@ -223,6 +224,25 @@ class TestCommands:
         assert rc == 3, err
         assert f"coupling scalars c, h overflow at follower {follower}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_finite_k1_exits_3(self, tmp_path, scenario_dict, capsys, scale):
+        # K1 is finite and A - B K1 Hurwitz, so validate and design pass; the
+        # weight (C - D K)^T (C - D K) of the first evaluation overflows, and
+        # the network's first RK4 step blows up. A RuntimeWarning that leaked
+        # to stderr would raise here (pyproject's filterwarnings).
+        scenario_dict["k1_override"]["agent1"] = [[scale, 0, 0], [0, scale, 0]]
+        path = write_scenario(tmp_path, scenario_dict)
+        for verb in ("validate", "design"):
+            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for verb in ("learn", "compare"):
+            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 3, verb
+            assert capsys.readouterr().err == (
+                "numerical failure: agent agent1 (learn): policy evaluation at iteration 0 failed: "
+                "Q has non-finite entries\n")
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: state blow-up at t = 0.001\n"
 
     def test_svg_without_matplotlib_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
@@ -419,7 +439,8 @@ def is_matrix(node) -> bool:
 
 BUNDLED = json.loads(SCENARIO.read_text())
 PATHS = list(json_paths(BUNDLED))
-ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -2, 0, "x", [], [1.5], {"k": 1}, None, True]
+ODD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e160, -1.0, -2, 0, "x", [], [1.5], {"k": 1},
+              None, True]
 MATRICES = [path for path in PATHS if is_matrix(at_path(BUNDLED, path))]
 RESHAPES = {
     "drop row": lambda m: m[:-1],
@@ -463,7 +484,7 @@ def test_mutated_scenario_keeps_exit_contract(tmp_path, capsys, payload):
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if rc == 0:
-        for verb in ("design", "learn"):
+        for verb in ("design", "learn", "simulate", "compare"):
             rc = cli.main([verb, str(path), "--out", str(tmp_path)])
             err = capsys.readouterr().err
             assert rc in (0, 2, 3, 4), (verb, err)

@@ -152,12 +152,11 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
 def test_rk4_group_samples_are_one_system_runs():
     M = np.array([stable(6, s) for s in range(4)])
     Y0 = np.linspace(-1.0, 1.0, 24).reshape(4, 6)
-    failures, parts = {}, {g: [] for g in range(4)}
-    for members, first, block in simulator._rk4_lockstep(M, Y0, 3.0, 0.01, failures):
+    parts = {g: [] for g in range(4)}
+    for members, first, block in simulator._rk4_lockstep(M, Y0, 3.0, 0.01):
         for j, g in enumerate(members):
             assert first == sum(map(len, parts[g]))
             parts[g].append(block[j])
-    assert not failures
     for g in range(4):
         assert np.concatenate(parts[g]).tobytes() == simulator._rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
 

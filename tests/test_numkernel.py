@@ -96,6 +96,12 @@ class TestSolveLyapunov:
         with pytest.raises(NumericalError, match="not PSD"):
             solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_rejects_a_solution_past_the_float_range(self):
+        # finite and Hurwitz, but the Kronecker solve overflows: P holds NaN
+        # and inf, and the residual that measures it is NaN
+        with pytest.raises(NumericalError, match="Lyapunov residual nan exceeds tolerance"):
+            solve_lyapunov(np.array([[-1.0, 1e160], [0.0, -2.0]]), np.eye(2))
+
     def test_cross_oracle_with_hurwitz(self):
         # stability of A <-> the Lyapunov solve with Q = I succeeds and is PSD
         rng = np.random.default_rng(11)
