@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -99,7 +101,7 @@ def _finite_array(value, shape: tuple, where: str) -> np.ndarray:
         raise ValidationError(f"{where} is not numeric: {exc}") from exc
     if arr.shape != shape:
         raise ValidationError(f"{where} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{where} contains non-finite numbers")
     return arr
 
@@ -338,10 +340,95 @@ def _mat(x) -> list:
     return np.asarray(x).tolist()
 
 
+def _json_float(x: float) -> str:
+    """A float as `json` spells it: NaN, Infinity and -Infinity, else its repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """An object key as `json` writes it: a float, bool, None or int key is
+    spelled as the value, and the text is quoted."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _json_float(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json(o, nl: str) -> str:
+    """`o` as `json.dump(o, f, indent=2)` writes it, where `nl` is the newline
+    and indentation its lines start with; the same type rules and texts."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = None
+        if isinstance(o[0], float):  # a row of floats, the bulk of every report
+            try:
+                body = f",{inner}".join(map(float.__repr__, o))
+            except TypeError:  # not all floats
+                pass
+        if body is None or "n" in body:  # or a `nan` or `inf` among them
+            body = f",{inner}".join([_json(x, inner) for x in o])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = f",{inner}".join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in o.items()])
+        return f"{{{inner}{body}{nl}}}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _dump(o, write, nl: str, depth: int):
+    """Write `o` as `_json` gives it, the members of a dict one at a time, down
+    to `depth` levels of nested dicts."""
+    if not (depth and isinstance(o, dict) and o):
+        write(_json(o, nl))
+        return
+    inner = nl + "  "
+    sep = "{"
+    for k, v in o.items():
+        write(f"{sep}{inner}{_json_key(k)}: ")
+        _dump(v, write, inner, depth - 1)
+        sep = ","
+    write(nl + "}")
+
+
 def _write_json(path: Path, payload: dict):
+    """Write `payload` byte for byte as `json.dump(payload, f, indent=2)` does.
+    The members of the top object and of its objects (a report's `agents`)
+    are encoded and written one at a time, so no report is held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+        _dump(payload, f.write, "\n", 2)
 
 
 def _gains_json(g: protocol.GainSet) -> dict:
@@ -605,22 +692,24 @@ def _load_checked(args) -> Scenario:
     return scenario
 
 
+VERBS = ("validate", "design", "learn", "simulate", "compare")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `main` runs the verb's
+    `cmd_<verb>` function."""
     parser = argparse.ArgumentParser(
         prog="syncopt",
         description="Design, learn, and verify optimal output-synchronization protocols "
         "for heterogeneous leader-follower networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("validate", cmd_validate), ("design", cmd_design), ("learn", cmd_learn),
-        ("simulate", cmd_simulate), ("compare", cmd_compare),
-    ):
+    for name in VERBS:
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=None, help="seed the leader initial state")
-        p.set_defaults(fn=fn)
         if name == "simulate":
             p.add_argument(
                 "--gains", choices=("initial", "optimal"), default="initial",
@@ -632,8 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so that a wrapper set on the module is called
+    cmd = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return cmd(args)
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,15 +30,20 @@ class AgentDynamics:
     F: np.ndarray  # p x q
 
     def __post_init__(self):
+        mats = []
         for name in "ABCDEF":
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        n, m, p, q = self.n, self.m, self.p, self.q
-        expect = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n, q), "F": (p, q)}
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"matrix {name} has shape {got}, expected {shape}")
-            if not np.all(np.isfinite(getattr(self, name))):
+            M = np.asarray(getattr(self, name), dtype=float)
+            if M.ndim < 2:
+                M = np.atleast_2d(M)
+            object.__setattr__(self, name, M)
+            mats.append(M)
+        A, B, C, D, E, F = mats
+        n, m, p, q = A.shape[0], B.shape[1], C.shape[0], E.shape[1]
+        expect = ((n, n), (n, m), (p, n), (p, m), (n, q), (p, q))
+        for name, M, shape in zip("ABCDEF", mats, expect):
+            if M.shape != shape:
+                raise ValueError(f"matrix {name} has shape {M.shape}, expected {shape}")
+            if not np.isfinite(M).all():
                 raise ValueError(f"matrix {name} has non-finite entries")
 
     def key(self) -> tuple:
@@ -180,11 +185,16 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     if not observable:
         texts.append("(A, C) not observable")
 
-    with np.errstate(over="ignore"):  # an overflow gives NaN and fails the check
-        gram_sv = np.linalg.svd(ag.D.T @ ag.D, compute_uv=False)
-    feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
-    if not feedthrough_invertible:
-        texts.append("D^T D numerically singular")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gram = ag.D.T @ ag.D
+    if not np.isfinite(gram).all():
+        feedthrough_invertible = False
+        texts.append("D^T D overflows the float range")
+    else:
+        gram_sv = np.linalg.svd(gram, compute_uv=False)
+        feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
+        if not feedthrough_invertible:
+            texts.append("D^T D numerically singular")
 
     # PBH: [A - lambda I, B] has rank n at every eigenvalue of A with Re >= 0
     ab = np.hstack([ag.A, ag.B])

@@ -33,6 +33,34 @@ def regulator_residual(agent: AgentDynamics, leader: LeaderModel, Pi, Gamma) -> 
     return float(np.sqrt(np.linalg.norm(r1, "fro") ** 2 + np.linalg.norm(r2, "fro") ** 2))
 
 
+def _regulator_system(agent: AgentDynamics, S: np.ndarray) -> np.ndarray:
+    """The matrix [I_q (x) A - S^T (x) I_n, I_q (x) B; I_q (x) C, I_q (x) D]
+    of the regulator equations, written in place: block (i, j) of the top
+    left is delta_ij A - S[j, i] I, and the other three parts are block
+    diagonal.
+
+    Each entry is the same one- or two-term sum as the `kron` products give,
+    less their products with zero, so every nonzero entry has the same bits;
+    only the sign of a zero entry can differ.
+    """
+    n, m, p, q = agent.n, agent.m, agent.p, S.shape[0]
+    nq = n * q
+    M = np.zeros((nq + p * q, nq + m * q))
+    for i in range(q):
+        x, y, u = (slice(i * n, i * n + n), slice(nq + i * p, nq + i * p + p),
+                   slice(nq + i * m, nq + i * m + m))
+        M[x, x] = agent.A
+        M[x, u] = agent.B
+        M[y, x] = agent.C
+        M[y, u] = agent.D
+    # [i, j, k] -> M[i n + k, j n + k]: the diagonal of block (i, j) of the top left
+    step, width = M.itemsize, M.shape[1]
+    diagonals = np.ndarray((q, q, n), buffer=M,
+                           strides=(n * width * step, n * step, (width + 1) * step))
+    diagonals -= S.T[:, :, None]
+    return M
+
+
 def solve_regulator(agent: AgentDynamics, leader: LeaderModel) -> RegulatorSolution:
     """Solve the regulator equations for one agent.
 
@@ -47,10 +75,7 @@ def solve_regulator(agent: AgentDynamics, leader: LeaderModel) -> RegulatorSolut
             f"regulator system is non-square for p={agent.p}, m={agent.m}; p = m required"
         )
     n, m, q = agent.n, agent.m, leader.q
-    iq = np.eye(q)
-    top = np.hstack([np.kron(iq, agent.A) - np.kron(leader.S.T, np.eye(n)), np.kron(iq, agent.B)])
-    bottom = np.hstack([np.kron(iq, agent.C), np.kron(iq, agent.D)])
-    lhs = np.vstack([top, bottom])
+    lhs = _regulator_system(agent, leader.S)
     rhs = np.concatenate([-agent.E.flatten(order="F"), agent.F.flatten(order="F")])
 
     try:

@@ -109,6 +109,33 @@ class TestCommands:
         rc = cli.main(["validate", str(path), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_overflowing_feedthrough_gram_is_named(self, tmp_path, scenario_dict, capsys):
+        # D^T D overflows to inf, and its SVD would give NaN: not "singular"
+        scenario_dict["agents"][2]["D"][1][1] = 1e160
+        path = write_scenario(tmp_path, scenario_dict)
+        assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert "agent3: D^T D overflows the float range" in out and "singular" not in out
+        report = json.loads((tmp_path / "assumption_report.json").read_text())
+        assert report["per_agent"]["agent3"]["feedthrough_invertible"] is False
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        for verb in cli.VERBS:  # main looks the verb up at each call
+            monkeypatch.setattr(cli, f"cmd_{verb}", lambda args: seen.append(vars(args)) or 0)
+        for argv in (["simulate", "a.json", "--gains", "optimal", "--seed", "3", "--svg", "--out", "x"],
+                     ["simulate", "b.json"], ["learn", "c.json", "--seed", "5"], ["validate", "d.json"]):
+            assert cli.main(argv) == 0
+        assert seen == [
+            {"command": "simulate", "scenario": "a.json", "out": "x", "seed": 3, "gains": "optimal",
+             "svg": True},
+            {"command": "simulate", "scenario": "b.json", "out": "out", "seed": None,
+             "gains": "initial", "svg": False},
+            {"command": "learn", "scenario": "c.json", "out": "out", "seed": 5},
+            {"command": "validate", "scenario": "d.json", "out": "out", "seed": None},
+        ]
+
     def test_io_failure_exit_code(self, tmp_path):
         rc = cli.main(["design", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 4
@@ -527,3 +554,39 @@ def row_writer_csv(path, scenario, traj) -> bytes:
         for row in np.column_stack(cols):
             writer.writerow([f"{v:.17g}" for v in row])
     return path.read_bytes()
+
+
+# floats json spells specially or that stress the shortest repr: signed zero,
+# the smallest subnormal, the largest finite float
+ODD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308]
+json_floats = st.floats() | st.sampled_from(ODD_FLOATS)
+json_leaves = (st.none() | st.booleans() | st.integers() | json_floats
+               | json_floats.map(np.float64) | st.text())
+json_keys = (st.text() | st.sampled_from(["agent1", "agent→2", "Zürich", "名前", '"q"\n'])
+             | st.integers() | json_floats | st.booleans() | st.none())
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.lists(json_floats, max_size=6)
+                      | st.dictionaries(json_keys, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=json_trees)
+def test_write_json_writes_json_dump_bytes(tmp_path, obj):
+    path = tmp_path / "report.json"
+    cli._write_json(path, obj)
+    assert path.read_bytes() == json.dumps(obj, indent=2).encode()
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"x", 1j, np.int64(1), np.bool_(True),
+                                 np.array([1.0]), {(1, 2): 0.5}])
+def test_write_json_rejects_what_json_dump_rejects(tmp_path, bad):
+    obj = {"agents": {"agent1": {"P": [[1.0, 2.0], [bad]]}}}
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._write_json(tmp_path / "report.json", obj)
+    assert str(got.value) == str(want.value)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import paper_tables
+from syncopt import regulator
 from syncopt.plant import AgentDynamics, LeaderModel
-from syncopt.regulator import regulator_residual, solve_regulator
+from syncopt.regulator import _regulator_system, regulator_residual, solve_regulator
 
 
 def test_paper_agent4(paper_scenario):
@@ -63,3 +64,45 @@ def test_nonsquare_rejected():
     )
     with pytest.raises(ValueError, match="p = m"):
         solve_regulator(ag, LeaderModel(S=[[1]], w0=[1]))
+
+
+def kron_system(ag, S):
+    """The regulator matrix by the `kron` formula of `solve_regulator`'s docstring."""
+    iq, n = np.eye(len(S)), ag.n
+    return np.block([[np.kron(iq, ag.A) - np.kron(S.T, np.eye(n)), np.kron(iq, ag.B)],
+                     [np.kron(iq, ag.C), np.kron(iq, ag.D)]])
+
+
+class TestRegulatorSystem:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_kron_formula(self, seed):
+        # random orders, signed entries, a third of them exact zeros, and a signed zero
+        rng = np.random.default_rng(seed)
+        n, m, q = rng.integers(1, 9), rng.integers(1, 4), rng.integers(1, 5)
+
+        def draw(*shape):
+            a = rng.standard_normal(shape)
+            a[rng.random(shape) < 1 / 3] = 0.0
+            a.flat[-1] = -0.0
+            return a
+
+        ag = AgentDynamics(A=draw(n, n), B=draw(n, m), C=draw(m, n), D=draw(m, m),
+                           E=draw(n, q), F=draw(m, q))
+        S = draw(q, q)
+        # equal floats have equal bits, except that 0.0 == -0.0 (see
+        # numkernel._kronecker_sum)
+        assert np.array_equal(_regulator_system(ag, S), kron_system(ag, S))
+
+    def test_solve_needs_no_kron(self, paper_scenario, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        leader = paper_scenario.leader
+        for _, ag in paper_scenario.agents:
+            rhs = np.concatenate([-ag.E.flatten(order="F"), ag.F.flatten(order="F")])
+            want = np.linalg.solve(kron_system(ag, leader.S), rhs)
+            with monkeypatch.context() as patch:
+                patch.setattr(regulator.np, "kron", refuse)
+                got = solve_regulator(ag, leader)
+            assert np.array_equal(got.Pi, want[: ag.n * leader.q].reshape((ag.n, -1), order="F"))
+            assert np.array_equal(got.Gamma, want[ag.n * leader.q :].reshape((ag.m, -1), order="F"))
