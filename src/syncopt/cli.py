@@ -626,14 +626,14 @@ def cmd_simulate(args) -> int:
             gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
-    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
+    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt,
+                               keep_norms=args.svg)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
     write_trajectory_csv(csv_path, scenario, run)
     if args.svg:
         write_error_svg(out / f"errors_{args.gains}.svg", run.error_norms)
-    metrics = simulator.tracking_metrics(run.error_norms)
-    for name, met in metrics.items():
+    for name, met in run.tracking.metrics().items():
         settle = "not settled" if met.settle_time is None else f"{met.settle_time:.3f} s"
         print(f"{name}: tail error {met.tail_error:.3e}, settle {settle}")
     print(f"wrote {csv_path}")
@@ -664,9 +664,9 @@ def cmd_compare(args) -> int:
 
     for label, gains in gain_sets.items():
         run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
-        for _ in run:  # only the error norms of the blocks are kept
+        for _ in run:  # only what the tracking metrics read is kept
             pass
-        for name, met in simulator.tracking_metrics(run.error_norms).items():
+        for name, met in run.tracking.metrics().items():
             rows[name][label]["network_tail_error"] = met.tail_error
 
     _write_json(Path(args.out) / "comparison.json", {"seed": scenario.seed, "agents": rows})

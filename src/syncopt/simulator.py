@@ -4,21 +4,23 @@ of the per-agent augmented error systems, plus tracking and cost metrics.
 The network (leader, compensators, local generators, followers under the
 distributed protocol) is one large LTI system; it is assembled once, from
 the agents and the edge list, as the nonzeros of its block matrix and
-integrated with classical 4th-order Runge-Kutta (see `_rk4_blocks`). A
-system of fewer than 363 states is made dense and advanced by its
-precomputed one-step map, several steps per matrix product. From 363 states
-on, one dense step map alone fills the 2 MB chunk budget, so a chunk holds a
-single step and there is nothing to amortise; such a system, in practice a
-large and almost entirely zero network matrix, runs the four RK4 stages on
-the matrix's nonzeros instead.
+integrated with classical 4th-order Runge-Kutta (see `_rk4_blocks`). One
+RK4 step of a linear system is exactly y <- R y with R the step map, the
+RK4 stability polynomial of the step times the matrix. A system of fewer
+than 363 states is made dense and advanced by R, several steps per matrix
+product. From 363 states on, one dense step map alone fills the 2 MB chunk
+budget, so a chunk holds a single step and there is nothing to amortise;
+such a system, in practice a large and almost entirely zero network matrix,
+is advanced by the nonzeros of R instead, built from those of the matrix,
+or by the four RK4 stages on the matrix's nonzeros where R fills in.
 
 The samples come out in row blocks of about 1 MB (at least 256 rows), so a
 run need never be held whole: a `NetworkRun` yields each block as a
 `Trajectory` of its own rows, with the followers' inputs and tracking errors
 (memoryless functions of the state) computed for those rows, and keeps only
-the per-sample norms of the tracking errors, 8 bytes per follower and
-sample. The closed augmented loops of followers of one shape are integrated
-in lockstep (`simulate_augmented`), and each keeps only what its cost needs.
+what the tracking metrics read, two numbers per follower. The closed
+augmented loops of followers of one shape are integrated in lockstep
+(`simulate_augmented`), and each keeps only what its cost needs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ _MIN_BLOCK_ROWS = 256
 # Bytes of the power stacks and kept |e|^2 of the augmented runs that one
 # `simulate_augmented` call should take (see `augmented_batch`).
 _GROUP_BYTES = 2 << 20
+# Rows of the sparse step map built at a time (see `_sparse_step_map`).
+_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -169,12 +173,18 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
     state stays exactly zero under an unstable M instead of becoming
     inf * 0; the chunk length b is each system's own. From n = 363 on a
     chunk holds one step, so the dense R would cost n^3 flops to build and
-    n^2 reads per step for nothing; there the four stages run on the
-    nonzeros of M (see `_rk4_stages`), one system at a time.
+    n^2 reads per step for nothing; there each system is advanced by the
+    nonzeros of R, built from those of M a strip of rows at a time (see
+    `_sparse_step_map`), one gather, one product and one row sum per step.
+    Where R would hold more nonzeros than the four stages read and write
+    per step, 4 nnz(M) + 4 n, or one that is not finite, the textbook four
+    stages run on the nonzeros of M instead (see `_rk4_stages`).
 
     A start that is non-finite, or a sample that is non-finite or beyond
     BLOWUP_LIMIT, fails the stack: the run raises the error of the first
-    such system, before the block that holds that sample is yielded.
+    such system, before the block that holds that sample is yielded. The
+    samples are checked a block at a time: a system that blows up runs on
+    to the block's end.
     """
     times = _time_grid(t_end, dt)
     steps = len(times) - 1
@@ -195,17 +205,6 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
             advance(y, block, 0, k)
             yield members, k + 1, block
 
-    if _chunk_length(n) == 1:
-        if isinstance(M, np.ndarray):
-            M = [(*np.nonzero(m), m[np.nonzero(m)]) for m in M]
-
-        def stages(y, block, r0, k):  # rows r0.. of the block from y, at step k
-            for g in range(G):
-                _rk4_stages(*M[g], y[g], block[g, r0:], times[k + 1 :], dt)
-
-        yield from blocks(np.arange(G), 1, stages)
-        return
-
     def guard(block, r0, k):
         """Raise at the first system with a sample from row r0 on (step k + 1
         on) that is non-finite or beyond BLOWUP_LIMIT."""
@@ -215,6 +214,23 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
         if len(failed):
             first = int(np.argmax(~(np.abs(rows[failed[0]]) <= BLOWUP_LIMIT).all(axis=1)))
             raise NumericalError(f"state blow-up at t = {times[k + 1 + first]:.6g}")
+
+    if _chunk_length(n) == 1:
+        if isinstance(M, np.ndarray):
+            M = [(*rc, m[rc]) for m in M for rc in [np.nonzero(m)]]
+        maps = [_sparse_step_map(*m, n, dt) for m in M]
+
+        def sparse(y, block, r0, k):  # rows r0.. of the block from y, at step k
+            with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
+                for g in range(G):
+                    if maps[g] is None:
+                        _rk4_stages(*M[g], y[g], block[g, r0:], dt)
+                    else:
+                        _sparse_steps(*maps[g], y[g], block[g, r0:])
+            guard(block, r0, k)
+
+        yield from blocks(np.arange(G), 1, sparse)
+        return
 
     powers, chunks = _power_stack(M, dt, steps)
     for chunk in sorted(set(chunks.tolist()), reverse=True):
@@ -253,10 +269,80 @@ def _power_stack(M: np.ndarray, dt: float, steps: int) -> tuple:
     return powers, chunks
 
 
-def _rk4_stages(rows, cols, vals, y, out, times, dt) -> None:
+def _sparse_step_map(rows, cols, vals, n: int, h: float):
+    """The nonzeros of the RK4 step map R = I + hM + (hM)^2/2 + (hM)^3/6 +
+    (hM)^4/24 of the n x n matrix M[rows, cols] = vals (row-major), as
+    (starts, cols, vals) of R's rows in turn: row i holds
+    vals[starts[i] : starts[i + 1]] at cols[starts[i] : starts[i + 1]], and
+    its diagonal entry always, so that no row is empty. None where R would
+    hold more than 4 nnz(M) + 4 n nonzeros, or one that is not finite.
+
+    R is built a strip of _STRIP_ROWS rows at a time, by Horner from the
+    left: the rows S of a strip are ((((S hM/4 + S) hM/3 + S) hM/2 + S) hM
+    + S). Each product expands every nonzero (i, k) of the strip by row k of
+    M and adds up, in the order of that expansion, the terms that meet at
+    one (i, j), so a strip's temporaries are a few times its own nonzeros
+    and R does not depend on the strips. A strip's nonzeros only grow from
+    one product to the next, so a strip that passes the budget stops the
+    build before it is done."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    budget = 4 * len(vals) + 4 * n
+    # (i, j) of a strip is the key i << bits | j, row-major in key order; the
+    # keys are sorted with each term's position in its low bits, so that the
+    # sort is the stable one. A strip row, a column and a position take well
+    # under 63 bits: 2^24 states would make a row block alone 34 GB.
+    bits = int(n - 1).bit_length()
+    low = (1 << bits) - 1
+    strips, total = [], 0
+    with np.errstate(all="ignore"):
+        for r0 in range(0, n, _STRIP_ROWS):
+            diag = np.arange(r0, min(n, r0 + _STRIP_ROWS))
+            eye = (diag - r0) << bits | diag
+            key, val = eye, np.ones(len(diag))
+            for d in (4.0, 3.0, 2.0, 1.0):
+                k = key & low
+                count = indptr[k + 1] - indptr[k]
+                ends = np.cumsum(count)
+                at = np.arange(ends[-1]) + np.repeat(indptr[k] - ends + count, count)
+                key = np.concatenate((np.repeat(key - k, count) | cols[at], eye))
+                val = np.concatenate((np.repeat(val, count) * vals[at], np.zeros(len(eye))))
+                shift = len(key).bit_length()
+                order = np.sort(key << shift | np.arange(len(key)))
+                key, val = order >> shift, val[order & ((1 << shift) - 1)]
+                first = np.empty(len(key), dtype=bool)
+                first[0] = True
+                np.not_equal(key[1:], key[:-1], out=first[1:])
+                first = np.flatnonzero(first)
+                key, val = key[first], np.add.reduceat(val, first)
+                val *= h / d
+                val[np.searchsorted(key, eye)] += 1.0
+                if total + len(key) > budget:
+                    return None
+            total += len(key)
+            strips.append((np.bincount(key >> bits, minlength=len(diag)), key & low, val))
+    counts, cols, vals = (np.concatenate(part) for part in zip(*strips))
+    if not np.isfinite(vals).all():
+        return None
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts, cols, vals
+
+
+def _sparse_steps(starts, cols, vals, y, out) -> None:
+    """From y, fill `out` with the samples of y <- R y, R given by the
+    nonzeros of its rows (see `_sparse_step_map`)."""
+    terms = np.empty(len(cols))
+    for row in out:
+        np.take(y, cols, out=terms, mode="clip")  # "raise" would gather into a buffer first
+        np.multiply(terms, vals, out=terms)
+        np.add.reduceat(terms, starts, out=row)
+        y = row
+
+
+def _rk4_stages(rows, cols, vals, y, out, dt) -> None:
     """Textbook four-stage RK4 for dy = M y, with M given by its nonzeros
-    M[rows, cols] = vals: from y, fill `out` with the samples at `times`;
-    the guard checks every step."""
+    M[rows, cols] = vals: from y, fill `out` with the samples."""
     n = len(y)
 
     def f(y):
@@ -268,8 +354,6 @@ def _rk4_stages(rows, cols, vals, y, out, times, dt) -> None:
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         out[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.abs(out[k]).max() <= BLOWUP_LIMIT:
-            raise NumericalError(f"state blow-up at t = {times[k]:.6g}")
         y = out[k]
 
 
@@ -285,11 +369,14 @@ class NetworkRun:
     Each iteration integrates the network from its initial state and yields
     the run as consecutive row blocks (see `_rk4_blocks`), each a
     `Trajectory` over the samples of that block. As a block passes, the
-    norms of its followers' tracking errors are written into `error_norms`,
-    which covers the whole run once an iteration has ended.
+    norms of its followers' tracking errors go into `tracking`, a
+    `TrackingSummary` whose metrics cover the whole run once an iteration
+    has ended. With `keep_norms`, the norms themselves are also written into
+    `error_norms`, T x N of them; without, `error_norms` is None.
     """
 
-    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float):
+    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float,
+                 keep_norms: bool = False):
         leader = scenario.leader
         agents = list(scenario.agents)
         topo = scenario.topology
@@ -323,7 +410,9 @@ class NetworkRun:
             matrix[rows, cols] = vals
 
         times = _time_grid(t_end, dt)
-        self.error_norms = ErrorNorms(times, tuple(names), np.empty((len(times), N)))
+        self.tracking = TrackingSummary(times, names)
+        self.error_norms = (ErrorNorms(times, tuple(names), np.empty((len(times), N)))
+                            if keep_norms else None)
         # Followers of one shape (n, m, p) that follow each other lie at even
         # strides in every part of the state, so the outputs of each such
         # group are computed by stacked products, per group and not per
@@ -348,13 +437,15 @@ class NetworkRun:
         self._integration = matrix, y0, t_end, dt
 
     def __iter__(self):
-        times = self.error_norms.times
+        times = self.tracking.times
+        self.tracking = TrackingSummary(times, self.tracking.names)  # afresh for this run
         q = self._q
         k = 0
         for samples in _rk4_blocks(*self._integration):
             b = len(samples)
             w = samples[:, :q]
             followers = {}
+            norms = np.empty((b, len(self.tracking.names)))
             for names, first, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
                 G = len(names)
 
@@ -364,9 +455,13 @@ class NetworkRun:
                 x, xi, zeta = stacked(x0, n), stacked(xi0, q), stacked(z0, q)
                 u = -(x @ K1 + xi @ K2 + zeta @ K3)
                 e = x @ C + u @ D - w @ F
-                self.error_norms.values[k : k + b, first : first + G] = np.linalg.norm(e, axis=2).T
+                norms[:, first : first + G] = np.linalg.norm(e, axis=2).T
                 for j, name in enumerate(names):
                     followers[name] = FollowerStream(x=x[j], xi=xi[j], zeta=zeta[j], u=u[j], e=e[j])
+            self.tracking.add(norms)
+            if self.error_norms is not None:
+                self.error_norms.values[k : k + b] = norms
+            del norms  # not held while the block is used
             k += b
             yield Trajectory(times=times[k - b : k], leader_states=w, followers=followers)
 
@@ -482,21 +577,46 @@ def evaluate_cost(run: AugmentedRun, P) -> CostReport:
     )
 
 
-def tracking_metrics(norms: ErrorNorms) -> dict:
-    """Per-follower tail error and settle time of the tracking error, from
-    its per-sample norms."""
-    out = {}
-    for name, mag in zip(norms.names, norms.values.T):
-        above = np.nonzero(mag >= SETTLE_THRESHOLD)[0]
-        if above.size == 0:
-            settle = 0.0
-        elif above[-1] == len(mag) - 1:
-            settle = None  # not settled within the horizon
-        else:
-            settle = float(norms.times[above[-1] + 1])
-        tail = float(mag[_tail_start(len(mag)) :].max())
-        out[name] = TrackingMetrics(tail_error=tail, settle_time=settle)
-    return out
+class TrackingSummary:
+    """What the tracking metrics read of the norms |e| of each follower's
+    tracking error at the samples of a run, kept as consecutive blocks of
+    them pass (`add`): each follower's largest norm over the last 10% of the
+    horizon, and the last sample at which its norm is at least
+    SETTLE_THRESHOLD. Two numbers per follower, whatever the horizon."""
+
+    def __init__(self, times: np.ndarray, names):
+        self.times = times  # the whole grid 0..t_end
+        self.names = tuple(names)
+        self._tail = np.full(len(self.names), -np.inf)
+        self._last_above = np.full(len(self.names), -1)
+        self._seen = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the norms of the next len(values) samples, one column per
+        follower."""
+        tail = values[max(0, _tail_start(len(self.times)) - self._seen) :]
+        if len(tail):
+            np.maximum(self._tail, tail.max(axis=0), out=self._tail)
+        above = values >= SETTLE_THRESHOLD
+        hit = above.any(axis=0)
+        last = self._seen + len(values) - 1 - np.argmax(above[::-1], axis=0)
+        self._last_above[hit] = last[hit]
+        self._seen += len(values)
+
+    def metrics(self) -> dict:
+        """Per-follower tail error and settle time of the tracking error,
+        once every sample has been added."""
+        out = {}
+        end = len(self.times) - 1
+        for name, tail, last in zip(self.names, self._tail.tolist(), self._last_above.tolist()):
+            if last < 0:
+                settle = 0.0
+            elif last == end:
+                settle = None  # not settled within the horizon
+            else:
+                settle = float(self.times[last + 1])
+            out[name] = TrackingMetrics(tail_error=tail, settle_time=settle)
+        return out
 
 
 def _tail_start(samples: int) -> int:

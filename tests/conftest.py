@@ -30,8 +30,8 @@ def paper_traces(paper_scenario, paper_bundle):
 @pytest.fixture(scope="session")
 def chain_network(tmp_path_factory):
     """60 bundled paper agents round-robin on a chain: 422 states, past the
-    363 from which `_rk4_blocks` integrates by stages instead of a dense step
-    map. Returns the scenario, its initial gain sets and the (M, y0) it
+    363 from which `_rk4_blocks` integrates by the nonzeros of the step map
+    instead of the dense one. Returns the scenario, its initial gain sets and the (M, y0) it
     integrates, with M made dense from the nonzeros (rows, cols, vals)
     `_rk4_blocks` receives."""
     raw = chain_payload(60)

@@ -1,8 +1,8 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
 APIs, which only tests call: the network run joined into one trajectory,
-its tracking-error norms, the closed augmented loop of one follower with
-its states, and the policy-improvement and Riccati-residual formulas of
-one plant."""
+its tracking-error norms and their metrics, the closed augmented loop of
+one follower with its states, and the policy-improvement and
+Riccati-residual formulas of one plant."""
 
 from dataclasses import dataclass
 
@@ -13,24 +13,25 @@ from syncopt.errors import NumericalError
 from syncopt.numkernel import sole, spectrum
 
 
-def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.NetworkRun:
+def network_run(scenario, gains: dict, t_end: float, dt: float,
+                keep_norms: bool = False) -> simulator.NetworkRun:
     """The scenario's `NetworkRun` under the given gain sets, with the
     compensator design of the scenario's leader, topology and r."""
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
-    return simulator.NetworkRun(scenario, design, gains, t_end, dt)
+    return simulator.NetworkRun(scenario, design, gains, t_end, dt, keep_norms=keep_norms)
 
 
 def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulator.Trajectory:
     """Integrate the whole closed-loop network under the given gain sets:
     the blocks of its `NetworkRun`, joined into one `Trajectory`."""
     run = network_run(scenario, gains, t_end, dt)
-    w, streams = [], {name: [] for name in run.error_norms.names}
+    w, streams = [], {name: [] for name in run.tracking.names}
     for block in run:
         w.append(block.leader_states)
         for name, s in block.followers.items():
             streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
     return simulator.Trajectory(
-        times=run.error_norms.times, leader_states=np.concatenate(w),
+        times=run.tracking.times, leader_states=np.concatenate(w),
         followers={name: simulator.FollowerStream(*map(np.concatenate, zip(*parts)))
                    for name, parts in streams.items()},
     )
@@ -40,6 +41,15 @@ def error_norms(traj: simulator.Trajectory) -> simulator.ErrorNorms:
     """|e| of each follower of a whole trajectory at each sample."""
     mag = [np.linalg.norm(stream.e, axis=1) for stream in traj.followers.values()]
     return simulator.ErrorNorms(traj.times, tuple(traj.followers), np.stack(mag, axis=1))
+
+
+def tracking_metrics(norms: simulator.ErrorNorms) -> dict:
+    """Per-follower tail error and settle time of the tracking error, from
+    its norms over a whole run: its `TrackingSummary` given every sample at
+    once."""
+    summary = simulator.TrackingSummary(norms.times, norms.names)
+    summary.add(norms.values)
+    return summary.metrics()
 
 
 @dataclass(frozen=True)

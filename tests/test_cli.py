@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import error_norms, network_run, simulate_network
+from helpers import error_norms, network_run, simulate_network, tracking_metrics
 from networks import chain_payload, dag_payload, dense
 from syncopt import cli, simulator
 from syncopt.errors import ValidationError
@@ -310,7 +310,7 @@ class TestCommands:
         # Runs that end one step before, on and one step after the end of
         # the first block must give the bytes of the row writer over the
         # joined trajectory, and print its metrics. paper: 28 columns, the
-        # dense step map; chain: 303 columns, 422 states, the sparse stages.
+        # dense step map; chain: 303 columns, 422 states, the sparse step map.
         payload = json.loads(SCENARIO.read_text()) if table == "paper" else chain_payload(60)
         path = write_scenario(tmp_path, payload)
         scenario = cli.load_scenario(path)
@@ -330,7 +330,7 @@ class TestCommands:
             lines = [
                 f"{name}: tail error {met.tail_error:.3e}, settle "
                 + ("not settled" if met.settle_time is None else f"{met.settle_time:.3f} s")
-                for name, met in simulator.tracking_metrics(error_norms(traj)).items()
+                for name, met in tracking_metrics(error_norms(traj)).items()
             ]
             assert printed == "\n".join(lines + [f"wrote {csv_path}"]) + "\n"
 
@@ -350,7 +350,7 @@ class TestCommands:
         for label, gains in (("initial", initial), ("optimal", optimal)):
             traj = simulate_network(scenario, gains, scenario.t_end, scenario.dt)
             assert len(traj.times) == steps + 1
-            for name, met in simulator.tracking_metrics(error_norms(traj)).items():
+            for name, met in tracking_metrics(error_norms(traj)).items():
                 assert rows[name][label]["network_tail_error"] == met.tail_error
 
     def test_failed_simulation_leaves_no_csv(self, tmp_path, capsys, paper_scenario, paper_bundle):

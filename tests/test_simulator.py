@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import augmented_run, error_norms, network_run, simulate_augmented, simulate_network
-from networks import chain_payload, graph_matrices, with_extra_state
+from helpers import (augmented_run, error_norms, network_run, simulate_augmented, simulate_network,
+                     tracking_metrics)
+from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
 from syncopt.errors import NumericalError
@@ -81,7 +83,7 @@ class TestSimulateNetwork:
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(error_norms(traj))
+        metrics = tracking_metrics(error_norms(traj))
         for met in metrics.values():
             assert met.tail_error < 1e-2
 
@@ -203,10 +205,11 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
         assert np.array_equal(s.u, u)
         assert np.array_equal(s.e, s.x @ ag.C.T + u @ ag.D.T - traj.leader_states @ ag.F.T)
     assert x_col == len(y0)
-    run = network_run(scenario, gains, t_end=0.6, dt=1e-3)
+    run = network_run(scenario, gains, t_end=0.6, dt=1e-3, keep_norms=True)
     for _ in run:
         pass
     assert run.error_norms.values.tobytes() == error_norms(traj).values.tobytes()
+    assert run.tracking.metrics() == tracking_metrics(error_norms(traj))
 
 
 @pytest.mark.parametrize("network", ["paper", "chain"])
@@ -289,6 +292,9 @@ class TestRk4StepMap:
 
 
 class TestRk4Stages:
+    """The chain network, from 363 states on: the sparse path, which runs on
+    the nonzeros of the step map and falls back to the four stages."""
+
     @pytest.mark.parametrize("steps", [0, 1, 129])
     def test_matches_textbook_rk4(self, chain_network, steps):
         _, _, M, y0 = chain_network
@@ -339,6 +345,120 @@ class TestRk4Stages:
             simulate_network(
                 paper_scenario, initial_gain_sets(paper_bundle), t_end=0.1, dt=0.01
             )
+
+
+def nonzeros(M):
+    rows, cols = np.nonzero(M)
+    return rows, cols, M[rows, cols]
+
+
+def rows_to_dense(R, n):
+    """The n x n matrix of the rows (starts, cols, vals) of a sparse step map."""
+    starts, cols, vals = R
+    return dense((np.repeat(np.arange(n), np.diff(np.append(starts, len(cols)))), cols, vals), n)
+
+
+def layered_dag(in_degree, layers=20, width=25, seed=0):
+    """A stable 500-state DAG of `layers` layers of `width` nodes, each node
+    fed by `in_degree` nodes of the layer before: the more senders, the
+    more the RK4 step map fills in, up to four layers back."""
+    rng = np.random.default_rng(seed)
+    n = layers * width
+    M = np.diag(-1.0 - rng.random(n))
+    for node in range(width, n):
+        before = (node // width - 1) * width
+        M[node, before + rng.choice(width, size=in_degree, replace=False)] = (
+            0.5 * rng.standard_normal(in_degree))
+    return M
+
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("refused")
+
+
+class TestSparseStepMap:
+    def test_matches_dense_step_map(self, chain_network):
+        _, _, M, y0 = chain_network
+        n = len(y0)
+        R = simulator._sparse_step_map(*nonzeros(M), n, 0.01)
+        starts, cols, vals = R
+        assert len(vals) <= 4 * np.count_nonzero(M) + 4 * n
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)  # no row is empty
+        want = np.empty((n, n))
+        simulator._step_map(M, 0.01, out=want)
+        got = rows_to_dense(R, n)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+        assert np.all(got[want != 0] != 0)
+
+    def test_strips_do_not_change_the_bits(self, chain_network, monkeypatch):
+        _, _, M, y0 = chain_network
+        whole = simulator._sparse_step_map(*nonzeros(M), len(y0), 0.01)
+        monkeypatch.setattr(simulator, "_STRIP_ROWS", 7)
+        cut = simulator._sparse_step_map(*nonzeros(M), len(y0), 0.01)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, cut))
+
+    def test_network_runs_on_the_step_map(self, chain_network, monkeypatch):
+        # the stages are the fallback only: a network does not fill in
+        monkeypatch.setattr(simulator, "_rk4_stages", refuse)
+        _, _, M, y0 = chain_network
+        _, samples = simulator._rk4(M, y0, 1.29, 0.01)
+        assert_rows_close(samples, rk4_loop(M, y0, 129, 0.01), rtol=1e-12)
+
+    def test_high_fill_takes_the_stages(self, monkeypatch):
+        M = layered_dag(in_degree=5)
+        n, y0 = len(M), np.linspace(-1.0, 1.0, len(M))
+        R = np.empty((n, n))
+        simulator._step_map(M, 0.01, out=R)
+        assert np.count_nonzero(R) > 4 * np.count_nonzero(M) + 4 * n
+        assert simulator._sparse_step_map(*nonzeros(M), n, 0.01) is None
+        want = rk4_loop(M, y0, 129, 0.01)
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "_sparse_steps", refuse)
+            _, samples = simulator._rk4(M, y0, 1.29, 0.01)
+        assert_rows_close(samples, want, rtol=1e-12)
+        # the same steps by the filled-in step map, had it been used
+        rows, cols, vals = nonzeros(R)
+        out = np.empty((129, n))
+        simulator._sparse_steps(np.searchsorted(rows, np.arange(n)), cols, vals, y0, out)
+        assert_rows_close(np.vstack([y0, out]), want, rtol=1e-12)
+
+    def test_stage_fallback_blowup_time_matches_textbook_rk4(self):
+        M = layered_dag(in_degree=5) + 20.0 * np.eye(500)
+        y0 = np.linspace(-1.0, 1.0, 500)
+        ref = rk4_loop(M, y0, 500, 0.01, limit=simulator.BLOWUP_LIMIT)
+        assert len(ref) <= 500
+        with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 0.01:.6g}$"):
+            simulator._rk4(M, y0, 5.0, 0.01)
+
+    def test_lockstep_of_both_forms_gives_each_system_alone(self):
+        # a dense stack from 363 states on: one system on its step map, one
+        # on the stages, each with the bits of its own run
+        M = np.stack([layered_dag(in_degree=1), layered_dag(in_degree=5)])
+        Y0 = np.linspace(-1.0, 1.0, 1000).reshape(2, 500)
+        parts = {0: [], 1: []}
+        for members, first, block in simulator._rk4_lockstep(M, Y0, 3.0, 0.01):
+            for j, g in enumerate(members):
+                parts[g].append(block[j])
+        for g in range(2):
+            whole = np.concatenate(parts[g])
+            assert whole.tobytes() == simulator._rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
+            assert_rows_close(whole, rk4_loop(M[g], Y0[g], 300, 0.01), rtol=1e-12)
+
+    def test_build_memory_is_a_small_multiple_of_the_step_map(self, tmp_path):
+        # 1000 followers on a random DAG, 7002 states
+        path = tmp_path / "dag.json"
+        path.write_text(json.dumps(dag_payload(1000, seed=7)))
+        scenario = cli.load_scenario(path)
+        gains = initial_gain_sets(cli.run_design(scenario))
+        matrix, y0, _, dt = network_run(scenario, gains, 0.0, 1e-3)._integration
+        tracemalloc.start()
+        try:
+            R = simulator._sparse_step_map(*matrix, len(y0), dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(R[1]) > 2 * len(matrix[2])
+        assert peak < 3 * sum(a.nbytes for a in R), peak
 
 
 class TestSimulateAugmented:
@@ -422,20 +542,37 @@ class TestEvaluateCost:
         assert report.horizon_warning is not None
 
 
+def reference_tracking_metrics(times, names, values):
+    """Tail error and settle time of each follower from the whole T x N
+    record of its norms, follower by follower."""
+    out = {}
+    for name, mag in zip(names, values.T):
+        above = np.nonzero(mag >= simulator.SETTLE_THRESHOLD)[0]
+        if above.size == 0:
+            settle = 0.0
+        elif above[-1] == len(mag) - 1:
+            settle = None
+        else:
+            settle = float(times[above[-1] + 1])
+        tail = float(mag[int(np.ceil(0.9 * (len(mag) - 1))) :].max())
+        out[name] = simulator.TrackingMetrics(tail_error=tail, settle_time=settle)
+    return out
+
+
 class TestTrackingMetrics:
     def test_zero_error_settles_immediately(self, paper_scenario, paper_bundle):
         scenario = zero_start(paper_scenario)
         traj = simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(error_norms(traj)).values():
+        for met in tracking_metrics(error_norms(traj)).values():
             assert met.settle_time == 0.0
 
     def test_paper_run_settles(self, paper_scenario, paper_bundle):
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        for met in simulator.tracking_metrics(error_norms(traj)).values():
+        for met in tracking_metrics(error_norms(traj)).values():
             assert met.settle_time is not None
 
     def test_not_settled_reported(self, paper_scenario, paper_bundle):
@@ -443,5 +580,39 @@ class TestTrackingMetrics:
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=0.5, dt=1e-3
         )
-        metrics = simulator.tracking_metrics(error_norms(traj))
+        metrics = tracking_metrics(error_norms(traj))
         assert any(met.settle_time is None for met in metrics.values())
+
+    @pytest.mark.parametrize("samples", [1, 2, 11, 1000])
+    def test_summary_of_blocks_is_the_whole_record(self, samples):
+        rng = np.random.default_rng(samples)
+        times = np.arange(samples) * 1e-3
+        values = 10.0 ** rng.uniform(-4.0, 0.0, (samples, 6))
+        values[:, 0] = 1e-3  # never above: settled at once
+        values[-1, 1] = simulator.SETTLE_THRESHOLD  # above at the last sample: not settled
+        values[1:, 2] = 1e-3  # above at the first sample only
+        values[: samples // 2, 3] = 1.0  # settles half way
+        names = [f"f{i}" for i in range(6)]
+        want = reference_tracking_metrics(times, names, values)
+        cuts = sorted(rng.choice(np.arange(1, samples), size=min(samples - 1, 4), replace=False))
+        summary = simulator.TrackingSummary(times, names)
+        for block in np.split(values, cuts):
+            summary.add(block)
+        assert summary.metrics() == want
+        assert tracking_metrics(simulator.ErrorNorms(times, tuple(names), values)) == want
+
+    def test_network_run_memory_does_not_grow_with_samples_times_followers(self, chain_network):
+        # 10^6 steps of 60 followers: T x N norms would be 480 MB; building
+        # the run and taking its first block holds the 8 MB time grid, twice,
+        # and a block of 310 x 422 samples
+        scenario, gains, _, _ = chain_network
+        samples = 1_000_001
+        tracemalloc.start()
+        try:
+            run = network_run(scenario, gains, t_end=1000.0, dt=1e-3)
+            block = next(iter(run))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.error_norms is None and len(block.times) < 1000
+        assert peak < 4 * 8 * samples, peak
