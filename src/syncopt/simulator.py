@@ -20,7 +20,9 @@ run need never be held whole: a `NetworkRun` yields each block as a
 (memoryless functions of the state) computed for those rows, and keeps only
 what the tracking metrics read, two numbers per follower. The closed
 augmented loops of followers of one shape are integrated in lockstep
-(`simulate_augmented`), and each keeps only what its cost needs.
+(`simulate_augmented`), and each keeps only what its cost reads: a running
+sum of |e|^2 and its largest value over the last 10% of the horizon. No run
+holds a grid of its times: sample k is at time k * dt, made from its index.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ _MAX_CHUNK = 128
 # enough samples.
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 256
-# Bytes of the power stacks and kept |e|^2 of the augmented runs that one
-# `simulate_augmented` call should take (see `augmented_batch`).
-_GROUP_BYTES = 2 << 20
+# Bytes of the power stacks of one lockstep batch of augmented runs (see
+# `simulate_augmented`).
+_GROUP_BYTES = 1 << 20
 # Rows of the sparse step map built at a time (see `_sparse_step_map`).
 _STRIP_ROWS = 256
 
@@ -70,17 +72,18 @@ class ErrorNorms:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray  # the uniform grid 0..t_end, or a block of consecutive samples of it
+    times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
     followers: dict  # name -> FollowerStream
 
 
 @dataclass(frozen=True)
 class AugmentedRun:
-    times: np.ndarray
     X0: np.ndarray  # the initial state
-    e2: np.ndarray  # T, |e|^2 at each sample, e = (C - D K) X
     abscissa: float  # max real part of the spectrum of A - B K, for horizon checks
+    t_end: float  # time of the last sample
+    j_quadrature: float  # trapezoid of |e|^2 over the samples, e = (C - D K) X
+    tail_e2: float  # max |e|^2 over the last 10% of the horizon
 
 
 @dataclass(frozen=True)
@@ -123,19 +126,13 @@ def _step_map(M: np.ndarray, h: float, out: np.ndarray) -> None:
     out[...] = p
 
 
-def _time_grid(t_end: float, dt: float) -> np.ndarray:
+def _steps(t_end: float, dt: float) -> int:
+    """RK4 steps of a run over 0..t_end; sample k is at time k * dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    return np.arange(int(np.floor(t_end / dt + 1e-9)) + 1) * dt
-
-
-def _rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4 for dy = M y; returns (times, samples), the
-    blocks of `_rk4_blocks` joined."""
-    blocks = list(_rk4_blocks(M, y0, t_end, dt))
-    return _time_grid(t_end, dt), blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return int(np.floor(t_end / dt + 1e-9))
 
 
 def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
@@ -186,8 +183,7 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
     samples are checked a block at a time: a system that blows up runs on
     to the block's end.
     """
-    times = _time_grid(t_end, dt)
-    steps = len(times) - 1
+    steps = _steps(t_end, dt)
     Y0 = np.asarray(Y0, dtype=float)
     G, n = Y0.shape
     if not np.isfinite(Y0).all():
@@ -213,7 +209,7 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
         failed = np.flatnonzero(~(top <= BLOWUP_LIMIT))
         if len(failed):
             first = int(np.argmax(~(np.abs(rows[failed[0]]) <= BLOWUP_LIMIT).all(axis=1)))
-            raise NumericalError(f"state blow-up at t = {times[k + 1 + first]:.6g}")
+            raise NumericalError(f"state blow-up at t = {(k + 1 + first) * dt:.6g}")
 
     if _chunk_length(n) == 1:
         if isinstance(M, np.ndarray):
@@ -409,9 +405,9 @@ class NetworkRun:
             matrix = np.zeros((dim, dim))
             matrix[rows, cols] = vals
 
-        times = _time_grid(t_end, dt)
-        self.tracking = TrackingSummary(times, names)
-        self.error_norms = (ErrorNorms(times, tuple(names), np.empty((len(times), N)))
+        self.tracking = TrackingSummary(_steps(t_end, dt), dt, names)
+        T = self.tracking.steps + 1
+        self.error_norms = (ErrorNorms(np.arange(T) * dt, tuple(names), np.empty((T, N)))
                             if keep_norms else None)
         # Followers of one shape (n, m, p) that follow each other lie at even
         # strides in every part of the state, so the outputs of each such
@@ -437,8 +433,8 @@ class NetworkRun:
         self._integration = matrix, y0, t_end, dt
 
     def __iter__(self):
-        times = self.tracking.times
-        self.tracking = TrackingSummary(times, self.tracking.names)  # afresh for this run
+        dt = self.tracking.dt
+        self.tracking = TrackingSummary(self.tracking.steps, dt, self.tracking.names)  # afresh
         q = self._q
         k = 0
         for samples in _rk4_blocks(*self._integration):
@@ -463,7 +459,7 @@ class NetworkRun:
                 self.error_norms.values[k : k + b] = norms
             del norms  # not held while the block is used
             k += b
-            yield Trajectory(times=times[k - b : k], leader_states=w, followers=followers)
+            yield Trajectory(times=np.arange(k - b, k) * dt, leader_states=w, followers=followers)
 
 
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
@@ -504,26 +500,21 @@ def _row_strip(r0, blocks) -> tuple:
     return r + r0, col[c], strip[r, c]
 
 
-def augmented_batch(order: int, t_end: float, dt: float) -> int:
-    """How many augmented runs of `order` states over the grid 0..t_end one
-    `simulate_augmented` call should take: as many as keep their power
-    stacks and the |e|^2 they keep within _GROUP_BYTES."""
-    samples = len(_time_grid(t_end, dt))
-    return max(1, _GROUP_BYTES // (8 * (_chunk_length(order) * order * order + samples)))
-
-
 def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     """Integrate the closed augmented error systems dX = (A - B K) X of the
     plants of one shape under the gains Ks, from X0s, in lockstep (see
-    `numkernel.lockstep` and `_rk4_lockstep`) and a row block at a time.
+    `numkernel.lockstep` and `_rk4_lockstep`) and a row block at a time, in
+    batches of as many as keep their power stacks within _GROUP_BYTES.
 
-    Each run keeps only what `evaluate_cost` reads: |e|^2 at every sample,
-    e = (C - D K) X, its X0 and the spectral abscissa of A - B K. A gain
-    that is not stabilizing is refused, and a blow-up stops the run; a
-    member that fails fails the stack, and every member is then run alone.
+    Each run keeps only what `evaluate_cost` reads (see `AugmentedRun`). A
+    gain that is not stabilizing is refused, and a blow-up stops the run; a
+    member that fails fails its batch, whose members are then run alone.
     Returns, per member, its AugmentedRun or its error.
     """
-    return lockstep(_augmented_lockstep, (list(plants), list(Ks), list(X0s)), t_end, dt)
+    order = len(X0s[0])
+    per = max(1, _GROUP_BYTES // (8 * _chunk_length(order) * order * order))
+    return [run for b in range(0, len(plants), per) for run in lockstep(
+        _augmented_lockstep, (plants[b : b + per], Ks[b : b + per], X0s[b : b + per]), t_end, dt)]
 
 
 def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
@@ -538,10 +529,13 @@ def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
     if not all(a < 0 for a in abscissa):
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
 
-    times = _time_grid(t_end, dt)
+    steps = _steps(t_end, dt)
+    tail = _tail_start(steps)
     X0 = np.array(X0s, dtype=float)
     Cbar = C - D @ K
-    e2 = np.empty((len(plants), len(times)))
+    # per member, |e|^2 at the first and the latest sample, its sum over the
+    # samples so far, and its largest value over the tail
+    first_e2, last_e2, total, top = np.zeros((4, len(plants)))
     for members, first, block in _rk4_lockstep(Acl, X0, t_end, dt):
         rows = block.shape[1]
         # a one-row product takes another BLAS path than the rows of a taller
@@ -550,31 +544,35 @@ def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
         sq = (X @ Cbar[members].mT)[:, -rows:] ** 2
         # numpy sums fewer than 8 terms left to right, so adding the columns
         # in turn gives the floats of np.sum(sq, axis=2), and fast
-        e2[members, first : first + rows] = (sum(np.moveaxis(sq, 2, 0)) if sq.shape[2] < 8
-                                             else np.sum(sq, axis=2))
+        e2 = sum(np.moveaxis(sq, 2, 0)) if sq.shape[2] < 8 else np.sum(sq, axis=2)
+        if first == 0:
+            first_e2[members] = e2[:, 0]
+        last_e2[members] = e2[:, -1]
+        # np.cumsum adds left to right, so a member's sum is the same float
+        # whatever the blocks and the batch
+        total[members] = np.cumsum(np.column_stack([total[members], e2]), axis=1)[:, -1]
+        top[members] = np.maximum(top[members], e2[:, max(0, tail - first) :].max(axis=1, initial=0.0))
         before = block[:, -1:]
-    return [AugmentedRun(times, x0, e, a) for x0, e, a in zip(X0, e2, abscissa)]
+    quadrature = dt * (total - (first_e2 + last_e2) / 2)
+    return [AugmentedRun(x0, a, steps * dt, j, t) for x0, a, j, t
+            in zip(X0, abscissa, quadrature.tolist(), top.tolist())]
 
 
 def evaluate_cost(run: AugmentedRun, P) -> CostReport:
     """Cost of an augmented run both by quadrature and by the closed form
     X0^T P X0 (the P must evaluate the same gain that produced the run)."""
     P = np.asarray(P, dtype=float)
-    j_quad = float(np.trapezoid(run.e2, run.times))
     j_closed = float(run.X0 @ P @ run.X0)
-    tail = float(np.sqrt(run.e2[_tail_start(len(run.e2)) :]).max())
 
     warning = None
     slowest = run.abscissa
-    t_end = run.times[-1]
-    if slowest < 0 and t_end < 5.0 / abs(slowest):
+    if slowest < 0 and run.t_end < 5.0 / abs(slowest):
         warning = (
-            f"horizon {t_end:.3g}s is shorter than 5 time constants of the "
+            f"horizon {run.t_end:.3g}s is shorter than 5 time constants of the "
             f"slowest mode ({1.0 / abs(slowest):.3g}s); quadrature may be truncated"
         )
-    return CostReport(
-        j_quadrature=j_quad, j_closed_form=j_closed, tail_error=tail, horizon_warning=warning
-    )
+    return CostReport(j_quadrature=run.j_quadrature, j_closed_form=j_closed,
+                      tail_error=float(np.sqrt(run.tail_e2)), horizon_warning=warning)
 
 
 class TrackingSummary:
@@ -584,8 +582,8 @@ class TrackingSummary:
     horizon, and the last sample at which its norm is at least
     SETTLE_THRESHOLD. Two numbers per follower, whatever the horizon."""
 
-    def __init__(self, times: np.ndarray, names):
-        self.times = times  # the whole grid 0..t_end
+    def __init__(self, steps: int, dt: float, names):
+        self.steps, self.dt = steps, dt  # sample k is at time k * dt
         self.names = tuple(names)
         self._tail = np.full(len(self.names), -np.inf)
         self._last_above = np.full(len(self.names), -1)
@@ -594,7 +592,7 @@ class TrackingSummary:
     def add(self, values: np.ndarray) -> None:
         """Take the norms of the next len(values) samples, one column per
         follower."""
-        tail = values[max(0, _tail_start(len(self.times)) - self._seen) :]
+        tail = values[max(0, _tail_start(self.steps) - self._seen) :]
         if len(tail):
             np.maximum(self._tail, tail.max(axis=0), out=self._tail)
         above = values >= SETTLE_THRESHOLD
@@ -607,18 +605,17 @@ class TrackingSummary:
         """Per-follower tail error and settle time of the tracking error,
         once every sample has been added."""
         out = {}
-        end = len(self.times) - 1
         for name, tail, last in zip(self.names, self._tail.tolist(), self._last_above.tolist()):
             if last < 0:
                 settle = 0.0
-            elif last == end:
+            elif last == self.steps:
                 settle = None  # not settled within the horizon
             else:
-                settle = float(self.times[last + 1])
+                settle = (last + 1) * self.dt
             out[name] = TrackingMetrics(tail_error=tail, settle_time=settle)
         return out
 
 
-def _tail_start(samples: int) -> int:
-    """First sample of the last 10% of the horizon."""
-    return int(np.ceil(0.9 * (samples - 1)))
+def _tail_start(steps: int) -> int:
+    """First sample of the last 10% of a horizon of `steps` steps."""
+    return int(np.ceil(0.9 * steps))

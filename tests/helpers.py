@@ -1,8 +1,8 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
-APIs, which only tests call: the network run joined into one trajectory,
-its tracking-error norms and their metrics, the closed augmented loop of
-one follower with its states, and the policy-improvement and
-Riccati-residual formulas of one plant."""
+APIs, which only tests call: an RK4 run and the network run joined into
+one trajectory, its tracking-error norms and their metrics, the closed
+augmented loop of one follower with its states, and the policy-improvement
+and Riccati-residual formulas of one plant."""
 
 from dataclasses import dataclass
 
@@ -11,6 +11,14 @@ import numpy as np
 from syncopt import policy_iteration, protocol, simulator
 from syncopt.errors import NumericalError
 from syncopt.numkernel import sole, spectrum
+
+
+def rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step RK4 for dy = M y; returns (times, samples), the
+    blocks of `simulator._rk4_blocks` joined."""
+    blocks = list(simulator._rk4_blocks(M, y0, t_end, dt))
+    return (np.arange(simulator._steps(t_end, dt) + 1) * dt,
+            blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
 
 
 def network_run(scenario, gains: dict, t_end: float, dt: float,
@@ -25,13 +33,14 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulato
     """Integrate the whole closed-loop network under the given gain sets:
     the blocks of its `NetworkRun`, joined into one `Trajectory`."""
     run = network_run(scenario, gains, t_end, dt)
-    w, streams = [], {name: [] for name in run.tracking.names}
+    times, w, streams = [], [], {name: [] for name in run.tracking.names}
     for block in run:
+        times.append(block.times)
         w.append(block.leader_states)
         for name, s in block.followers.items():
             streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
     return simulator.Trajectory(
-        times=run.tracking.times, leader_states=np.concatenate(w),
+        times=np.concatenate(times), leader_states=np.concatenate(w),
         followers={name: simulator.FollowerStream(*map(np.concatenate, zip(*parts)))
                    for name, parts in streams.items()},
     )
@@ -46,8 +55,10 @@ def error_norms(traj: simulator.Trajectory) -> simulator.ErrorNorms:
 def tracking_metrics(norms: simulator.ErrorNorms) -> dict:
     """Per-follower tail error and settle time of the tracking error, from
     its norms over a whole run: its `TrackingSummary` given every sample at
-    once."""
-    summary = simulator.TrackingSummary(norms.times, norms.names)
+    once. Sample k is at times[k] = k * dt, so dt is times[1]."""
+    times = norms.times
+    summary = simulator.TrackingSummary(len(times) - 1, times[1] if len(times) > 1 else 1.0,
+                                        norms.names)
     summary.add(norms.values)
     return summary.metrics()
 
@@ -68,7 +79,7 @@ def simulate_augmented(plant, K, X0, t_end: float, dt: float) -> AugmentedTrajec
     abscissa = spectrum(Acl).max_real
     if not abscissa < 0:
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
-    times, X = simulator._rk4(Acl, np.asarray(X0, dtype=float), t_end, dt)
+    times, X = rk4(Acl, np.asarray(X0, dtype=float), t_end, dt)
     return AugmentedTrajectory(times=times, X=X, e=X @ (plant.C - plant.D @ K).T,
                                abscissa=abscissa)
 

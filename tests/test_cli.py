@@ -277,6 +277,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "--svg needs matplotlib" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("trajectory_*.csv"))  # it fails before the run
 
     @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON", "no stamp",
                                         "other seed", "other scenario"])

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import simulate_augmented
+from helpers import rk4, simulate_augmented
 from syncopt import cli, simulator
 from syncopt.errors import NumericalError, ToolkitError
 from syncopt.numkernel import lockstep, solve_lyapunov, solve_lyapunov_stack
@@ -136,17 +136,34 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
         if isinstance(want, Exception):
             assert_same_error(out, want)
             continue
+        for a, b in zip(dataclasses.astuple(out), dataclasses.astuple(want)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         whole = simulate_augmented(p, k, x0, 0.385, 1e-3)
-        e2 = np.sum(whole.e**2, axis=1)
-        for run in (out, want):
-            assert run.e2.tobytes() == e2.tobytes()
-            assert run.X0.tobytes() == whole.X[0].tobytes() and run.abscissa == whole.abscissa
-        tail = simulator._tail_start(len(e2))
+        assert out.X0.tobytes() == whole.X[0].tobytes() and out.abscissa == whole.abscissa
+        tail = simulator._tail_start(len(whole.times) - 1)
         cost = simulator.evaluate_cost(out, np.eye(5))
+        assert cost == simulator.evaluate_cost(want, np.eye(5))
         assert cost.tail_error == float(np.linalg.norm(whole.e[tail:], axis=1).max())
-        assert cost.j_quadrature == float(np.trapezoid(e2, whole.times))
+        e2 = np.sum(whole.e**2, axis=1)
+        assert cost.j_quadrature == pytest.approx(float(np.trapezoid(e2, whole.times)), rel=1e-12)
     with pytest.raises(NumericalError, match=str(got[2])):
         simulate_augmented(plants[2], K[2], X0[2], 0.385, 1e-3)
+
+
+def test_augmented_cost_does_not_depend_on_the_blocks(monkeypatch):
+    # the sum of |e|^2 runs left to right over the samples and carries from
+    # block to block, so every cut of the run gives the same floats
+    plants, K, X0 = blowup_group()
+
+    def summaries():
+        runs = simulator.simulate_augmented(plants[:2], K[:2], X0[:2], 0.385, 1e-3)
+        return [(run.j_quadrature, run.tail_e2) for run in runs]
+
+    want = summaries()
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
+    for min_rows in (128, 256):
+        monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
+        assert summaries() == want
 
 
 def test_rk4_group_samples_are_one_system_runs():
@@ -158,7 +175,7 @@ def test_rk4_group_samples_are_one_system_runs():
             assert first == sum(map(len, parts[g]))
             parts[g].append(block[j])
     for g in range(4):
-        assert np.concatenate(parts[g]).tobytes() == simulator._rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
+        assert np.concatenate(parts[g]).tobytes() == rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
 
 
 def permuted_scenario(tmp_path, max_iter):

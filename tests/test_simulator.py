@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (augmented_run, error_norms, network_run, simulate_augmented, simulate_network,
-                     tracking_metrics)
+from helpers import (augmented_run, error_norms, network_run, rk4, simulate_augmented,
+                     simulate_network, tracking_metrics)
 from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
@@ -145,7 +145,7 @@ class TestSimulateNetwork:
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
         (M, y0), = calls
-        times, samples = simulator._rk4(M, y0, 20.0, 1e-3)
+        times, samples = rk4(M, y0, 20.0, 1e-3)
         assert len(times) == 20001
         assert_rows_close(samples, rk4_loop(M, y0, 20000, 1e-3), rtol=1e-10)
 
@@ -192,7 +192,7 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
     calls = captured_rk4_inputs(monkeypatch)
     traj = simulate_network(scenario, gains, t_end=0.6, dt=1e-3)
     (M, y0), = calls
-    _, samples = simulator._rk4(M, y0, 0.6, 1e-3)
+    _, samples = rk4(M, y0, 0.6, 1e-3)
     q, N = 2, 8
     x_col = q + 2 * q * N
     for i, (name, ag) in enumerate(scenario.agents):
@@ -245,7 +245,7 @@ class TestRk4StepMap:
     @pytest.mark.parametrize("steps", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
     def test_step_counts_around_chunk_length(self, steps):
         M, y0 = stable_matrix(6, seed=4), np.linspace(-1.0, 1.0, 6)
-        times, samples = simulator._rk4(M, y0, steps * 0.01, 0.01)
+        times, samples = rk4(M, y0, steps * 0.01, 0.01)
         assert len(times) == steps + 1
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-10)
@@ -255,7 +255,7 @@ class TestRk4StepMap:
         # blocks of whole chunks: every sample is the same float however
         # the run is cut
         M, y0 = stable_matrix(6, seed=4), np.linspace(-1.0, 1.0, 6)
-        _, whole = simulator._rk4(M, y0, 10.0, 0.01)
+        _, whole = rk4(M, y0, 10.0, 0.01)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
         blocks = list(simulator._rk4_blocks(M, y0, 10.0, 0.01))
@@ -275,12 +275,12 @@ class TestRk4StepMap:
 
     def test_nan_start_rejected(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            simulator._rk4(-np.eye(2), np.array([np.nan, 0.0]), 1.0, 1e-3)
+            rk4(-np.eye(2), np.array([np.nan, 0.0]), 1.0, 1e-3)
 
     def test_zero_start_stays_zero_when_powers_overflow(self):
         # one step multiplies by about 644; R^128 would overflow to inf and
         # inf * 0 is NaN, so the power stack must stop short of it
-        times, samples = simulator._rk4(1e4 * np.eye(3), np.zeros(3), 1.0, 1e-3)
+        times, samples = rk4(1e4 * np.eye(3), np.zeros(3), 1.0, 1e-3)
         assert len(times) == 1001
         assert np.all(samples == 0.0)
 
@@ -288,7 +288,7 @@ class TestRk4StepMap:
         M, y0 = 1e4 * np.eye(3), np.array([0.0, 1e-3, 0.0])
         ref = rk4_loop(M, y0, 1000, 1e-3, limit=simulator.BLOWUP_LIMIT)
         with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 1e-3:.6g}$"):
-            simulator._rk4(M, y0, 1.0, 1e-3)
+            rk4(M, y0, 1.0, 1e-3)
 
 
 class TestRk4Stages:
@@ -298,14 +298,14 @@ class TestRk4Stages:
     @pytest.mark.parametrize("steps", [0, 1, 129])
     def test_matches_textbook_rk4(self, chain_network, steps):
         _, _, M, y0 = chain_network
-        times, samples = simulator._rk4(M, y0, steps * 0.01, 0.01)
+        times, samples = rk4(M, y0, steps * 0.01, 0.01)
         assert len(times) == steps + 1
         assert np.array_equal(samples[0], y0)
         assert_rows_close(samples, rk4_loop(M, y0, steps, 0.01), rtol=1e-12)
 
     def test_blocks_hold_the_samples_of_one_block(self, chain_network, monkeypatch):
         _, _, M, y0 = chain_network
-        _, whole = simulator._rk4(M, y0, 1.0, 0.01)
+        _, whole = rk4(M, y0, 1.0, 0.01)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", 7)
         blocks = list(simulator._rk4_blocks(M, y0, 1.0, 0.01))
@@ -318,18 +318,18 @@ class TestRk4Stages:
         ref = rk4_loop(M, y0, 500, 0.01, limit=simulator.BLOWUP_LIMIT)
         assert len(ref) <= 500
         with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 0.01:.6g}$"):
-            simulator._rk4(M, y0, 5.0, 0.01)
+            rk4(M, y0, 5.0, 0.01)
 
     def test_nan_start_rejected(self, chain_network):
         _, _, M, y0 = chain_network
         y0 = y0.copy()
         y0[-1] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            simulator._rk4(M, y0, 1.0, 0.01)
+            rk4(M, y0, 1.0, 0.01)
 
     def test_zero_start_stays_zero_under_unstable_matrix(self, chain_network):
         _, _, M, y0 = chain_network
-        times, samples = simulator._rk4(M + 20.0 * np.eye(len(y0)), np.zeros(len(y0)), 5.0, 0.01)
+        times, samples = rk4(M + 20.0 * np.eye(len(y0)), np.zeros(len(y0)), 5.0, 0.01)
         assert len(times) == 501
         assert np.all(samples == 0.0)
 
@@ -401,7 +401,7 @@ class TestSparseStepMap:
         # the stages are the fallback only: a network does not fill in
         monkeypatch.setattr(simulator, "_rk4_stages", refuse)
         _, _, M, y0 = chain_network
-        _, samples = simulator._rk4(M, y0, 1.29, 0.01)
+        _, samples = rk4(M, y0, 1.29, 0.01)
         assert_rows_close(samples, rk4_loop(M, y0, 129, 0.01), rtol=1e-12)
 
     def test_high_fill_takes_the_stages(self, monkeypatch):
@@ -414,7 +414,7 @@ class TestSparseStepMap:
         want = rk4_loop(M, y0, 129, 0.01)
         with monkeypatch.context() as mp:
             mp.setattr(simulator, "_sparse_steps", refuse)
-            _, samples = simulator._rk4(M, y0, 1.29, 0.01)
+            _, samples = rk4(M, y0, 1.29, 0.01)
         assert_rows_close(samples, want, rtol=1e-12)
         # the same steps by the filled-in step map, had it been used
         rows, cols, vals = nonzeros(R)
@@ -428,7 +428,7 @@ class TestSparseStepMap:
         ref = rk4_loop(M, y0, 500, 0.01, limit=simulator.BLOWUP_LIMIT)
         assert len(ref) <= 500
         with pytest.raises(NumericalError, match=f"t = {(len(ref) - 1) * 0.01:.6g}$"):
-            simulator._rk4(M, y0, 5.0, 0.01)
+            rk4(M, y0, 5.0, 0.01)
 
     def test_lockstep_of_both_forms_gives_each_system_alone(self):
         # a dense stack from 363 states on: one system on its step map, one
@@ -441,7 +441,7 @@ class TestSparseStepMap:
                 parts[g].append(block[j])
         for g in range(2):
             whole = np.concatenate(parts[g])
-            assert whole.tobytes() == simulator._rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
+            assert whole.tobytes() == rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
             assert_rows_close(whole, rk4_loop(M[g], Y0[g], 300, 0.01), rtol=1e-12)
 
     def test_build_memory_is_a_small_multiple_of_the_step_map(self, tmp_path):
@@ -517,6 +517,24 @@ class TestSimulateAugmented:
 
 
 class TestEvaluateCost:
+    def test_augmented_run_memory_does_not_grow_with_samples(self):
+        # 10^6 steps of an order-5 loop: |e|^2 at every sample and the times
+        # would be 8 MB each; the run keeps its sum and tail maximum, and its
+        # blocks of about 1 MB trace 3.4 MB, at 2 * 10^5 steps as at 10^6
+        rng = np.random.default_rng(3)
+        plant = AugmentedPlant(A=-np.eye(5) + 0.3 * rng.standard_normal((5, 5)), B=np.ones((5, 1)),
+                               C=rng.standard_normal((2, 5)), D=np.array([[0.5], [1.0]]),
+                               Phi=np.zeros((1, 1)), Psi=np.zeros((2, 1)))
+        tracemalloc.start()
+        try:
+            run = augmented_run(plant, np.zeros((1, 5)), np.ones(5), t_end=1000.0, dt=1e-3)
+            report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 5)))[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.j_quadrature == pytest.approx(report.j_closed_form, rel=1e-3)
+        assert peak < 6 << 20, peak
+
     def test_zero_start(self):
         plant = scalar_plant()
         run = augmented_run(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
@@ -595,24 +613,24 @@ class TestTrackingMetrics:
         names = [f"f{i}" for i in range(6)]
         want = reference_tracking_metrics(times, names, values)
         cuts = sorted(rng.choice(np.arange(1, samples), size=min(samples - 1, 4), replace=False))
-        summary = simulator.TrackingSummary(times, names)
+        summary = simulator.TrackingSummary(samples - 1, 1e-3, names)
         for block in np.split(values, cuts):
             summary.add(block)
         assert summary.metrics() == want
         assert tracking_metrics(simulator.ErrorNorms(times, tuple(names), values)) == want
 
     def test_network_run_memory_does_not_grow_with_samples_times_followers(self, chain_network):
-        # 10^6 steps of 60 followers: T x N norms would be 480 MB; building
-        # the run and taking its first block holds the 8 MB time grid, twice,
-        # and a block of 310 x 422 samples
+        # 10^7 steps of 60 followers: T x N norms would be 4.8 GB, and a grid
+        # of the sample times 80 MB; building the run and taking its first
+        # block traces 2.4 MB, the network's matrices and a block of 311 x 422
+        # samples, at 10^6 steps as at 10^7
         scenario, gains, _, _ = chain_network
-        samples = 1_000_001
         tracemalloc.start()
         try:
-            run = network_run(scenario, gains, t_end=1000.0, dt=1e-3)
+            run = network_run(scenario, gains, t_end=10_000.0, dt=1e-3)
             block = next(iter(run))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert run.error_norms is None and len(block.times) < 1000
-        assert peak < 4 * 8 * samples, peak
+        assert peak < 8 << 20, peak
