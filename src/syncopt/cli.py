@@ -666,10 +666,8 @@ def cmd_compare(args) -> int:
 
     for label, gains in gain_sets.items():
         run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
-        for _ in run:  # only what the tracking metrics read is kept
-            pass
-        for name, met in run.tracking.metrics().items():
-            rows[name][label]["network_tail_error"] = met.tail_error
+        for name, tail_error in run.tail_errors().items():
+            rows[name][label]["network_tail_error"] = tail_error
 
     _write_json(Path(args.out) / "comparison.json", {"seed": scenario.seed, "agents": rows})
     print(f"{'agent':>8} {'J_initial':>12} {'J_optimal':>12}")

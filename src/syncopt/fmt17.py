@@ -170,8 +170,10 @@ def _digit_words(n: np.ndarray, point: np.ndarray, t: dict) -> list:
     lower = n - upper * 10**8
     c0 = upper // 10**8
     upper -= c0 * 10**8
-    c1, c2 = np.divmod(upper, 10**4)
-    c3, c4 = np.divmod(lower, 10**4)
+    c1 = upper // 10**4
+    c2 = upper - c1 * 10**4
+    c3 = lower // 10**4
+    c4 = lower - c3 * 10**4
     # trailing zeros of the last 16 digits; past c4 only where c4 is 0
     tz = t["tz"]
     z = tz.take(c4)

@@ -18,8 +18,12 @@ The samples come out in row blocks of about 1 MB (at least 256 rows), so a
 run need never be held whole: a `NetworkRun` yields each block as a
 `Trajectory` of its own rows, with the followers' inputs and tracking errors
 (memoryless functions of the state) computed for those rows, and keeps only
-what the tracking metrics read, two numbers per follower. The closed
-augmented loops of followers of one shape are integrated in lockstep
+what the tracking metrics read, two numbers per follower. A run that is
+asked only for its tail errors (`NetworkRun.tail_errors`, what `compare`
+reads) forms no more of itself than the last 10% of the horizon needs: on
+the dense path it passes the whole chunks before the tail by the top power
+of R alone, and it computes the followers' outputs from the tail on. The
+closed augmented loops of followers of one shape are integrated in lockstep
 (`simulate_augmented`), and each keeps only what its cost reads: a running
 sum of |e|^2 and its largest value over the last 10% of the horizon. No run
 holds a grid of its times: sample k is at time k * dt, made from its index.
@@ -148,13 +152,22 @@ def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
         yield block[0]
 
 
-def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
+def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
     """Classical fixed-step RK4 for G systems dy = M_g y of one order n, in
     lockstep, yielded as blocks of samples (members, first, block): block[j]
     holds the samples of system members[j] from sample `first` on. The
     systems of one chunk length (below) run together, y0 and the first
     `_block_rows` steps, then that many steps a block; each block is a new
     array.
+
+    A run that is read only from sample `start` on may begin its blocks
+    later: on the step-map path, the whole chunks before the one that holds
+    sample start - 1 are passed over by R^b alone while no sample in them
+    can fail the checks below, and the first block
+    yielded is the rest of the block from the first chunk formed. The
+    blocks end where those of a whole run end, every sample they hold is
+    the same float, and a run that fails raises the same error. On the
+    other paths every block is formed and yielded.
 
     M is the (G, n, n) stack of the matrices; from n = 363 on it may instead
     be the list of their nonzeros (rows, cols, vals), sorted row-major.
@@ -163,11 +176,13 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
     stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
     While a chunk can stack at least two powers of R (n < 363 states), R is
     built once and the samples are emitted in chunks,
-    out[k+1 : k+1+b] = (R^1 .. R^b) out[k], with blocks of whole chunks;
-    numpy makes each system's own BLAS call for the stacked products, so
-    every sample has the bits of a run of its system alone. Powers are
-    stacked only while their entries stay below BLOWUP_LIMIT, so a zero
-    state stays exactly zero under an unstable M instead of becoming
+    out[k+1 : k+b] = (R^1 .. R^(b-1)) out[k] and out[k+b] = R^b out[k],
+    with blocks of whole chunks; the last sample of a whole chunk comes from
+    R^b alone, so a chunk passed over by R^b ends on the same float as one
+    that is formed. numpy makes each system's own BLAS call for the stacked
+    products, so every sample has the bits of a run of its system alone.
+    Powers are stacked only while their entries stay below BLOWUP_LIMIT, so
+    a zero state stays exactly zero under an unstable M instead of becoming
     inf * 0; the chunk length b is each system's own. From n = 363 on a
     chunk holds one step, so the dense R would cost n^3 flops to build and
     n^2 reads per step for nothing; there each system is advanced by the
@@ -189,17 +204,27 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
     if not np.isfinite(Y0).all():
         raise NumericalError("non-finite initial state")
 
-    def blocks(members, chunk, advance):
+    def blocks(members, chunk, advance, passing=None):
         per_block = _block_rows(len(members) * n, chunk)
-        block = np.empty((len(members), 1 + min(per_block, steps), n))
-        block[:, 0] = Y0[members]
-        advance(block[:, 0], block, 1, 0)
-        yield members, 0, block
-        for k in range(block.shape[1] - 1, steps, per_block):
+        y, k = Y0[members], 0
+        if passing is not None:  # to sample k, the end of the last chunk passed over
+            # sample start - 1 is formed too, so that a block that holds
+            # sample `start` holds two rows or more: the followers' outputs
+            # over a lone row take another BLAS path
+            y, k = passing(y, max(0, start - 2) // chunk)
+        if k == 0:  # the first block holds y0 too
+            block = np.empty((len(members), 1 + min(per_block, steps), n))
+            block[:, 0] = y
+            advance(block[:, 0], block, 1, 0)
+            yield members, 0, block
+            k = block.shape[1] - 1
             y = block[:, -1].copy()  # not a view, which would keep the block alive
-            block = np.empty((len(members), min(per_block, steps - k), n))
+        while k < steps:  # blocks end at multiples of per_block, as in a whole run
+            block = np.empty((len(members), min(steps, (k // per_block + 1) * per_block) - k, n))
             advance(y, block, 0, k)
             yield members, k + 1, block
+            k += block.shape[1]
+            y = block[:, -1].copy()
 
     def guard(block, r0, k):
         """Raise at the first system with a sample from row r0 on (step k + 1
@@ -228,41 +253,63 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float):
         yield from blocks(np.arange(G), 1, sparse)
         return
 
-    powers, chunks = _power_stack(M, dt, steps)
+    powers, chunks, peaks = _power_stack(M, dt, steps)
+    # A sample R^j y of a chunk is formed with an error of at most
+    # gamma_n |R^j| |y| entrywise (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., section 3.5; gamma_k = k u / (1 - k u)),
+    # so it lies within (1 + gamma_n) n max|R^j| ||y||_inf; four more units
+    # of roundoff cover the rounding of that bound and of its test.
+    u = np.finfo(float).eps / 2
+    slack = 1 + (n + 4) * u / (1 - (n + 4) * u)
     for chunk in sorted(set(chunks.tolist()), reverse=True):
         members = np.flatnonzero(chunks == chunk)
         every = slice(None) if len(members) == G else members
-        flat = powers[every, :chunk].reshape(len(members), chunk * n, n)
+        flat = powers[every, : chunk - 1].reshape(len(members), (chunk - 1) * n, n)
+        top = powers[every, chunk - 1]
+        reach = slack * n * float(peaks[every, :chunk].max())
 
-        def products(y, block, r0, k, chunk=chunk, flat=flat):
+        def products(y, block, r0, k, chunk=chunk, flat=flat, top=top):
             out = block.reshape(len(block), -1)  # a view: the block is contiguous
             with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
                 for i in range(r0, block.shape[1], chunk):
                     rows = block[:, i : i + chunk]
-                    np.matmul(flat[:, : rows.shape[1] * n], y[:, :, None],
-                              out=out[:, i * n : i * n + rows[0].size, None])
+                    inner = min(rows.shape[1], chunk - 1)
+                    np.matmul(flat[:, : inner * n], y[:, :, None], out=out[:, i * n : (i + inner) * n, None])
+                    if rows.shape[1] == chunk:
+                        np.matmul(top, y[:, :, None], out=rows[:, -1, :, None])
                     y = rows[:, -1]
             guard(block, r0, k)
 
-        yield from blocks(members, chunk, products)
+        def passing(y, count, chunk=chunk, top=top, reach=reach):
+            """Advance y over up to `count` whole chunks, a chunk by R^b
+            alone, while `reach` ||y||_inf stays within BLOWUP_LIMIT, so
+            that no sample passed over could fail the guard. Returns the
+            sample reached and its step."""
+            for c in range(count):
+                if not reach * float(np.abs(y).max()) <= BLOWUP_LIMIT:  # NaN and inf fail too
+                    return y, c * chunk
+                y = np.matmul(top, y[:, :, None])[:, :, 0]  # the call that forms a chunk's last sample
+            return y, count * chunk
+
+        yield from blocks(members, chunk, products, passing)
 
 
 def _power_stack(M: np.ndarray, dt: float, steps: int) -> tuple:
     """The RK4 step map R of each of a stack of G matrices and its powers,
     R^1 .. R^B in a (G, B, n, n) stack, B the longest chunk `_chunk_length`
-    allows (and no longer than the run), and each system's chunk length b:
-    the powers up to the last one whose entries stay below BLOWUP_LIMIT.
-    The powers past b are not used."""
+    allows (and no longer than the run); each system's chunk length b: the
+    powers up to the last one whose entries stay below BLOWUP_LIMIT; and
+    the largest magnitude of the entries of each power, (G, B). The powers
+    past b are not used."""
     G, n = M.shape[:2]
     powers = np.empty((G, min(_chunk_length(n), max(steps, 1)), n, n))
     with np.errstate(all="ignore"):
         _step_map(M, dt, out=powers[:, 0])
         for c in range(1, powers.shape[1]):
             np.matmul(powers[:, 0], powers[:, c - 1], out=powers[:, c])
-        rest = powers[:, 1:]
-        below = np.maximum(rest.max(axis=(2, 3)), -rest.min(axis=(2, 3))) <= BLOWUP_LIMIT
-    chunks = 1 + np.cumprod(below, axis=1).sum(axis=1)  # 1 + the leading powers below
-    return powers, chunks
+        peaks = np.maximum(powers.max(axis=(2, 3)), -powers.min(axis=(2, 3)))
+    chunks = 1 + np.cumprod(peaks[:, 1:] <= BLOWUP_LIMIT, axis=1).sum(axis=1)  # 1 + the leading powers below
+    return powers, chunks, peaks
 
 
 def _sparse_step_map(rows, cols, vals, n: int, h: float):
@@ -435,31 +482,57 @@ class NetworkRun:
     def __iter__(self):
         dt = self.tracking.dt
         self.tracking = TrackingSummary(self.tracking.steps, dt, self.tracking.names)  # afresh
-        q = self._q
         k = 0
         for samples in _rk4_blocks(*self._integration):
             b = len(samples)
-            w = samples[:, :q]
-            followers = {}
-            norms = np.empty((b, len(self.tracking.names)))
-            for names, first, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
-                G = len(names)
-
-                def stacked(col, width):  # G x b x width, follower-major views
-                    return samples[:, col : col + G * width].reshape(b, G, width).transpose(1, 0, 2)
-
-                x, xi, zeta = stacked(x0, n), stacked(xi0, q), stacked(z0, q)
-                u = -(x @ K1 + xi @ K2 + zeta @ K3)
-                e = x @ C + u @ D - w @ F
-                norms[:, first : first + G] = np.linalg.norm(e, axis=2).T
-                for j, name in enumerate(names):
-                    followers[name] = FollowerStream(x=x[j], xi=xi[j], zeta=zeta[j], u=u[j], e=e[j])
+            followers, norms = self._outputs(samples)
             self.tracking.add(norms)
             if self.error_norms is not None:
                 self.error_norms.values[k : k + b] = norms
             del norms  # not held while the block is used
             k += b
-            yield Trajectory(times=np.arange(k - b, k) * dt, leader_states=w, followers=followers)
+            yield Trajectory(times=np.arange(k - b, k) * dt, leader_states=samples[:, : self._q],
+                             followers=followers)
+
+    def tail_errors(self) -> dict:
+        """Each follower's largest tracking-error norm over the last 10% of
+        the horizon: the tail error of `tracking.metrics()` after a whole
+        iteration, the same float. The run is formed, and the outputs of the
+        followers computed, only as far back as that needs: on the step-map
+        path, from the chunk that holds the sample before the tail (see
+        `_rk4_lockstep`); on the others, every step is taken and the outputs
+        start at the tail's block."""
+        matrix, y0, t_end, dt = self._integration
+        start = _tail_start(self.tracking.steps)
+        top = np.full(len(self.tracking.names), -np.inf)
+        systems = matrix[None] if isinstance(matrix, np.ndarray) else [matrix]
+        for _, first, block in _rk4_lockstep(systems, y0[None], t_end, dt, start):
+            if first + block.shape[1] > start:
+                norms = self._outputs(block[0])[1][max(0, start - first) :]
+                np.maximum(top, norms.max(axis=0), out=top)
+        return dict(zip(self.tracking.names, top.tolist()))
+
+    def _outputs(self, samples: np.ndarray) -> tuple:
+        """The followers' streams over consecutive samples (rows) of the
+        state, and the norms of their tracking errors, one column per
+        follower."""
+        b, q = len(samples), self._q
+        w = samples[:, :q]
+        followers = {}
+        norms = np.empty((b, len(self.tracking.names)))
+        for names, first, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
+            G = len(names)
+
+            def stacked(col, width):  # G x b x width, follower-major views
+                return samples[:, col : col + G * width].reshape(b, G, width).transpose(1, 0, 2)
+
+            x, xi, zeta = stacked(x0, n), stacked(xi0, q), stacked(z0, q)
+            u = -(x @ K1 + xi @ K2 + zeta @ K3)
+            e = x @ C + u @ D - w @ F
+            norms[:, first : first + G] = np.linalg.norm(e, axis=2).T
+            for j, name in enumerate(names):
+                followers[name] = FollowerStream(x=x[j], xi=xi[j], zeta=zeta[j], u=u[j], e=e[j])
+        return followers, norms
 
 
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:

@@ -338,21 +338,51 @@ class TestCommands:
     @pytest.mark.parametrize("steps_from_edge", [-1, 0, 1])
     def test_compare_network_metrics_match_trajectory(self, tmp_path, paper_scenario, paper_bundle,
                                                       paper_traces, steps_from_edge):
-        # `compare` keeps only the per-sample error norms of each network run
+        # `compare` forms each network run only from the chunk before its
+        # tail on; its tail errors are those of the whole trajectory
         initial = {ad.name: ad.initial for ad in paper_bundle.per_agent}
         optimal = cli.optimal_gain_sets(paper_bundle, paper_traces)
-        payload = json.loads(SCENARIO.read_text())
         steps = first_block_steps(paper_scenario, initial) + steps_from_edge
-        payload["sim"]["t_end"] = steps * payload["sim"]["dt"]
-        path = write_scenario(tmp_path, payload)
-        assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
-        rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
-        scenario = cli.load_scenario(path)
-        for label, gains in (("initial", initial), ("optimal", optimal)):
-            traj = simulate_network(scenario, gains, scenario.t_end, scenario.dt)
-            assert len(traj.times) == steps + 1
-            for name, met in tracking_metrics(error_norms(traj)).items():
-                assert rows[name][label]["network_tail_error"] == met.tail_error
+        assert_compare_tail_errors(tmp_path, json.loads(SCENARIO.read_text()), steps,
+                                   {"initial": initial, "optimal": optimal})
+
+    @pytest.mark.parametrize("steps", [12798, 12799, 12800, 12801, 12802, 20000])
+    def test_compare_network_metrics_match_trajectory_at_chunk_edges(
+            self, tmp_path, paper_bundle, paper_traces, steps):
+        # 37 states, chunks of 128 steps: the tail starts at sample 11519,
+        # 11520 (the last sample of chunk 90), 11520, 11521 and 11522; and
+        # the whole 20 s horizon
+        assert simulator._chunk_length(37) == 128
+        initial = {ad.name: ad.initial for ad in paper_bundle.per_agent}
+        optimal = cli.optimal_gain_sets(paper_bundle, paper_traces)
+        assert_compare_tail_errors(tmp_path, json.loads(SCENARIO.read_text()), steps,
+                                   {"initial": initial, "optimal": optimal})
+
+    def test_compare_network_metrics_match_trajectory_on_sparse_path(self, tmp_path):
+        # 60 followers on a chain, 422 states: no chunk to pass over, every
+        # step is taken and only the blocks from the tail on have outputs
+        payload = chain_payload(60)
+        payload["sim"]["t_end"] = 1.0
+        scenario = cli.load_scenario(write_scenario(tmp_path, payload))
+        bundle = cli.run_design(scenario)
+        assert simulator._chunk_length(422) == 1
+        initial = {ad.name: ad.initial for ad in bundle.per_agent}
+        optimal = cli.optimal_gain_sets(bundle, cli.run_learn(scenario, bundle))
+        assert_compare_tail_errors(tmp_path, payload, 1000, {"initial": initial, "optimal": optimal})
+
+    @pytest.mark.parametrize("t_end", [30.0, 40.0])
+    @pytest.mark.parametrize("verb", [["compare"], ["simulate", "--gains", "initial"]],
+                             ids=["compare", "simulate"])
+    def test_blowup_exits_3_at_the_same_time(self, tmp_path, capsys, scenario_dict, verb, t_end):
+        # the leader's +1 mode takes the network past BLOWUP_LIMIT at
+        # t = 27.545 s: inside the tail at 30 s, and inside the chunks that
+        # `compare` passes over at 40 s
+        scenario_dict["sim"]["t_end"] = t_end
+        path = write_scenario(tmp_path, scenario_dict)
+        capsys.readouterr()
+        rc = cli.main([verb[0], str(path), "--out", str(tmp_path), *verb[1:]])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: state blow-up at t = 27.545\n"
 
     def test_failed_simulation_leaves_no_csv(self, tmp_path, capsys, paper_scenario, paper_bundle):
         # a stamped gains file whose agent3 Kic, negated and halved, is finite
@@ -439,6 +469,22 @@ class TestCommands:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4, peak
+
+
+def assert_compare_tail_errors(tmp_path, payload, steps, gain_sets):
+    """`compare` over `steps` steps writes, for each gain set, the tail
+    error of the whole network trajectory, the same float."""
+    payload = copy.deepcopy(payload)
+    payload["sim"]["t_end"] = steps * payload["sim"]["dt"]
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "comparison.json").read_text())["agents"]
+    scenario = cli.load_scenario(path)
+    for label, gains in gain_sets.items():
+        traj = simulate_network(scenario, gains, scenario.t_end, scenario.dt)
+        assert len(traj.times) == steps + 1
+        for name, met in tracking_metrics(error_norms(traj)).items():
+            assert rows[name][label]["network_tail_error"] == met.tail_error
 
 
 def first_block_steps(scenario, gains) -> int:

@@ -291,6 +291,76 @@ class TestRk4StepMap:
             rk4(M, y0, 1.0, 1e-3)
 
 
+def lockstep_samples(M, Y0, t_end, dt, start=0):
+    """Each system's blocks of an `_rk4_lockstep` run from sample `start`
+    on, as (first sample, length) pairs and the samples joined."""
+    parts = {g: [] for g in range(len(Y0))}
+    for members, first, block in simulator._rk4_lockstep(M, Y0, t_end, dt, start):
+        for j, g in enumerate(members):
+            parts[g].append((first, block[j]))
+    return {g: ([(first, len(b)) for first, b in p], np.concatenate([b for _, b in p]))
+            for g, p in parts.items()}
+
+
+class TestPassedChunks:
+    """A run read from sample `start` on passes the whole chunks before the
+    one that holds sample start - 1 by the top step-map power alone."""
+
+    @pytest.mark.parametrize("min_rows", [None, 130])
+    @pytest.mark.parametrize("start", [2, 129, 130, 900, 1000])
+    def test_samples_are_those_of_the_whole_run(self, monkeypatch, start, min_rows):
+        # two systems of one chunk length and a zero start under a fast
+        # unstable M, whose chunks are shorter
+        if min_rows is not None:  # blocks of 256 rows
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
+            monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
+        M = np.stack([stable_matrix(6, seed=1), stable_matrix(6, seed=2), 1e3 * np.eye(6)])
+        Y0 = np.vstack([np.linspace(-1.0, 1.0, 12).reshape(2, 6), np.zeros(6)])
+        whole = lockstep_samples(M, Y0, 10.0, 0.01)
+        tail = lockstep_samples(M, Y0, 10.0, 0.01, start)
+        chunks = simulator._power_stack(M, 0.01, 1000)[1]
+        assert chunks.tolist()[:2] == [CHUNK, CHUNK] and chunks[2] < CHUNK
+        for g in range(3):
+            (first, _), *rest = tail[g][0]
+            passed = max(0, start - 2) // chunks[g] * chunks[g]  # steps passed over
+            assert first == (passed + 1 if passed else 0)
+            assert rest == [b for b in whole[g][0] if b[0] > first]  # the blocks of the whole run
+            assert tail[g][1].tobytes() == whole[g][1][first:].tobytes()
+
+    def test_rotation_past_the_limit_between_chunk_ends(self):
+        # a quarter turn a chunk, from 45 degrees: every chunk's last sample
+        # lies at |y|_inf = |y| / sqrt(2) below BLOWUP_LIMIT, while the
+        # samples in between reach |y|, just above it
+        dt = 0.01
+        assert simulator._chunk_length(2) == CHUNK
+        M = np.pi / (2 * CHUNK * dt) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        y0 = np.full(2, 1.001e12 / np.sqrt(2))
+        ref = rk4_loop(M, y0, 4 * CHUNK, dt)
+        top = np.abs(ref).max(axis=1)
+        assert top[::CHUNK].max() < simulator.BLOWUP_LIMIT < top[: CHUNK + 1].max()
+        with pytest.raises(NumericalError) as whole:
+            lockstep_samples(M[None], y0[None], 10.0, dt)
+        assert str(whole.value) == f"state blow-up at t = {np.argmax(top > simulator.BLOWUP_LIMIT) * dt:.6g}"
+        for start in (CHUNK + 2, 900):
+            with pytest.raises(NumericalError) as tail:
+                lockstep_samples(M[None], y0[None], 10.0, dt, start)
+            assert str(tail.value) == str(whole.value)
+
+    @pytest.mark.parametrize("start", [5000, 5800])
+    def test_spiral_past_the_limit_raises_as_the_whole_run(self, start):
+        # |y| grows as e^(t/2) from 1 and passes BLOWUP_LIMIT at about
+        # t = 55 s, 5500 steps: after the sample the run is read from, or
+        # before it, in the chunks it would pass over
+        M = np.array([[0.5, 1.0], [-1.0, 0.5]])
+        y0 = np.array([1.0, 0.0])
+        with pytest.raises(NumericalError) as whole:
+            lockstep_samples(M[None], y0[None], 60.0, 0.01)
+        assert 5000 < float(str(whole.value).split("= ")[1]) / 0.01 < 5800
+        with pytest.raises(NumericalError) as tail:
+            lockstep_samples(M[None], y0[None], 60.0, 0.01, start)
+        assert str(tail.value) == str(whole.value)
+
+
 class TestRk4Stages:
     """The chain network, from 363 states on: the sparse path, which runs on
     the nonzeros of the step map and falls back to the four stages."""
