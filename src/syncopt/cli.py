@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .errors import NumericalError, ToolkitError, ValidationError
 from .plant import AgentDynamics, LeaderModel, check_assumptions
 from .topology import Topology, build_topology
 
-if TYPE_CHECKING:
-    from . import simulator
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -39,6 +36,7 @@ EXIT_IO = 4
 # The most RK4 steps, sim.t_end / sim.dt, a scenario may ask for: `simulate`
 # writes a CSV row per sample, 551 MB at 10^6 steps of the bundled scenario.
 MAX_STEPS = 10**7
+SVG_COLUMNS = 1000  # time columns of the `simulate --svg` chart, whatever the horizon
 
 
 @dataclass
@@ -494,63 +492,87 @@ def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
     return out
 
 
-def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
-    """Write the trajectory CSV of a network run given as consecutive row
-    blocks (`Trajectory`s, as a `simulator.NetworkRun` yields them), each
-    block as it comes. The rows go to a temporary file beside `path`, which
-    replaces `path` once the last block is written; if anything fails first,
-    it is removed and `path` is left as it was."""
-    from . import fmt17  # only here, so that the verbs writing no CSV do not load it
-
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file beside `path` that replaces it when the block ends; if the
+    block fails, the file is removed and `path` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
-    for name, ag in scenario.agents:
-        header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
-        header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
-    rows = max(1, fmt17.BLOCK_CELLS // len(header))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as f:
-            csv.writer(f).writerow(header)  # quotes any agent name that needs it
-            f.flush()  # the rows go to the byte stream below the text layer
-            for block in blocks:
-                arrays = [block.times[:, None], block.leader_states]
-                for name, _ in scenario.agents:
-                    arrays += [block.followers[name].e, block.followers[name].x]
-                table = np.concatenate(arrays, axis=1)
-                for r0 in range(0, len(table), rows):
-                    f.buffer.write(fmt17.csv_rows(table[r0 : r0 + rows]))
-                del table  # before the next block is integrated
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _pyplot():
-    """matplotlib's pyplot on the Agg backend, or a validation failure."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ValidationError(
-            "--svg needs matplotlib; install the `plot` extra (pip install syncopt[plot])"
-        ) from exc
-    return plt
+def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
+    """Write the trajectory CSV of a network run given as consecutive row
+    blocks (`Trajectory`s, as a `simulator.NetworkRun` yields them), each
+    block as it comes, through `_replacing`."""
+    from . import fmt17  # only here, so that the verbs writing no CSV do not load it
+
+    header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
+    for name, ag in scenario.agents:
+        header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
+        header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
+    rows = max(1, fmt17.BLOCK_CELLS // len(header))
+    with _replacing(path) as f:
+        csv.writer(f).writerow(header)  # quotes any agent name that needs it
+        f.flush()  # the rows go to the byte stream below the text layer
+        for block in blocks:
+            arrays = [block.times[:, None], block.leader_states]
+            for name, _ in scenario.agents:
+                arrays += [block.followers[name].e, block.followers[name].x]
+            table = np.concatenate(arrays, axis=1)
+            for r0 in range(0, len(table), rows):
+                f.buffer.write(fmt17.csv_rows(table[r0 : r0 + rows]))
+            del table  # before the next block is integrated
 
 
-def write_error_svg(path: Path, norms: simulator.ErrorNorms, plt):
-    fig, ax = plt.subplots(figsize=(8, 4.5))
-    for name, mag in zip(norms.names, norms.values.T):
-        ax.plot(norms.times, mag, label=name)
-    ax.set_xlabel("time [s]")
-    ax.set_ylabel("|tracking error|")
-    ax.set_yscale("log")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
+def error_envelope(run, low: np.ndarray, high: np.ndarray):
+    """Pass on the row blocks of a `simulator.NetworkRun` as they come, folding
+    each follower's |e| at sample k of T into column k * W // T of the W x N
+    arrays `low` (the least) and `high` (the largest); NaN is no sample yet."""
+    for block in run:
+        k = run.tracking.seen  # the run's samples up to the end of this block
+        cols = np.arange(k - len(block.times), k) * len(low) // (run.tracking.steps + 1)
+        norms = np.stack([np.linalg.norm(s.e, axis=1) for s in block.followers.values()], axis=1)
+        np.fmin.at(low, cols, norms)
+        np.fmax.at(high, cols, norms)
+        yield block
+
+
+def write_error_svg(path: Path, run, low: np.ndarray, high: np.ndarray):
+    """Chart each follower's |e| from the run's `error_envelope`: a band right along
+    `high` and back along `low`, on whole log decades reaching 1, zeros at the floor."""
+    from html import escape
+
+    band = np.concatenate([high, low[::-1]])
+    bottom = math.floor(math.log10(band.min(where=band > 0, initial=1.0)))
+    top = max(bottom + 1, math.ceil(math.log10(band.max(initial=1.0))))
+    logs = np.log10(band, out=np.full(band.shape, float(bottom)), where=band > 0)
+    xs = (70 + 550 / (len(low) - 1) * np.r_[np.arange(len(low)), np.arange(len(low))[::-1]]).tolist()
+    ys = 20 + 380 / (top - bottom) * (top - logs)
+    with _replacing(path) as f:
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="800" '
+                f'height="{max(450, 40 + 18 * len(run.tracking.names))}" font-size="12">\n'
+                '<rect x="70" y="20" width="550" height="380" fill="none" stroke="black"/>'
+                '<text y="14">|e|</text>\n'
+                f'<text x="70" y="416">0</text><text x="620" y="416" text-anchor="end">'
+                f'{run.tracking.steps * run.tracking.dt:.6g}</text><text x="300" y="440">time [s]</text>\n')
+        for d in range(bottom, top + 1, -(-(top - bottom) // 10)):  # at most 11 decade labels
+            f.write(f'<text x="64" y="{24 + 380 * (top - d) / (top - bottom):.2f}" '
+                    f'text-anchor="end">1e{d}</text>\n')
+        for j, name in enumerate(run.tracking.names):
+            color = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")[j % 6]
+            printable = "".join(c if c.isprintable() else "\ufffd" for c in name)  # as XML 1.0 allows
+            label = escape(printable).encode("ascii", "xmlcharrefreplace").decode()
+            f.write(f'<polyline points="{" ".join(map("{:.2f},{:.2f}".format, xs, ys[:, j].tolist()))}" '
+                    f'fill="{color}" fill-opacity="0.3" stroke="{color}"/>'
+                    f'<text x="640" y="{34 + 18 * j}" fill="{color}">{label}</text>\n')
+        f.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +649,15 @@ def cmd_simulate(args) -> int:
             gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
-    plt = _pyplot() if args.svg else None  # before the run, which writes the CSV
-    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt,
-                               keep_norms=args.svg)
+    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
-    write_trajectory_csv(csv_path, scenario, run)
     if args.svg:
-        write_error_svg(out / f"errors_{args.gains}.svg", run.error_norms, plt)
+        low, high = np.full((2, min(SVG_COLUMNS, run.tracking.steps + 1), len(gains)), np.nan)
+        write_trajectory_csv(csv_path, scenario, error_envelope(run, low, high))
+        write_error_svg(out / f"errors_{args.gains}.svg", run, low, high)
+    else:
+        write_trajectory_csv(csv_path, scenario, run)
     for name, met in run.tracking.metrics().items():
         settle = "not settled" if met.settle_time is None else f"{met.settle_time:.3f} s"
         print(f"{name}: tail error {met.tail_error:.3e}, settle {settle}")
@@ -715,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--gains", choices=("initial", "optimal"), default="initial",
                 help="which gain set drives the protocol",
             )
-            p.add_argument("--svg", action="store_true", help="emit static SVG error charts")
+            p.add_argument("--svg", action="store_true", help="also write errors_<gains>.svg, a log "
+                           f"chart of each follower's least and largest |e| in {SVG_COLUMNS} time columns")
     return parser
 
 

@@ -14,7 +14,7 @@ from .numkernel import spectrum
 from .topology import Topology, validate_topology
 
 RANK_RTOL = 1e-9  # singular values below RANK_RTOL * sigma_max count as zero
-GRAM_TOL = 1e-10
+GRAM_TOL, GRAM_RTOL = 1e-10, 1e-12  # D^T D is invertible: sigma_min > max(GRAM_TOL, GRAM_RTOL sigma_max)
 LEADER_EIG_TOL = -1e-10
 
 
@@ -173,6 +173,12 @@ def _rank_drops(M: np.ndarray, n: int, lams: np.ndarray) -> np.ndarray:
     return ~(sv[:, -1] > RANK_RTOL * sv[:, 0])
 
 
+def gram_invertible(gram: np.ndarray) -> bool:
+    """Whether D^T D counts as invertible, in the plant checks and in PI."""
+    sv = np.linalg.svd(gram, compute_uv=False)
+    return bool(sv.size and sv[-1] > max(GRAM_TOL, GRAM_RTOL * sv[0]))
+
+
 def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     """The checks of one plant against the leader eigenvalues `s_eigs`, and
     the text of each failed check, naming the first eigenvalue that fails."""
@@ -187,14 +193,10 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gram = ag.D.T @ ag.D
-    if not np.isfinite(gram).all():
-        feedthrough_invertible = False
-        texts.append("D^T D overflows the float range")
-    else:
-        gram_sv = np.linalg.svd(gram, compute_uv=False)
-        feedthrough_invertible = bool(gram_sv.size and gram_sv[-1] > GRAM_TOL)
-        if not feedthrough_invertible:
-            texts.append("D^T D numerically singular")
+    finite = bool(np.isfinite(gram).all())
+    feedthrough_invertible = finite and gram_invertible(gram)
+    if not feedthrough_invertible:
+        texts.append("D^T D numerically singular" if finite else "D^T D overflows the float range")
 
     # PBH: [A - lambda I, B] has rank n at every eigenvalue of A with Re >= 0
     ab = np.hstack([ag.A, ag.B])

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
 from .numkernel import _lyapunov_lockstep, lockstep, sole
+from .plant import gram_invertible
 from .protocol import AugmentedPlant
 
 DEFAULT_EPSILON = 1e-6
@@ -51,8 +52,7 @@ class PiTrace:
 
 def _gram(plant: AugmentedPlant) -> np.ndarray:
     g = plant.D.T @ plant.D
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    if not gram_invertible(g):
         raise NumericalError("D^T D numerically singular")
     return g
 

@@ -68,13 +68,6 @@ class FollowerStream:
 
 
 @dataclass(frozen=True)
-class ErrorNorms:
-    times: np.ndarray  # T
-    names: tuple  # followers, scenario order
-    values: np.ndarray  # T x N, |e| of each follower at each sample
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
@@ -414,12 +407,10 @@ class NetworkRun:
     `Trajectory` over the samples of that block. As a block passes, the
     norms of its followers' tracking errors go into `tracking`, a
     `TrackingSummary` whose metrics cover the whole run once an iteration
-    has ended. With `keep_norms`, the norms themselves are also written into
-    `error_norms`, T x N of them; without, `error_norms` is None.
+    has ended.
     """
 
-    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float,
-                 keep_norms: bool = False):
+    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float):
         leader = scenario.leader
         agents = list(scenario.agents)
         topo = scenario.topology
@@ -453,9 +444,6 @@ class NetworkRun:
             matrix[rows, cols] = vals
 
         self.tracking = TrackingSummary(_steps(t_end, dt), dt, names)
-        T = self.tracking.steps + 1
-        self.error_norms = (ErrorNorms(np.arange(T) * dt, tuple(names), np.empty((T, N)))
-                            if keep_norms else None)
         # Followers of one shape (n, m, p) that follow each other lie at even
         # strides in every part of the state, so the outputs of each such
         # group are computed by stacked products, per group and not per
@@ -482,17 +470,13 @@ class NetworkRun:
     def __iter__(self):
         dt = self.tracking.dt
         self.tracking = TrackingSummary(self.tracking.steps, dt, self.tracking.names)  # afresh
-        k = 0
         for samples in _rk4_blocks(*self._integration):
-            b = len(samples)
             followers, norms = self._outputs(samples)
             self.tracking.add(norms)
-            if self.error_norms is not None:
-                self.error_norms.values[k : k + b] = norms
             del norms  # not held while the block is used
-            k += b
-            yield Trajectory(times=np.arange(k - b, k) * dt, leader_states=samples[:, : self._q],
-                             followers=followers)
+            k = self.tracking.seen
+            yield Trajectory(times=np.arange(k - len(samples), k) * dt,
+                             leader_states=samples[:, : self._q], followers=followers)
 
     def tail_errors(self) -> dict:
         """Each follower's largest tracking-error norm over the last 10% of
@@ -660,19 +644,19 @@ class TrackingSummary:
         self.names = tuple(names)
         self._tail = np.full(len(self.names), -np.inf)
         self._last_above = np.full(len(self.names), -1)
-        self._seen = 0
+        self.seen = 0  # samples added so far
 
     def add(self, values: np.ndarray) -> None:
         """Take the norms of the next len(values) samples, one column per
         follower."""
-        tail = values[max(0, _tail_start(self.steps) - self._seen) :]
+        tail = values[max(0, _tail_start(self.steps) - self.seen) :]
         if len(tail):
             np.maximum(self._tail, tail.max(axis=0), out=self._tail)
         above = values >= SETTLE_THRESHOLD
         hit = above.any(axis=0)
-        last = self._seen + len(values) - 1 - np.argmax(above[::-1], axis=0)
+        last = self.seen + len(values) - 1 - np.argmax(above[::-1], axis=0)
         self._last_above[hit] = last[hit]
-        self._seen += len(values)
+        self.seen += len(values)
 
     def metrics(self) -> dict:
         """Per-follower tail error and settle time of the tracking error,

@@ -21,12 +21,11 @@ def rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndar
             blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
 
 
-def network_run(scenario, gains: dict, t_end: float, dt: float,
-                keep_norms: bool = False) -> simulator.NetworkRun:
+def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.NetworkRun:
     """The scenario's `NetworkRun` under the given gain sets, with the
     compensator design of the scenario's leader, topology and r."""
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
-    return simulator.NetworkRun(scenario, design, gains, t_end, dt, keep_norms=keep_norms)
+    return simulator.NetworkRun(scenario, design, gains, t_end, dt)
 
 
 def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulator.Trajectory:
@@ -46,20 +45,20 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulato
     )
 
 
-def error_norms(traj: simulator.Trajectory) -> simulator.ErrorNorms:
-    """|e| of each follower of a whole trajectory at each sample."""
-    mag = [np.linalg.norm(stream.e, axis=1) for stream in traj.followers.values()]
-    return simulator.ErrorNorms(traj.times, tuple(traj.followers), np.stack(mag, axis=1))
+def error_norms(traj: simulator.Trajectory) -> np.ndarray:
+    """|e| of each follower of a whole trajectory at each sample, T x N, the
+    followers in the trajectory's order."""
+    return np.stack([np.linalg.norm(stream.e, axis=1) for stream in traj.followers.values()], axis=1)
 
 
-def tracking_metrics(norms: simulator.ErrorNorms) -> dict:
-    """Per-follower tail error and settle time of the tracking error, from
-    its norms over a whole run: its `TrackingSummary` given every sample at
+def tracking_metrics(traj: simulator.Trajectory) -> dict:
+    """Per-follower tail error and settle time of the tracking error of a
+    whole trajectory: its `TrackingSummary` given every sample's norms at
     once. Sample k is at times[k] = k * dt, so dt is times[1]."""
-    times = norms.times
+    times = traj.times
     summary = simulator.TrackingSummary(len(times) - 1, times[1] if len(times) > 1 else 1.0,
-                                        norms.names)
-    summary.add(norms.values)
+                                        traj.followers)
+    summary.add(error_norms(traj))
     return summary.metrics()
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 import sys
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from helpers import error_norms, network_run, simulate_network, tracking_metrics
 from networks import chain_payload, dag_payload, dense
-from syncopt import cli, simulator
+from syncopt import cli, policy_iteration, simulator
 from syncopt.errors import ValidationError
 
 SCENARIO = cli.bundled_scenario_path()
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture()
@@ -220,6 +222,58 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "validation failure" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("defect, text", [
+        ("E/F columns", "agent agent1: E/F have 3 columns, leader order is 2"),
+        ("unknown k1_override", "k1_override references unknown agent `agent9`"),
+    ])
+    def test_scenario_refusal_exits_2_with_its_text(self, tmp_path, scenario_dict, capsys, defect,
+                                                    text):
+        if defect == "E/F columns":
+            agent1 = scenario_dict["agents"][0]
+            agent1["E"] = [row + [0.0] for row in agent1["E"]]
+            agent1["F"] = [row + [0.0] for row in agent1["F"]]
+        else:
+            scenario_dict["k1_override"]["agent9"] = scenario_dict["k1_override"]["agent1"]
+        path = write_scenario(tmp_path, scenario_dict)
+        for verb in ("validate", "simulate"):
+            assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"validation failure: {text}\n"
+
+    def test_feedthrough_gram_refused_by_validate_as_by_learn(self, tmp_path, scenario_dict, capsys):
+        # sigma(D^T D) = 1600 and 2.25e-10: above the plant checks' old
+        # absolute 1e-10, below policy iteration's 1e-12 * sigma_max. validate
+        # passed it and learn refused it as a numerical failure (exit 3); by
+        # the one rule both refuse it, as invalid input
+        scenario_dict["agents"][0]["D"] = [[1.5e-5, 0.0], [0.0, 40.0]]
+        path = write_scenario(tmp_path, scenario_dict)
+        assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "assumptions FAIL\n  - agent1: D^T D numerically singular\n" and err == ""
+        assert cli.main(["learn", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("validation failure: assumption checks failed: "
+                       "agent1: D^T D numerically singular\n")
+
+    def test_simulate_optimal_without_gains_file_learns_first(self, tmp_path, capsys):
+        # the CSV of a --gains optimal run that has no gains file to read is
+        # that of the run after learn, byte for byte
+        assert cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path / "a"), "--gains", "optimal"]) == 0
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["trajectory_optimal.csv"]
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path / "b")]) == 0
+        assert cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path / "b"), "--gains", "optimal"]) == 0
+        assert ((tmp_path / "a" / "trajectory_optimal.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory_optimal.csv").read_bytes())
+
+    def test_riccati_fixed_point_refusal_exits_3(self, tmp_path, capsys, monkeypatch):
+        # with a zero tolerance no converged gain passes the check
+        monkeypatch.setattr(policy_iteration, "ARE_RESIDUAL_RTOL", 0.0)
+        capsys.readouterr()
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: agent agent1 (learn): converged gain fails the "
+                              "Riccati fixed-point check (") and err.count("\n") == 1
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
     def test_more_outputs_than_inputs_exits_2(self, tmp_path, scenario_dict, capsys):
         # agent1 keeps p = 2 outputs but only its first input: the regulator
         # equations are not square, which every verb must report as exit 2
@@ -271,13 +325,79 @@ class TestCommands:
         assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "numerical failure: state blow-up at t = 0.001\n"
 
-    def test_svg_without_matplotlib_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_svg_works_with_numpy_alone(self, tmp_path, capsys, monkeypatch):
+        # with matplotlib unimportable, --svg writes a chart that xml.etree
+        # parses, one polyline and one legend entry per agent, and leaves the
+        # CSV and the printed metrics as a run without it writes them
         monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
-        rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--svg"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "--svg needs matplotlib" in err and "Traceback" not in err
-        assert not list(tmp_path.glob("trajectory_*.csv"))  # it fails before the run
+        printed = []
+        for out, svg in ((tmp_path / "plain", []), (tmp_path / "svg", ["--svg"])):
+            assert cli.main(["simulate", str(SCENARIO), "--out", str(out), "--gains", "optimal", *svg]) == 0
+            printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        assert printed[0] == printed[1]
+        assert ((tmp_path / "plain" / "trajectory_optimal.csv").read_bytes()
+                == (tmp_path / "svg" / "trajectory_optimal.csv").read_bytes())
+        assert sorted(p.name for p in (tmp_path / "svg").iterdir()) == [
+            "errors_optimal.svg", "trajectory_optimal.csv"]
+        root = ElementTree.parse(tmp_path / "svg" / "errors_optimal.svg").getroot()
+        polylines = root.findall(f"{SVG}polyline")
+        assert len(polylines) == 5
+        assert all(len(p.get("points").split()) == 2 * cli.SVG_COLUMNS for p in polylines)
+        texts = [t.text for t in root.iter(f"{SVG}text")]
+        assert texts[-5:] == [f"agent{i}" for i in range(1, 6)]
+
+    def test_svg_legend_escapes_any_agent_name(self, tmp_path, scenario_dict):
+        # markup characters are escaped, and a character XML 1.0 does not
+        # allow is drawn as U+FFFD, so that the chart stays well-formed
+        name = "a\u0001<&>\u00e9"
+        old = scenario_dict["agents"][0]["name"]
+        scenario_dict["agents"][0]["name"] = name
+        for part in (scenario_dict["init"]["x0"], scenario_dict["init"]["xi0"], scenario_dict["k1_override"]):
+            part[name] = part.pop(old)
+        scenario_dict["sim"]["t_end"] = 0.1
+        path = write_scenario(tmp_path, scenario_dict)
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path), "--svg"]) == 0
+        root = ElementTree.parse(tmp_path / "errors_initial.svg").getroot()
+        assert [t.text for t in root.iter(f"{SVG}text")][-5] == "a\ufffd<&>\u00e9"
+
+    @pytest.mark.parametrize("t_end, columns", [(0.6, 601), (20.0, 1000)])
+    def test_svg_envelope_is_the_whole_record(self, tmp_path, scenario_dict, paper_bundle, t_end,
+                                              columns):
+        # at 601 samples each column holds one, and its low and high are that
+        # sample's norms; at 20 001, column c holds the samples k with
+        # k * 1000 // 20001 == c, and its low and high are their least and
+        # largest norms. The chart draws them at fixed precision, and two
+        # runs write the same bytes.
+        scenario_dict["sim"]["t_end"] = t_end
+        path = write_scenario(tmp_path, scenario_dict)
+        scenario = cli.load_scenario(path)
+        gains = {ad.name: ad.initial for ad in paper_bundle.per_agent}
+        norms = error_norms(simulate_network(scenario, gains, scenario.t_end, scenario.dt))
+        T = len(norms)
+        starts = np.flatnonzero(np.diff(np.arange(T) * columns // T, prepend=-1))
+        assert len(starts) == columns
+        want_low, want_high = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
+        low, high = np.full((2, min(cli.SVG_COLUMNS, T), len(gains)), np.nan)
+        for _ in cli.error_envelope(network_run(scenario, gains, scenario.t_end, scenario.dt), low, high):
+            pass
+        assert low.tobytes() == want_low.tobytes() and high.tobytes() == want_high.tobytes()
+        if columns == T:
+            assert low.tobytes() == norms.tobytes() == high.tobytes()
+
+        charts = []
+        for run in ("a", "b"):
+            assert cli.main(["simulate", str(path), "--out", str(tmp_path / run), "--svg"]) == 0
+            charts.append((tmp_path / run / "errors_initial.svg").read_bytes())
+        assert charts[0] == charts[1]
+        root = ElementTree.fromstring(charts[0])
+        band = np.concatenate([want_high, want_low[::-1]])
+        bottom = np.floor(np.log10(min(1.0, band[band > 0].min())))
+        top = max(bottom + 1, np.ceil(np.log10(max(1.0, band.max()))))
+        x = 70 + 550 * np.arange(columns) / (columns - 1)
+        for j, polyline in enumerate(root.findall(f"{SVG}polyline")):
+            points = np.array([p.split(",") for p in polyline.get("points").split()], dtype=float)
+            y = 20 + 380 * (top - np.log10(band[:, j])) / (top - bottom)
+            assert np.abs(points - np.column_stack([np.r_[x, x[::-1]], y])).max() <= 0.005 + 1e-9
 
     @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON", "no stamp",
                                         "other seed", "other scenario"])
@@ -331,7 +451,7 @@ class TestCommands:
             lines = [
                 f"{name}: tail error {met.tail_error:.3e}, settle "
                 + ("not settled" if met.settle_time is None else f"{met.settle_time:.3f} s")
-                for name, met in tracking_metrics(error_norms(traj)).items()
+                for name, met in tracking_metrics(traj).items()
             ]
             assert printed == "\n".join(lines + [f"wrote {csv_path}"]) + "\n"
 
@@ -387,7 +507,8 @@ class TestCommands:
     def test_failed_simulation_leaves_no_csv(self, tmp_path, capsys, paper_scenario, paper_bundle):
         # a stamped gains file whose agent3 Kic, negated and halved, is finite
         # but destabilises the network: it blows up at t = 15.535 s, after
-        # the first row blocks went to the CSV's temporary file
+        # the first row blocks went to the CSV's temporary file; with --svg,
+        # no chart is written either
         assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
         gains_file = tmp_path / "optimal_gains.json"
         gains = json.loads(gains_file.read_text())
@@ -398,11 +519,11 @@ class TestCommands:
         assert first_block_steps(paper_scenario, initial) * paper_scenario.dt < 15.535
         files = sorted(p.name for p in tmp_path.iterdir())
         csv_path = tmp_path / "trajectory_optimal.csv"
-        for earlier in (None, b"t,w_1\r\n0,1\r\n"):
+        for earlier, svg in ((None, []), (None, ["--svg"]), (b"t,w_1\r\n0,1\r\n", ["--svg"])):
             if earlier is not None:
                 csv_path.write_bytes(earlier)
             capsys.readouterr()
-            rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"])
+            rc = cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal", *svg])
             err = capsys.readouterr().err
             assert rc == 3
             assert "numerical failure: state blow-up at t = 15.535" in err and "Traceback" not in err
@@ -483,7 +604,7 @@ def assert_compare_tail_errors(tmp_path, payload, steps, gain_sets):
     for label, gains in gain_sets.items():
         traj = simulate_network(scenario, gains, scenario.t_end, scenario.dt)
         assert len(traj.times) == steps + 1
-        for name, met in tracking_metrics(error_norms(traj)).items():
+        for name, met in tracking_metrics(traj).items():
             assert rows[name][label]["network_tail_error"] == met.tail_error
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncopt import cli
+from syncopt import cli, policy_iteration
+from syncopt.errors import NumericalError
 from syncopt.plant import RANK_RTOL, AgentDynamics, LeaderModel, check_assumptions
 from syncopt.topology import build_topology
 
@@ -29,6 +30,24 @@ def test_paper_scenario_passes(paper_scenario):
 def test_zero_feedthrough_fails():
     report = check_assumptions([("a", scalar_agent(D=[[0]]))], SCALAR_LEADER, SINGLE)
     assert not report.per_agent["a"].feedthrough_invertible
+
+
+@pytest.mark.parametrize("D", [
+    [[1.5e-5, 0.0], [0.0, 40.0]],  # sigma(D^T D) = 1600, 2.25e-10: fails the relative bound only
+    [[1e-6, 0.0], [0.0, 1e-6]],  # sigma = 1e-12 twice: fails the absolute bound only
+    [[2e-5, 0.0], [0.0, 1.0]],  # sigma = 1, 4e-10: passes both
+    [[1.0, 2.0], [0.5, 1.0]],  # rank one
+])
+def test_plant_checks_and_policy_iteration_share_the_gram_rule(D):
+    ag = AgentDynamics(A=[[-1, 0], [0, -1]], B=np.eye(2), C=np.eye(2), D=D, E=np.zeros((2, 1)),
+                       F=np.zeros((2, 1)))
+    report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
+    try:
+        policy_iteration._gram(ag)  # reads only D
+        learnable = True
+    except NumericalError:
+        learnable = False
+    assert report.per_agent["a"].feedthrough_invertible == learnable
 
 
 def test_unstabilizable_agent_fails():

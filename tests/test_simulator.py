@@ -83,7 +83,7 @@ class TestSimulateNetwork:
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        metrics = tracking_metrics(error_norms(traj))
+        metrics = tracking_metrics(traj)
         for met in metrics.values():
             assert met.tail_error < 1e-2
 
@@ -205,11 +205,16 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
         assert np.array_equal(s.u, u)
         assert np.array_equal(s.e, s.x @ ag.C.T + u @ ag.D.T - traj.leader_states @ ag.F.T)
     assert x_col == len(y0)
-    run = network_run(scenario, gains, t_end=0.6, dt=1e-3, keep_norms=True)
+    # the norms the tracking metrics take, from the stacked products, are
+    # those of each follower's own errors, bit for bit
+    added, add = [], simulator.TrackingSummary.add
+    monkeypatch.setattr(simulator.TrackingSummary, "add",
+                        lambda summary, values: added.append(values.copy()) or add(summary, values))
+    run = network_run(scenario, gains, t_end=0.6, dt=1e-3)
     for _ in run:
         pass
-    assert run.error_norms.values.tobytes() == error_norms(traj).values.tobytes()
-    assert run.tracking.metrics() == tracking_metrics(error_norms(traj))
+    assert np.concatenate(added).tobytes() == error_norms(traj).tobytes()
+    assert run.tracking.metrics() == tracking_metrics(traj)
 
 
 @pytest.mark.parametrize("network", ["paper", "chain"])
@@ -653,14 +658,14 @@ class TestTrackingMetrics:
         traj = simulate_network(
             scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=1e-3
         )
-        for met in tracking_metrics(error_norms(traj)).values():
+        for met in tracking_metrics(traj).values():
             assert met.settle_time == 0.0
 
     def test_paper_run_settles(self, paper_scenario, paper_bundle):
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=20.0, dt=1e-3
         )
-        for met in tracking_metrics(error_norms(traj)).values():
+        for met in tracking_metrics(traj).values():
             assert met.settle_time is not None
 
     def test_not_settled_reported(self, paper_scenario, paper_bundle):
@@ -668,7 +673,7 @@ class TestTrackingMetrics:
         traj = simulate_network(
             paper_scenario, initial_gain_sets(paper_bundle), t_end=0.5, dt=1e-3
         )
-        metrics = tracking_metrics(error_norms(traj))
+        metrics = tracking_metrics(traj)
         assert any(met.settle_time is None for met in metrics.values())
 
     @pytest.mark.parametrize("samples", [1, 2, 11, 1000])
@@ -687,7 +692,9 @@ class TestTrackingMetrics:
         for block in np.split(values, cuts):
             summary.add(block)
         assert summary.metrics() == want
-        assert tracking_metrics(simulator.ErrorNorms(times, tuple(names), values)) == want
+        whole = simulator.TrackingSummary(samples - 1, 1e-3, names)
+        whole.add(values)
+        assert whole.metrics() == want
 
     def test_network_run_memory_does_not_grow_with_samples_times_followers(self, chain_network):
         # 10^7 steps of 60 followers: T x N norms would be 4.8 GB, and a grid
@@ -702,5 +709,23 @@ class TestTrackingMetrics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run.error_norms is None and len(block.times) < 1000
+        assert len(block.times) < 1000
+        assert peak < 8 << 20, peak
+
+    def test_error_envelope_memory_does_not_grow_with_samples_times_followers(self, chain_network):
+        # the same run through the `simulate --svg` envelope: its first three
+        # blocks fill column 0 of 1000, and the envelope is 2 x 1000 x 60
+        # floats, 0.96 MB, at 10^7 steps as at any other horizon
+        scenario, gains, _, _ = chain_network
+        tracemalloc.start()
+        try:
+            run = network_run(scenario, gains, t_end=10_000.0, dt=1e-3)
+            low, high = np.full((2, cli.SVG_COLUMNS, len(gains)), np.nan)
+            blocks = cli.error_envelope(run, low, high)
+            rows = sum(len(next(blocks).times) for _ in range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows < 10_000 and (0 < low[0]).all() and (low[0] <= high[0]).all()
+        assert np.isnan(low[1:]).all() and np.isnan(high[1:]).all()
         assert peak < 8 << 20, peak
