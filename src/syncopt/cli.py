@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -37,6 +38,7 @@ EXIT_IO = 4
 # writes a CSV row per sample, 551 MB at 10^6 steps of the bundled scenario.
 MAX_STEPS = 10**7
 SVG_COLUMNS = 1000  # time columns of the `simulate --svg` chart, whatever the horizon
+XML_ILLEGAL = r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"  # not an XML 1.0 Char
 
 
 @dataclass
@@ -348,21 +350,9 @@ def _json_float(x: float) -> str:
 def _json_key(key) -> str:
     """An object key as `json` writes it: a float, bool, None or int key is
     spelled as the value, and the text is quoted."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _json_float(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
+    if not isinstance(key, (str, int, float)) and key is not None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
+    return encode_basestring_ascii(key if isinstance(key, str) else _json(key, ""))
 
 
 def _json(o, nl: str) -> str:
@@ -567,8 +557,7 @@ def write_error_svg(path: Path, run, low: np.ndarray, high: np.ndarray):
                     f'text-anchor="end">1e{d}</text>\n')
         for j, name in enumerate(run.tracking.names):
             color = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")[j % 6]
-            printable = "".join(c if c.isprintable() else "\ufffd" for c in name)  # as XML 1.0 allows
-            label = escape(printable).encode("ascii", "xmlcharrefreplace").decode()
+            label = escape(re.sub(XML_ILLEGAL, "\ufffd", name)).encode("ascii", "xmlcharrefreplace").decode()
             f.write(f'<polyline points="{" ".join(map("{:.2f},{:.2f}".format, xs, ys[:, j].tolist()))}" '
                     f'fill="{color}" fill-opacity="0.3" stroke="{color}"/>'
                     f'<text x="640" y="{34 + 18 * j}" fill="{color}">{label}</text>\n')
@@ -652,12 +641,13 @@ def cmd_simulate(args) -> int:
     run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
+    blocks = run
     if args.svg:
         low, high = np.full((2, min(SVG_COLUMNS, run.tracking.steps + 1), len(gains)), np.nan)
-        write_trajectory_csv(csv_path, scenario, error_envelope(run, low, high))
+        blocks = error_envelope(run, low, high)
+    write_trajectory_csv(csv_path, scenario, blocks)
+    if args.svg:
         write_error_svg(out / f"errors_{args.gains}.svg", run, low, high)
-    else:
-        write_trajectory_csv(csv_path, scenario, run)
     for name, met in run.tracking.metrics().items():
         settle = "not settled" if met.settle_time is None else f"{met.settle_time:.3f} s"
         print(f"{name}: tail error {met.tail_error:.3e}, settle {settle}")

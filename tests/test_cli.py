@@ -3,6 +3,7 @@ import csv
 import json
 import sys
 import tracemalloc
+from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import numpy as np
@@ -241,18 +242,20 @@ class TestCommands:
 
     def test_feedthrough_gram_refused_by_validate_as_by_learn(self, tmp_path, scenario_dict, capsys):
         # sigma(D^T D) = 1600 and 2.25e-10: above the plant checks' old
-        # absolute 1e-10, below policy iteration's 1e-12 * sigma_max. validate
-        # passed it and learn refused it as a numerical failure (exit 3); by
-        # the one rule both refuse it, as invalid input
+        # absolute 1e-10, below policy iteration's 1e-12 * sigma_max. validate,
+        # design and simulate --gains initial accepted it, and learn, and
+        # compare, which learns, refused it as a numerical failure (exit 3);
+        # by the one rule every verb refuses it, as invalid input
         scenario_dict["agents"][0]["D"] = [[1.5e-5, 0.0], [0.0, 40.0]]
         path = write_scenario(tmp_path, scenario_dict)
         assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "assumptions FAIL\n  - agent1: D^T D numerically singular\n" and err == ""
-        assert cli.main(["learn", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("validation failure: assumption checks failed: "
-                       "agent1: D^T D numerically singular\n")
+        for verb in (["design"], ["learn"], ["simulate", "--gains", "initial"], ["compare"]):
+            assert cli.main([verb[0], str(path), "--out", str(tmp_path), *verb[1:]]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == ("validation failure: assumption checks failed: "
+                                         "agent1: D^T D numerically singular\n")
 
     def test_simulate_optimal_without_gains_file_learns_first(self, tmp_path, capsys):
         # the CSV of a --gains optimal run that has no gains file to read is
@@ -347,9 +350,12 @@ class TestCommands:
         assert texts[-5:] == [f"agent{i}" for i in range(1, 6)]
 
     def test_svg_legend_escapes_any_agent_name(self, tmp_path, scenario_dict):
-        # markup characters are escaped, and a character XML 1.0 does not
-        # allow is drawn as U+FFFD, so that the chart stays well-formed
-        name = "a\u0001<&>\u00e9"
+        # markup characters are escaped, and a character outside XML 1.0's
+        # Char production is drawn as U+FFFD, so that the chart stays
+        # well-formed; tab, no-break space, soft hyphen, zero-width joiner,
+        # private-use and astral characters are allowed and kept
+        kept = "\t\u00a0\u00ad\u200d\ue000\U0001f600"
+        name = "a\u0001<&>\u00e9\ufffe" + kept
         old = scenario_dict["agents"][0]["name"]
         scenario_dict["agents"][0]["name"] = name
         for part in (scenario_dict["init"]["x0"], scenario_dict["init"]["xi0"], scenario_dict["k1_override"]):
@@ -358,7 +364,13 @@ class TestCommands:
         path = write_scenario(tmp_path, scenario_dict)
         assert cli.main(["simulate", str(path), "--out", str(tmp_path), "--svg"]) == 0
         root = ElementTree.parse(tmp_path / "errors_initial.svg").getroot()
-        assert [t.text for t in root.iter(f"{SVG}text")][-5] == "a\ufffd<&>\u00e9"
+        assert [t.text for t in root.iter(f"{SVG}text")][-5] == "a\ufffd<&>\u00e9\ufffd" + kept
+        # a lone surrogate, which no verb can yet write to a CSV header, is
+        # replaced too: the writer alone, on a run of one sample per column
+        run = SimpleNamespace(tracking=SimpleNamespace(names=("\ud800x",), steps=1, dt=1.0))
+        cli.write_error_svg(tmp_path / "lone.svg", run, np.ones((2, 1)), np.ones((2, 1)))
+        root = ElementTree.parse(tmp_path / "lone.svg").getroot()
+        assert [t.text for t in root.iter(f"{SVG}text")][-1] == "\ufffdx"
 
     @pytest.mark.parametrize("t_end, columns", [(0.6, 601), (20.0, 1000)])
     def test_svg_envelope_is_the_whole_record(self, tmp_path, scenario_dict, paper_bundle, t_end,
@@ -519,7 +531,8 @@ class TestCommands:
         assert first_block_steps(paper_scenario, initial) * paper_scenario.dt < 15.535
         files = sorted(p.name for p in tmp_path.iterdir())
         csv_path = tmp_path / "trajectory_optimal.csv"
-        for earlier, svg in ((None, []), (None, ["--svg"]), (b"t,w_1\r\n0,1\r\n", ["--svg"])):
+        for earlier, svg in ((None, []), (None, ["--svg"]),
+                             (b"t,w_1\r\n0,1\r\n", []), (b"t,w_1\r\n0,1\r\n", ["--svg"])):
             if earlier is not None:
                 csv_path.write_bytes(earlier)
             capsys.readouterr()
