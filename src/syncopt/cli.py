@@ -142,6 +142,8 @@ def load_scenario(path) -> Scenario:
         name = _require(spec, "name", "agents[]")
         if not isinstance(name, str):
             raise ValidationError(f"agent name must be a string, got {name!r}")
+        if re.search("[\ud800-\udfff]", name):  # a lone surrogate: no text file can hold it
+            raise ValidationError(f"agent name {name!r} does not encode as UTF-8")
         if name in names:
             raise ValidationError(f"duplicate agent name `{name}`")
         names.add(name)
@@ -298,29 +300,26 @@ def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict) -
     """Cost report of every agent's closed augmented loop under each gain set
     of `gain_sets` (label -> name -> GainSet), keyed (name, label).
 
-    The runs of the agents of one shape, and the evaluations of their gains,
-    go in lockstep. A failure is reported for the first run, agent by agent
-    and label by label, whose integration or cost matrix fails.
+    The loops of the agents of one shape are run and solved in lockstep. A
+    failure is reported for the first loop, agent by agent and label by
+    label, that fails.
     """
     from . import simulator  # only here and in the verbs that run one, see cmd_simulate
 
     costs = {}
     for group in shape_groups(bundle.per_agent):
         members = [(ad, label) for ad in group for label in gain_sets]
-        plants = [ad.plant for ad, _ in members]
-        kics = [gain_sets[label][ad.name].Kic for ad, label in members]
-        X0 = [np.concatenate([scenario.zeta0,
-                              scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]])
-              for ad, _ in members]
-        runs = simulator.simulate_augmented(plants, kics, X0, scenario.t_end, scenario.dt)
-        evaluated = policy_iteration.policy_evaluation_group(plants, kics)
-        for (ad, label), run, ev in zip(members, runs, evaluated):
-            failed = next((x for x in (run, ev) if isinstance(x, Exception)), None)
-            costs[ad.name, label] = failed or simulator.evaluate_cost(run, ev[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as a non-finite initial state
+            X0 = [np.concatenate([scenario.zeta0,
+                                  scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]])
+                  for ad, _ in members]
+        costs.update(zip([(ad.name, label) for ad, label in members], simulator.simulate_augmented(
+            [ad.plant for ad, _ in members], [gain_sets[label][ad.name].Kic for ad, label in members],
+            X0, scenario.t_end, scenario.dt)))
     for ad in bundle.per_agent:
         for label in gain_sets:
-            if isinstance(costs[ad.name, label], Exception):
-                raise costs[ad.name, label]
+            if isinstance(exc := costs[ad.name, label], Exception):
+                raise type(exc)(f"agent {ad.name} (compare, {label}): {exc}") from exc
     return costs
 
 

@@ -78,8 +78,7 @@ def lockstep(run, stacks: tuple, *args) -> list:
     stacked call by each member's own LAPACK or BLAS call, likewise fails
     the whole stack when one member's call fails. A failed stack is run
     again one member at a time, so that a failure costs the other members
-    nothing, and a lone member's raised error is its outcome. This is the
-    one place where an error becomes a member's outcome.
+    nothing, and a lone member's raised error is its outcome.
     """
     try:
         return run(*stacks, *args)
@@ -88,14 +87,6 @@ def lockstep(run, stacks: tuple, *args) -> list:
             return [exc]
         return [lockstep(run, tuple(s[g : g + 1] for s in stacks), *args)[0]
                 for g in range(len(stacks[0]))]
-
-
-def sole(outcomes: list):
-    """The result of a one-member lockstep run, or its error, raised."""
-    (out,) = outcomes
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 def _kronecker_sum(A: np.ndarray) -> np.ndarray:
@@ -132,39 +123,43 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
     and the result is re-symmetrized and verified by substitution. Returns
     P, the Frobenius norm of that substitution residual, and the spectral
     abscissa of Abar that was tested. A non-Hurwitz Abar raises
-    `NotHurwitzError`. This is the one-member call of
-    `solve_lyapunov_stack`.
+    `NotHurwitzError`.
     """
     Abar = _as_square(Abar, "Abar")
     Q = _as_square(Q, "Q")
     if Abar.shape != Q.shape:
         raise ValueError(f"shape mismatch: Abar {Abar.shape} vs Q {Q.shape}")
-    return sole(solve_lyapunov_stack(Abar[None], Q[None]))
+    return tuple(x[0] for x in _lyapunov_lockstep(Abar[None], Q[None]))
 
 
-def solve_lyapunov_stack(Abar: np.ndarray, Q: np.ndarray) -> list:
-    """`solve_lyapunov` for a stack of G equations of one order, in lockstep
-    (see `lockstep`): one eigenvalue decomposition and one eigvalsh call for
-    the stack, and one Kronecker solve for each batch of members whose
-    Kronecker sums fit in _STACK_BYTES. Returns, per member, (P, residual,
-    abscissa) or the error `solve_lyapunov` raises for it, with the same
-    bits and texts."""
-    return lockstep(_lyapunov_lockstep, (Abar, Q))
-
-
-def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> list:
-    """The stacked solve of `solve_lyapunov_stack`, which raises at the
-    first check any member fails."""
+def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> tuple:
+    """`solve_lyapunov` for a stack of G equations of one order, which raises
+    at the first check any member fails (see `lockstep`): one eigenvalue
+    decomposition for the stack, then `_lyapunov_solve`. Returns the stack
+    of P and the lists of residuals and abscissae."""
     if not np.isfinite(Abar).all():
         raise ValueError("Abar has non-finite entries")
-    if not np.isfinite(Q).all():
-        raise ValueError("Q has non-finite entries")
-    if not (np.abs(Q - Q.mT) <= 1e-12).all():
-        raise ValueError("Q is not symmetric within 1e-12")
+    _check_weight(Q, ValueError)
     abscissa = abscissae(Abar).tolist()
     if not all(a < 0 for a in abscissa):
         raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
+    return (*_lyapunov_solve(Abar, Q), abscissa)
 
+
+def _check_weight(Q: np.ndarray, error: type) -> None:
+    """Raise `error` unless every Q of the stack is finite and symmetric."""
+    if not np.isfinite(Q).all():
+        raise error("Q has non-finite entries")
+    if not (np.abs(Q - Q.mT) <= 1e-12).all():
+        raise error("Q is not symmetric within 1e-12")
+
+
+def _lyapunov_solve(Abar: np.ndarray, Q: np.ndarray) -> tuple:
+    """The solve of a stack of Lyapunov equations with Hurwitz Abar and
+    symmetric Q: one Kronecker solve for each batch of members whose
+    Kronecker sums fit in _STACK_BYTES, then one eigvalsh call for the
+    stack. Returns the stack of P and the list of residuals, with the bits
+    of each member solved alone."""
     G, n = Abar.shape[:2]
     per = max(1, _STACK_BYTES // (8 * n**4))
     vec_q = Q.mT.reshape(G, n * n, 1)  # each Q in column order
@@ -189,7 +184,7 @@ def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> list:
             )
     if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
         raise NumericalError("Lyapunov solution is not PSD within tolerance")
-    return [(p, residual, a) for p, (residual, _), a in zip(P, norms, abscissa)]
+    return P, [residual for residual, _ in norms]
 
 
 def stabilize(A, B) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import _lyapunov_lockstep, lockstep, sole
+from .numkernel import _lyapunov_lockstep, lockstep
 from .plant import gram_invertible
 from .protocol import AugmentedPlant
 
@@ -61,26 +61,18 @@ def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float, floa
     """Cost matrix of the fixed gain K, its Lyapunov residual and the spectral
     abscissa of A - B K: solve the closed-loop Lyapunov equation with the
     tracking-error weight (C - D K)^T (C - D K). A gain that is not
-    stabilizing is rejected with `NotHurwitzError`. This is the one-member
-    call of `policy_evaluation_group`."""
-    return sole(policy_evaluation_group([plant], [K]))
-
-
-def policy_evaluation_group(plants, Ks) -> list:
-    """`policy_evaluation` of the gain Ks[g] on each of the augmented plants
-    of one shape, in lockstep (see `numkernel.lockstep`). Returns, per
-    member, (P, residual, abscissa) or the error `policy_evaluation` raises
-    for it."""
-    return lockstep(_evaluate, (*_stack(plants), np.array(Ks, dtype=float)))
+    stabilizing is rejected with `NotHurwitzError`."""
+    return tuple(x[0] for x in _evaluate(*_stack([plant]), np.array([K], dtype=float)))
 
 
 def _stack(plants) -> tuple:
     return tuple(np.array([getattr(p, f) for p in plants]) for f in "ABCD")
 
 
-def _evaluate(A, B, C, D, K) -> list:
-    """The stacked evaluation of `policy_evaluation_group`, which raises at
-    the first check any member fails."""
+def _evaluate(A, B, C, D, K) -> tuple:
+    """`policy_evaluation` of each of a stack of gains on its plant, which
+    raises at the first check any member fails; returns the stack of P and
+    the lists of residuals and abscissae."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
         Cbar = C - D @ K
         Abar, Q = A - B @ K, Cbar.mT @ Cbar
@@ -114,9 +106,9 @@ def run_pi(
     matrices decrease monotonically (min-eigenvalue tolerance -1e-9), and
     the converged pair satisfies the Riccati equation within 1e-8 relative
     to the error weight. D^T D is checked once, before the first iterate.
-    This is the one-member call of `run_pi_group`.
+    This is the one-member call of `run_pi_group`'s kernel.
     """
-    return sole(run_pi_group([plant], [K0], epsilon, max_iter))
+    return _pi_lockstep([plant], [K0], epsilon, max_iter)[0]
 
 
 def run_pi_group(
@@ -137,16 +129,16 @@ def run_pi_group(
     every member is then run alone. Returns, per member, its PiTrace or the
     error `run_pi` raises for it, with the same bits and texts.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     return lockstep(_pi_lockstep, (list(plants), list(K0s)), epsilon, max_iter)
 
 
 def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
     """The stacked iteration of `run_pi_group`, which raises at the first
     check any member fails."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     grams = [_gram(plant) for plant in plants]
     A, B, C, D = _stack(plants)
     gram = np.array(grams)
@@ -156,12 +148,11 @@ def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
     p_prev = None
     for k in range(max_iter):
         try:
-            evaluated = _evaluate(A, B, C, D, K)
+            P, residuals, abscissa = _evaluate(A, B, C, D, K)
         except NotHurwitzError as exc:
             raise NumericalError(f"gain at iteration {k} is not stabilizing") from exc
         except ValueError as exc:  # a closed loop or cost weight that is not finite
             raise NumericalError(f"policy evaluation at iteration {k} failed: {exc}") from exc
-        P = np.array([p for p, _, _ in evaluated])
         if p_prev is not None:
             for low in np.linalg.eigvalsh(p_prev - P).min(axis=1).tolist():
                 if low < MONOTONE_EIG_TOL:
@@ -173,7 +164,7 @@ def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
         for j, g in enumerate(live):
             delta = float(np.linalg.norm(K_next[j] - K[j], "fro"))
             iterates[g].append(PiIterate(k=k, P=P[j], K=K_next[j], gain_delta=delta,
-                                         lyap_residual=evaluated[j][1], abscissa=evaluated[j][2]))
+                                         lyap_residual=residuals[j], abscissa=abscissa[j]))
             if not delta < epsilon:
                 going.append(j)
         if not going:

@@ -60,7 +60,8 @@ class GainSet:
         """Split Kic = [K3, K1] and rebuild K2 from K1 Pi + K2 + Gamma = 0."""
         q = reg.Pi.shape[1]
         K1 = Kic[:, q:]
-        return cls(K1=K1, K2=-K1 @ reg.Pi - reg.Gamma, K3=Kic[:, :q], Kic=Kic)
+        with np.errstate(over="ignore", invalid="ignore"):  # a K2 past the float range is inf
+            return cls(K1=K1, K2=-K1 @ reg.Pi - reg.Gamma, K3=Kic[:, :q], Kic=Kic)
 
 
 def design_compensator(leader: LeaderModel, topo: Topology, r: float) -> CompensatorDesign:
@@ -111,11 +112,11 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     lam_h = np.where(diag, alphas[rows] * d[rows], -alphas[rows])
     u_diag = 1.0 - (alphas * d + (design.lambda_M + r)) / r
     vals = np.where(diag, u_diag[rows], alphas[rows] / r)
-    blocks = (vals[:, None, None] * design.s_shifted - diag[:, None, None] * leader.S
-              - lam_h[:, None, None] * np.eye(leader.q))
-    with np.errstate(over="ignore"):  # an overflow is an infinite residual, reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the residual check
+        blocks = (vals[:, None, None] * design.s_shifted - diag[:, None, None] * leader.S
+                  - lam_h[:, None, None] * np.eye(leader.q))
         residual = np.linalg.norm(blocks.ravel())
-    if residual >= TRANSFORM_RESIDUAL_TOL:
+    if not residual < TRANSFORM_RESIDUAL_TOL:
         raise NumericalError(
             "transform not representable: the defining identity has no exact "
             f"solution for S = {leader.S.tolist()} (residual {residual:.3e})"
@@ -152,8 +153,11 @@ def build_augmented_plant(
         raise ValueError(
             f"leader order {design.s_shifted.shape[0]} does not match agent coupling width {q}"
         )
-    Phi = transform.c[i] * agent.E + design.alphas[i] * transform.h[i] * reg.Pi
-    Psi = -transform.c[i] * agent.F
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        Phi = transform.c[i] * agent.E + design.alphas[i] * transform.h[i] * reg.Pi
+        Psi = -transform.c[i] * agent.F
+    if not (np.isfinite(Phi).all() and np.isfinite(Psi).all()):
+        raise NumericalError("augmented plant has non-finite entries")
     A = np.block([
         [design.s_shifted, np.zeros((q, agent.n))],
         [-Phi, agent.A],
@@ -178,9 +182,14 @@ def initial_gains(agent: AgentDynamics, reg: RegulatorSolution, K1=None) -> Gain
         K1 = np.asarray(K1, dtype=float)
         if K1.shape != (agent.m, agent.n):
             raise ValueError(f"K1 has shape {K1.shape}, expected ({agent.m}, {agent.n})")
-        if not is_hurwitz(agent.A - agent.B @ K1):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not Hurwitz
+            closed = agent.A - agent.B @ K1
+        if not (np.isfinite(closed).all() and is_hurwitz(closed)):
             raise ValidationError("provided K1 does not make A - B K1 Hurwitz")
-    return GainSet.from_kic(np.hstack([np.zeros((agent.m, agent.q)), K1]), reg)
+    gains = GainSet.from_kic(np.hstack([np.zeros((agent.m, agent.q)), K1]), reg)
+    if not np.isfinite(gains.K2).all():
+        raise NumericalError("K2 = -K1 Pi - Gamma has non-finite entries")
+    return gains
 
 
 def check_augmented_loop(plant: AugmentedPlant, gains: GainSet) -> None:

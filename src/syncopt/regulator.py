@@ -87,10 +87,10 @@ def solve_regulator(agent: AgentDynamics, leader: LeaderModel) -> RegulatorSolut
 
     Pi = sol[: n * q].reshape((n, q), order="F")
     Gamma = sol[n * q :].reshape((m, q), order="F")
-    with np.errstate(over="ignore"):  # a norm past the float range is infinite
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the float range fails below
         residual = regulator_residual(agent, leader, Pi, Gamma)
         scale = 1.0 + np.linalg.norm(agent.E, "fro") + np.linalg.norm(agent.F, "fro")
-    if residual >= REG_RESIDUAL_RTOL * scale:
+    if not residual < REG_RESIDUAL_RTOL * scale:
         raise NumericalError(
             f"regulator residual {residual:.3e} exceeds tolerance (ill-conditioned system)"
         )

@@ -23,10 +23,10 @@ asked only for its tail errors (`NetworkRun.tail_errors`, what `compare`
 reads) forms no more of itself than the last 10% of the horizon needs: on
 the dense path it passes the whole chunks before the tail by the top power
 of R alone, and it computes the followers' outputs from the tail on. The
-closed augmented loops of followers of one shape are integrated in lockstep
-(`simulate_augmented`), and each keeps only what its cost reads: a running
-sum of |e|^2 and its largest value over the last 10% of the horizon. No run
-holds a grid of its times: sample k is at time k * dt, made from its index.
+closed augmented loops of followers of one shape are integrated, and their
+Lyapunov equations solved, in lockstep (`simulate_augmented`); each run keeps
+only a running sum of |e|^2 and its largest value over the last 10% of the
+horizon. No run holds a grid of its times: sample k is at time k * dt.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import abscissae, lockstep
+from .numkernel import _check_weight, _lyapunov_solve, abscissae, lockstep
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -72,15 +72,6 @@ class Trajectory:
     times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
     followers: dict  # name -> FollowerStream
-
-
-@dataclass(frozen=True)
-class AugmentedRun:
-    X0: np.ndarray  # the initial state
-    abscissa: float  # max real part of the spectrum of A - B K, for horizon checks
-    t_end: float  # time of the last sample
-    j_quadrature: float  # trapezoid of |e|^2 over the samples, e = (C - D K) X
-    tail_e2: float  # max |e|^2 over the last 10% of the horizon
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,7 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
     # Numerical Algorithms, 2nd ed., section 3.5; gamma_k = k u / (1 - k u)),
     # so it lies within (1 + gamma_n) n max|R^j| ||y||_inf; four more units
     # of roundoff cover the rounding of that bound and of its test.
-    u = np.finfo(float).eps / 2
+    u = float(np.finfo(float).eps) / 2
     slack = 1 + (n + 4) * u / (1 - (n + 4) * u)
     for chunk in sorted(set(chunks.tolist()), reverse=True):
         members = np.flatnonzero(chunks == chunk)
@@ -539,12 +530,13 @@ def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
                    for j in topo.senders[i + 1]]
         strips.append(_row_strip(xi_off[i], sorted(coupled + [own], key=lambda b: b[0])))
     strips += [_row_strip(z, [(z, design.s_shifted)]) for z in z_off]
-    for i, (name, ag) in enumerate(scenario.agents):
-        g = gains[name]
-        strips.append(_row_strip(x_off[i], [
-            (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off[i], -ag.B @ g.K3),
-            (x_off[i], ag.A - ag.B @ g.K1),
-        ]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain past the float range blows up
+        for i, (name, ag) in enumerate(scenario.agents):
+            g = gains[name]
+            strips.append(_row_strip(x_off[i], [
+                (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off[i], -ag.B @ g.K3),
+                (x_off[i], ag.A - ag.B @ g.K1),
+            ]))
     return tuple(np.concatenate(part) for part in zip(*strips))
 
 
@@ -558,30 +550,35 @@ def _row_strip(r0, blocks) -> tuple:
 
 
 def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
-    """Integrate the closed augmented error systems dX = (A - B K) X of the
-    plants of one shape under the gains Ks, from X0s, in lockstep (see
-    `numkernel.lockstep` and `_rk4_lockstep`) and a row block at a time, in
-    batches of as many as keep their power stacks within _GROUP_BYTES.
+    """Cost of the closed augmented error systems dX = (A - B K) X of the
+    plants of one shape under the gains Ks, from X0s, both by quadrature of
+    |e|^2, e = (C - D K) X, over an RK4 run and by the closed form X0^T P X0
+    with P the solution of the loop's Lyapunov equation. The members run in
+    lockstep (see `numkernel.lockstep` and `_rk4_lockstep`) and a row block
+    at a time, in batches of as many as keep their power stacks within
+    _GROUP_BYTES.
 
-    Each run keeps only what `evaluate_cost` reads (see `AugmentedRun`). A
-    gain that is not stabilizing is refused, and a blow-up stops the run; a
-    member that fails fails its batch, whose members are then run alone.
-    Returns, per member, its AugmentedRun or its error.
+    One eigenvalue decomposition of A - B K serves both the refusal of a
+    gain that is not stabilizing and the horizon warning. A blow-up stops
+    the run; a member that fails fails its batch, whose members are then
+    run alone. Returns, per member, its CostReport or its error.
     """
     order = len(X0s[0])
     per = max(1, _GROUP_BYTES // (8 * _chunk_length(order) * order * order))
-    return [run for b in range(0, len(plants), per) for run in lockstep(
+    return [cost for b in range(0, len(plants), per) for cost in lockstep(
         _augmented_lockstep, (plants[b : b + per], Ks[b : b + per], X0s[b : b + per]), t_end, dt)]
 
 
 def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
-    """The stacked runs of `simulate_augmented`, which raise at the first
-    check any member fails."""
+    """The stacked runs and solves of `simulate_augmented`, which raise at
+    the first check any member fails."""
     K = np.array(Ks, dtype=float)
     A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
-    Acl = A - B @ K
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+        Acl, Cbar = A - B @ K, C - D @ K
+        Q = Cbar.mT @ Cbar
     if not np.isfinite(Acl).all():
-        raise ValueError("A has non-finite entries")
+        raise NumericalError("A has non-finite entries")
     abscissa = abscissae(Acl).tolist()
     if not all(a < 0 for a in abscissa):
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
@@ -589,7 +586,6 @@ def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
     steps = _steps(t_end, dt)
     tail = _tail_start(steps)
     X0 = np.array(X0s, dtype=float)
-    Cbar = C - D @ K
     # per member, |e|^2 at the first and the latest sample, its sum over the
     # samples so far, and its largest value over the tail
     first_e2, last_e2, total, top = np.zeros((4, len(plants)))
@@ -611,25 +607,14 @@ def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
         top[members] = np.maximum(top[members], e2[:, max(0, tail - first) :].max(axis=1, initial=0.0))
         before = block[:, -1:]
     quadrature = dt * (total - (first_e2 + last_e2) / 2)
-    return [AugmentedRun(x0, a, steps * dt, j, t) for x0, a, j, t
-            in zip(X0, abscissa, quadrature.tolist(), top.tolist())]
-
-
-def evaluate_cost(run: AugmentedRun, P) -> CostReport:
-    """Cost of an augmented run both by quadrature and by the closed form
-    X0^T P X0 (the P must evaluate the same gain that produced the run)."""
-    P = np.asarray(P, dtype=float)
-    j_closed = float(run.X0 @ P @ run.X0)
-
-    warning = None
-    slowest = run.abscissa
-    if slowest < 0 and run.t_end < 5.0 / abs(slowest):
-        warning = (
-            f"horizon {run.t_end:.3g}s is shorter than 5 time constants of the "
-            f"slowest mode ({1.0 / abs(slowest):.3g}s); quadrature may be truncated"
-        )
-    return CostReport(j_quadrature=run.j_quadrature, j_closed_form=j_closed,
-                      tail_error=float(np.sqrt(run.tail_e2)), horizon_warning=warning)
+    _check_weight(Q, NumericalError)
+    P = _lyapunov_solve(Acl, Q)[0]
+    horizon = steps * dt
+    warnings = [None if horizon >= 5.0 / -a else
+                f"horizon {horizon:.3g}s is shorter than 5 time constants of the slowest mode "
+                f"({1.0 / -a:.3g}s); quadrature may be truncated" for a in abscissa]
+    return [CostReport(j, float(x0 @ p @ x0), float(np.sqrt(t)), w)
+            for x0, p, w, j, t in zip(X0, P, warnings, quadrature.tolist(), top.tolist())]
 
 
 class TrackingSummary:

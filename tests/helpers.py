@@ -1,8 +1,8 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
 APIs, which only tests call: an RK4 run and the network run joined into
 one trajectory, its tracking-error norms and their metrics, the closed
-augmented loop of one follower with its states, and the policy-improvement
-and Riccati-residual formulas of one plant."""
+augmented loop of one follower with its states and with its cost, and the
+policy-improvement and Riccati-residual formulas of one plant."""
 
 from dataclasses import dataclass
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from syncopt import policy_iteration, protocol, simulator
 from syncopt.errors import NumericalError
-from syncopt.numkernel import sole, spectrum
+from syncopt.numkernel import spectrum
 
 
 def rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -83,9 +83,13 @@ def simulate_augmented(plant, K, X0, t_end: float, dt: float) -> AugmentedTrajec
                                abscissa=abscissa)
 
 
-def augmented_run(plant, K, X0, t_end: float, dt: float) -> simulator.AugmentedRun:
-    """The one-member call of `simulator.simulate_augmented`."""
-    return sole(simulator.simulate_augmented([plant], [K], [X0], t_end, dt))
+def augmented_cost(plant, K, X0, t_end: float, dt: float) -> simulator.CostReport:
+    """The cost report of one follower's closed augmented loop, by
+    `simulator.simulate_augmented` on a batch of one; its error is raised."""
+    (cost,) = simulator.simulate_augmented([plant], [K], [X0], t_end, dt)
+    if isinstance(cost, Exception):
+        raise cost
+    return cost
 
 
 def policy_improvement(plant, P) -> np.ndarray:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import paper_tables
-from helpers import are_residual, augmented_run, simulate_network
+from helpers import are_residual, augmented_cost, simulate_network
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
-from syncopt import cli, simulator
+from syncopt import cli
 from syncopt.plant import LeaderModel
-from syncopt.policy_iteration import policy_evaluation, run_pi
+from syncopt.policy_iteration import run_pi
 from syncopt.regulator import solve_regulator
 
 MASTER_SEED = 20260823
@@ -166,8 +166,7 @@ def test_optimality_ordering(paper_scenario, paper_bundle, paper_traces):
         X0 = np.concatenate([zeta0, x0 - ad.reg.Pi @ xi0])
         costs = {}
         for label, gains in (("initial", ad.initial.Kic), ("optimal", paper_traces[ad.name].K)):
-            run = augmented_run(ad.plant, gains, X0, t_end=20.0, dt=1e-3)
-            rep = simulator.evaluate_cost(run, policy_evaluation(ad.plant, gains)[0])
+            rep = augmented_cost(ad.plant, gains, X0, t_end=20.0, dt=1e-3)
             costs[label] = rep
             ok &= abs(rep.j_quadrature - rep.j_closed_form) <= max(
                 1e-4, 1e-3 * rep.j_closed_form

@@ -365,7 +365,7 @@ class TestCommands:
         assert cli.main(["simulate", str(path), "--out", str(tmp_path), "--svg"]) == 0
         root = ElementTree.parse(tmp_path / "errors_initial.svg").getroot()
         assert [t.text for t in root.iter(f"{SVG}text")][-5] == "a\ufffd<&>\u00e9\ufffd" + kept
-        # a lone surrogate, which no verb can yet write to a CSV header, is
+        # a lone surrogate, which `load_scenario` refuses in a name, is
         # replaced too: the writer alone, on a run of one sample per column
         run = SimpleNamespace(tracking=SimpleNamespace(names=("\ud800x",), steps=1, dt=1.0))
         cli.write_error_svg(tmp_path / "lone.svg", run, np.ones((2, 1)), np.ones((2, 1)))
@@ -647,8 +647,8 @@ def is_matrix(node) -> bool:
 
 BUNDLED = json.loads(SCENARIO.read_text())
 PATHS = list(json_paths(BUNDLED))
-ODD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e160, -1.0, -2, 0, "x", [], [1.5], {"k": 1},
-              None, True]
+ODD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e160, 1.7e308, -1.0, -2, 0, "x", [], [1.5],
+              {"k": 1}, None, True]
 MATRICES = [path for path in PATHS if is_matrix(at_path(BUNDLED, path))]
 RESHAPES = {
     "drop row": lambda m: m[:-1],
@@ -716,7 +716,45 @@ BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
     (("topology", "n_followers"), 1500),
     (("leader", "S"), {"k": 1}),
     (("agents", 0, "A"), {"k": 1}),
+    (("agents", 0, "name"), "\ud800x"),
 ]
+
+
+@pytest.mark.parametrize("keys, text", [
+    (("design", "r"), "numerical failure: agent agent5: augmented plant has non-finite entries"),
+    (("agents", 0, "F", 0, 0),
+     "numerical failure: agent agent1: regulator residual nan exceeds tolerance (ill-conditioned system)"),
+    (("agents", 1, "E", 1, 0), "numerical failure: agent agent2: augmented plant has non-finite entries"),
+    (("k1_override", "agent1", 1, 0),
+     "validation failure: agent agent1: provided K1 does not make A - B K1 Hurwitz"),
+])
+@pytest.mark.parametrize("verb", ["design", "learn", "simulate", "compare"])
+def test_entry_near_the_float_limit_is_refused(tmp_path, capsys, scenario_dict, keys, text, verb):
+    # one entry at 1.7e308, which validate passes: a product of it overflows,
+    # and the verb refuses with one line (a leaked RuntimeWarning fails the
+    # test through pytest's filterwarnings)
+    scenario_dict["sim"]["t_end"] = 0.2
+    target = scenario_dict
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 1.7e308
+    path = write_scenario(tmp_path, scenario_dict)
+    assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main([verb, str(path), "--out", str(tmp_path)]) == int(text.startswith("numerical")) + 2
+    assert capsys.readouterr().err == text + "\n"
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_agent_name_that_utf8_cannot_encode_is_refused(tmp_path, capsys, scenario_dict, verb):
+    # a lone surrogate: no CSV header, chart or report can hold the name
+    name = "\ud800x"
+    scenario_dict["agents"][0]["name"] = name
+    for part in (scenario_dict["init"]["x0"], scenario_dict["init"]["xi0"], scenario_dict["k1_override"]):
+        part[name] = part.pop("agent1")
+    path = write_scenario(tmp_path, scenario_dict)
+    assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "validation failure: agent name '\\ud800x' does not encode as UTF-8\n"
 
 
 def row_writer_csv(path, scenario, traj) -> bytes:

@@ -1,6 +1,6 @@
 """The lockstep group code against its one-member calls, bit for bit: the
-Lyapunov stack, policy iteration, the augmented runs, and the verbs that
-use them."""
+Lyapunov stack, policy iteration, the augmented runs and their costs, and
+the verbs that use them."""
 
 import dataclasses
 import json
@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from helpers import rk4, simulate_augmented
-from syncopt import cli, simulator
+from syncopt import cli, numkernel, simulator
 from syncopt.errors import NumericalError, ToolkitError
-from syncopt.numkernel import lockstep, solve_lyapunov, solve_lyapunov_stack
-from syncopt.policy_iteration import run_pi, run_pi_group
+from syncopt.numkernel import lockstep, solve_lyapunov
+from syncopt.policy_iteration import policy_evaluation, run_pi, run_pi_group
 from syncopt.protocol import AugmentedPlant
 
 
@@ -46,21 +46,23 @@ def test_lockstep_runs_each_member_alone_when_the_stack_fails():
 
 
 def test_lyapunov_stack_gives_each_member_its_own_outcome():
+    # the stacked solve gives each member the bits of its solve alone, and a
+    # stack that holds a failing member raises that member's own error
     n = 4
     g = np.random.default_rng(1).standard_normal((n, n))
     good = [(stable(n, s), g @ g.T + s * np.eye(n)) for s in range(3)]
     nan_a = good[0][0].copy()
     nan_a[1, 2] = np.nan
-    members = [good[0], (nan_a, good[0][1]), good[1], (good[1][0], good[1][1] + np.triu(g, 1)),
-               (-good[2][0], good[2][1]), (-np.eye(n), np.diag([1.0, -1.0, 1.0, 1.0])), good[2]]
-    got = solve_lyapunov_stack(np.array([a for a, _ in members]), np.array([q for _, q in members]))
-    for (a, q), out in zip(members, got):
-        want = outcome(solve_lyapunov, a, q)
-        if isinstance(want, Exception):
-            assert_same_error(out, want)
-        else:
-            assert out[0].tobytes() == want[0].tobytes() and out[1:] == want[1:]
-    assert sum(isinstance(out, Exception) for out in got) == 4
+    bad = [(nan_a, good[0][1]), (good[1][0], good[1][1] + np.triu(g, 1)),
+           (-good[2][0], good[2][1]), (-np.eye(n), np.diag([1.0, -1.0, 1.0, 1.0]))]
+    P, residuals, abscissae = numkernel._lyapunov_lockstep(*map(np.array, zip(*good)))
+    for j, (a, q) in enumerate(good):
+        want = solve_lyapunov(a, q)
+        assert P[j].tobytes() == want[0].tobytes() and (residuals[j], abscissae[j]) == want[1:]
+    for member in bad:
+        want = outcome(solve_lyapunov, *member)
+        got = outcome(numkernel._lyapunov_lockstep, *map(np.array, zip(good[0], member, good[1])))
+        assert_same_error(got, want)
 
 
 def assert_same_traces(got, want):
@@ -136,16 +138,16 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
         if isinstance(want, Exception):
             assert_same_error(out, want)
             continue
-        for a, b in zip(dataclasses.astuple(out), dataclasses.astuple(want)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert dataclasses.astuple(out) == dataclasses.astuple(want)
         whole = simulate_augmented(p, k, x0, 0.385, 1e-3)
-        assert out.X0.tobytes() == whole.X[0].tobytes() and out.abscissa == whole.abscissa
         tail = simulator._tail_start(len(whole.times) - 1)
-        cost = simulator.evaluate_cost(out, np.eye(5))
-        assert cost == simulator.evaluate_cost(want, np.eye(5))
-        assert cost.tail_error == float(np.linalg.norm(whole.e[tail:], axis=1).max())
+        assert out.tail_error == float(np.linalg.norm(whole.e[tail:], axis=1).max())
         e2 = np.sum(whole.e**2, axis=1)
-        assert cost.j_quadrature == pytest.approx(float(np.trapezoid(e2, whole.times)), rel=1e-12)
+        assert out.j_quadrature == pytest.approx(float(np.trapezoid(e2, whole.times)), rel=1e-12)
+        assert out.j_closed_form == float(x0 @ policy_evaluation(p, k)[0] @ x0)
+        assert out.horizon_warning == (
+            f"horizon 0.385s is shorter than 5 time constants of the slowest mode "
+            f"({-1.0 / whole.abscissa:.3g}s); quadrature may be truncated")
     with pytest.raises(NumericalError, match=str(got[2])):
         simulate_augmented(plants[2], K[2], X0[2], 0.385, 1e-3)
 
@@ -156,8 +158,8 @@ def test_augmented_cost_does_not_depend_on_the_blocks(monkeypatch):
     plants, K, X0 = blowup_group()
 
     def summaries():
-        runs = simulator.simulate_augmented(plants[:2], K[:2], X0[:2], 0.385, 1e-3)
-        return [(run.j_quadrature, run.tail_e2) for run in runs]
+        return [dataclasses.astuple(cost) for cost in
+                simulator.simulate_augmented(plants[:2], K[:2], X0[:2], 0.385, 1e-3)]
 
     want = summaries()
     monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
@@ -228,3 +230,41 @@ def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
                          len(learns))
     assert outputs["none"][:2] == outputs["fresh"][:2] == outputs["stale"][:2]
     assert [outputs[case][2] for case in ("none", "fresh", "stale")] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("scale, text", [
+    (None, "A has non-finite entries"),  # every entry 1.7e308: A - B K overflows
+    (-1.0, "gain is not stabilizing; refusing the augmented run"),
+])
+def test_compare_names_the_follower_whose_loop_fails(tmp_path, capsys, scale, text):
+    # a stamped gains file whose agent1 Kic compare reads and refuses, naming
+    # the follower and the gain set, with exit 3 and no traceback
+    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    assert cli.main(["learn", path, "--out", str(out)]) == 0
+    gains_file = out / "optimal_gains.json"
+    payload = json.loads(gains_file.read_text())
+    optimal = payload["agents"]["agent1"]["optimal"]
+    kic = np.array(optimal["Kic"])
+    optimal["Kic"] = (np.full_like(kic, 1.7e308) if scale is None else scale * kic).tolist()
+    gains_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["compare", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: agent agent1 (compare, optimal): {text}\n"
+
+
+def test_compare_takes_one_spectrum_of_its_augmented_loops(tmp_path, monkeypatch):
+    # after learn, compare runs and solves the 10 loops of the bundled
+    # scenario (5 followers of one shape, 2 gain sets) with one stacked
+    # eigenvalue decomposition, for both the refusal and the horizon warning
+    path, out = str(cli.bundled_scenario_path()), str(tmp_path)
+    assert cli.main(["learn", path, "--out", out]) == 0
+    stacked, eigvals = [], np.linalg.eigvals
+
+    def counting(a):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert cli.main(["compare", path, "--out", out]) == 0
+    assert len(stacked) == 1 and stacked[0][0] == 10

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (augmented_run, error_norms, network_run, rk4, simulate_augmented,
+from helpers import (augmented_cost, error_norms, network_run, rk4, simulate_augmented,
                      simulate_network, tracking_metrics)
 from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
@@ -559,7 +559,7 @@ class TestSimulateAugmented:
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(NumericalError):
-            augmented_run(
+            augmented_cost(
                 scalar_plant(a=1.0), np.zeros((1, 1)), np.ones(1), t_end=1.0, dt=1e-3
             )
 
@@ -602,8 +602,7 @@ class TestEvaluateCost:
                                Phi=np.zeros((1, 1)), Psi=np.zeros((2, 1)))
         tracemalloc.start()
         try:
-            run = augmented_run(plant, np.zeros((1, 5)), np.ones(5), t_end=1000.0, dt=1e-3)
-            report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 5)))[0])
+            report = augmented_cost(plant, np.zeros((1, 5)), np.ones(5), t_end=1000.0, dt=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,8 +611,7 @@ class TestEvaluateCost:
 
     def test_zero_start(self):
         plant = scalar_plant()
-        run = augmented_run(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, np.zeros((1, 1)))[0])
+        report = augmented_cost(plant, np.zeros((1, 1)), np.zeros(1), 1.0, 1e-3)
         assert report.j_quadrature == 0.0
         assert report.j_closed_form == 0.0
 
@@ -621,8 +619,7 @@ class TestEvaluateCost:
         # K=0: closed loop -1, e = x, J = int exp(-2t) = 0.5 = P
         plant = scalar_plant()
         k = np.zeros((1, 1))
-        run = augmented_run(plant, k, np.ones(1), t_end=20.0, dt=1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
+        report = augmented_cost(plant, k, np.ones(1), t_end=20.0, dt=1e-3)
         assert report.j_closed_form == pytest.approx(0.5)
         assert report.j_quadrature == pytest.approx(0.5, abs=1e-4)
         assert report.horizon_warning is None
@@ -630,9 +627,10 @@ class TestEvaluateCost:
     def test_short_horizon_warns(self):
         plant = scalar_plant()
         k = np.zeros((1, 1))
-        run = augmented_run(plant, k, np.ones(1), t_end=1.0, dt=1e-3)
-        report = simulator.evaluate_cost(run, policy_evaluation(plant, k)[0])
-        assert report.horizon_warning is not None
+        report = augmented_cost(plant, k, np.ones(1), t_end=1.0, dt=1e-3)
+        # the closed loop is -1: five time constants are 5 s
+        assert report.horizon_warning == ("horizon 1s is shorter than 5 time constants of the "
+                                          "slowest mode (1s); quadrature may be truncated")
 
 
 def reference_tracking_metrics(times, names, values):
