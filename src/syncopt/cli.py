@@ -255,34 +255,44 @@ def run_design(scenario: Scenario) -> DesignBundle:
     return DesignBundle(design=design, transform=transform, per_agent=per_agent)
 
 
-def shape_groups(per_agent: list) -> list:
-    """The agents of each shape (augmented order, m, p), in scenario order:
-    the followers whose policy iterations and augmented runs go in
-    lockstep."""
+def in_lockstep(members: list, shape, run, name) -> list:
+    """`run` on the members of each `shape`, a group at a time in order of
+    first appearance; returns their results in the members' order.
+
+    `run` takes members of one shape and returns their results, or raises
+    the error of a member that fails, as that member alone would. When a
+    group fails, the members are run alone in order, and the first to fail
+    is raised with `name(member)` before its text, whichever its group.
+    """
     groups = {}
-    for ad in per_agent:
-        groups.setdefault((ad.plant.order, *ad.plant.D.shape), []).append(ad)
-    return list(groups.values())
+    for i, member in enumerate(members):
+        groups.setdefault(shape(member), []).append(i)
+    results = {}
+    for group in groups.values():
+        try:
+            results.update(zip(group, run([members[i] for i in group])))
+        except (ValueError, ToolkitError):  # numpy's LinAlgError is a ValueError
+            for member in members:
+                try:
+                    run([member])
+                except (ValueError, ToolkitError) as exc:
+                    raise type(exc)(f"{name(member)}: {exc}") from exc
+            raise
+    return [results[i] for i in range(len(members))]
 
 
 def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
-    """Policy iteration for every agent, the agents of one shape in lockstep;
-    returns name -> PiTrace in scenario order. A failure is reported for the
-    first agent, in scenario order, that fails."""
-    traces = {}
-    for group in shape_groups(bundle.per_agent):
-        outcomes = policy_iteration.run_pi_group(
+    """Policy iteration for every agent, the agents of one shape (augmented
+    order, m, p) in lockstep; returns name -> PiTrace in scenario order. A
+    failure is reported for the first agent, in scenario order, that fails."""
+    def run(group):
+        return policy_iteration.run_pi_group(
             [ad.plant for ad in group], [ad.initial.Kic for ad in group],
-            epsilon=scenario.epsilon, max_iter=scenario.max_iter,
-        )
-        traces.update(zip((ad.name for ad in group), outcomes))
-    for ad in bundle.per_agent:
-        exc = traces[ad.name]
-        if isinstance(exc, ToolkitError):
-            raise type(exc)(f"agent {ad.name} (learn): {exc}") from exc
-        if isinstance(exc, Exception):
-            raise exc
-    return {ad.name: traces[ad.name] for ad in bundle.per_agent}
+            epsilon=scenario.epsilon, max_iter=scenario.max_iter)
+
+    traces = in_lockstep(bundle.per_agent, lambda ad: (ad.plant.order, *ad.plant.D.shape), run,
+                         lambda ad: f"agent {ad.name} (learn)")
+    return {ad.name: trace for ad, trace in zip(bundle.per_agent, traces)}
 
 
 def compare_gains(path: Path, bundle: DesignBundle, scenario: Scenario) -> dict:
@@ -306,21 +316,19 @@ def augmented_costs(scenario: Scenario, bundle: DesignBundle, gain_sets: dict) -
     """
     from . import simulator  # only here and in the verbs that run one, see cmd_simulate
 
-    costs = {}
-    for group in shape_groups(bundle.per_agent):
-        members = [(ad, label) for ad in group for label in gain_sets]
+    def run(group):
         with np.errstate(over="ignore", invalid="ignore"):  # refused as a non-finite initial state
             X0 = [np.concatenate([scenario.zeta0,
                                   scenario.x0[ad.name] - ad.reg.Pi @ scenario.xi0[ad.name]])
-                  for ad, _ in members]
-        costs.update(zip([(ad.name, label) for ad, label in members], simulator.simulate_augmented(
-            [ad.plant for ad, _ in members], [gain_sets[label][ad.name].Kic for ad, label in members],
-            X0, scenario.t_end, scenario.dt)))
-    for ad in bundle.per_agent:
-        for label in gain_sets:
-            if isinstance(exc := costs[ad.name, label], Exception):
-                raise type(exc)(f"agent {ad.name} (compare, {label}): {exc}") from exc
-    return costs
+                  for ad, _ in group]
+        return simulator.simulate_augmented(
+            [ad.plant for ad, _ in group], [gain_sets[label][ad.name].Kic for ad, label in group],
+            X0, scenario.t_end, scenario.dt)
+
+    members = [(ad, label) for ad in bundle.per_agent for label in gain_sets]
+    costs = in_lockstep(members, lambda m: (m[0].plant.order, *m[0].plant.D.shape), run,
+                        lambda m: f"agent {m[0].name} (compare, {m[1]})")
+    return {(ad.name, label): cost for (ad, label), cost in zip(members, costs)}
 
 
 def optimal_gain_sets(bundle: DesignBundle, traces: dict) -> dict:
@@ -707,6 +715,17 @@ def _load_checked(args) -> Scenario:
 VERBS = ("validate", "design", "learn", "simulate", "compare")
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: an integer that numpy can seed with, so not negative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; `main` runs the verb's
@@ -721,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="seed the leader initial state")
+        p.add_argument("--seed", type=_seed, default=None, help="seed the leader initial state")
         if name == "simulate":
             p.add_argument(
                 "--gains", choices=("initial", "optimal"), default="initial",

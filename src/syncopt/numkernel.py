@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHurwitzError, NumericalError, ToolkitError
+from .errors import NotHurwitzError, NumericalError
 
 LYAP_RESIDUAL_RTOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -68,27 +68,6 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     return spectrum(A).max_real < -margin
 
 
-def lockstep(run, stacks: tuple, *args) -> list:
-    """The outcome of `run(*stacks, *args)` for each member: its result, or
-    the error a run of that member alone raises.
-
-    `run` works on stacks of members of one shape in lockstep and returns a
-    result per member. At the first check that any member fails it raises,
-    the error that member alone would raise; numpy, which computes a
-    stacked call by each member's own LAPACK or BLAS call, likewise fails
-    the whole stack when one member's call fails. A failed stack is run
-    again one member at a time, so that a failure costs the other members
-    nothing, and a lone member's raised error is its outcome.
-    """
-    try:
-        return run(*stacks, *args)
-    except (ValueError, ToolkitError) as exc:  # numpy's LinAlgError is a ValueError
-        if len(stacks[0]) == 1:
-            return [exc]
-        return [lockstep(run, tuple(s[g : g + 1] for s in stacks), *args)[0]
-                for g in range(len(stacks[0]))]
-
-
 def _kronecker_sum(A: np.ndarray) -> np.ndarray:
     """The matrix kron(I, A^T) + kron(A^T, I) of vec(A^T P + P A), written in
     place, for one matrix A or each of a stack: block (i, j) is
@@ -134,9 +113,9 @@ def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
 
 def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> tuple:
     """`solve_lyapunov` for a stack of G equations of one order, which raises
-    at the first check any member fails (see `lockstep`): one eigenvalue
-    decomposition for the stack, then `_lyapunov_solve`. Returns the stack
-    of P and the lists of residuals and abscissae."""
+    at the first check any member fails, the error it raises alone: one
+    eigenvalue decomposition for the stack, then `_lyapunov_solve`. Returns
+    the stack of P and the lists of residuals and abscissae."""
     if not np.isfinite(Abar).all():
         raise ValueError("Abar has non-finite entries")
     _check_weight(Q, ValueError)

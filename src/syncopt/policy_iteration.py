@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import _lyapunov_lockstep, lockstep
+from .numkernel import _lyapunov_lockstep
 from .plant import gram_invertible
 from .protocol import AugmentedPlant
 
@@ -106,9 +106,9 @@ def run_pi(
     matrices decrease monotonically (min-eigenvalue tolerance -1e-9), and
     the converged pair satisfies the Riccati equation within 1e-8 relative
     to the error weight. D^T D is checked once, before the first iterate.
-    This is the one-member call of `run_pi_group`'s kernel.
+    This is `run_pi_group` on a group of one.
     """
-    return _pi_lockstep([plant], [K0], epsilon, max_iter)[0]
+    return run_pi_group([plant], [K0], epsilon, max_iter)[0]
 
 
 def run_pi_group(
@@ -118,23 +118,17 @@ def run_pi_group(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list:
     """`run_pi` from K0s[g] on each of the augmented plants of one shape
-    (order, m, p), in lockstep (see `numkernel.lockstep`).
+    (order, m, p), in lockstep; returns each member's PiTrace, with the bits
+    of its run alone.
 
     Followers learn from their own plants alone, so each member keeps its
     own iterates and checks, and leaves the iteration when it converges. An
     iteration evaluates the members with one stacked eigenvalue
     decomposition, Kronecker solve and eigvalsh, tests their monotonicity
     with one eigvalsh and improves their gains with one solve; the norms
-    are taken per member. A member that fails a check fails the stack, and
-    every member is then run alone. Returns, per member, its PiTrace or the
-    error `run_pi` raises for it, with the same bits and texts.
+    are taken per member. At the first check any member fails, the group
+    raises the error that member alone would raise.
     """
-    return lockstep(_pi_lockstep, (list(plants), list(K0s)), epsilon, max_iter)
-
-
-def _pi_lockstep(plants, K0s, epsilon, max_iter) -> list:
-    """The stacked iteration of `run_pi_group`, which raises at the first
-    check any member fails."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iter < 1:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkernel import _check_weight, _lyapunov_solve, abscissae, lockstep
+from .numkernel import _check_weight, _lyapunov_solve, abscissae
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -530,14 +530,20 @@ def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
                    for j in topo.senders[i + 1]]
         strips.append(_row_strip(xi_off[i], sorted(coupled + [own], key=lambda b: b[0])))
     strips += [_row_strip(z, [(z, design.s_shifted)]) for z in z_off]
-    with np.errstate(over="ignore", invalid="ignore"):  # a gain past the float range blows up
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
         for i, (name, ag) in enumerate(scenario.agents):
             g = gains[name]
             strips.append(_row_strip(x_off[i], [
                 (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off[i], -ag.B @ g.K3),
                 (x_off[i], ag.A - ag.B @ g.K1),
             ]))
-    return tuple(np.concatenate(part) for part in zip(*strips))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*strips))
+    if not np.isfinite(vals).all():
+        bad = rows[~np.isfinite(vals) & (rows >= x_off[0])]  # in a follower's rows
+        if len(bad):
+            name = scenario.agents[np.searchsorted(x_off, bad[0], side="right") - 1][0]
+            raise NumericalError(f"agent {name}: A - B K1, B K2 or B K3 has non-finite entries")
+    return rows, cols, vals
 
 
 def _row_strip(r0, blocks) -> tuple:
@@ -554,24 +560,20 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     plants of one shape under the gains Ks, from X0s, both by quadrature of
     |e|^2, e = (C - D K) X, over an RK4 run and by the closed form X0^T P X0
     with P the solution of the loop's Lyapunov equation. The members run in
-    lockstep (see `numkernel.lockstep` and `_rk4_lockstep`) and a row block
-    at a time, in batches of as many as keep their power stacks within
-    _GROUP_BYTES.
+    lockstep (see `_rk4_lockstep`) and a row block at a time, in batches of
+    as many as keep their power stacks within _GROUP_BYTES.
 
     One eigenvalue decomposition of A - B K serves both the refusal of a
     gain that is not stabilizing and the horizon warning. A blow-up stops
-    the run; a member that fails fails its batch, whose members are then
-    run alone. Returns, per member, its CostReport or its error.
+    the run. Returns each member's CostReport, with the bits of its run
+    alone; at the first check any member fails, the call raises the error
+    that member alone would raise.
     """
     order = len(X0s[0])
     per = max(1, _GROUP_BYTES // (8 * _chunk_length(order) * order * order))
-    return [cost for b in range(0, len(plants), per) for cost in lockstep(
-        _augmented_lockstep, (plants[b : b + per], Ks[b : b + per], X0s[b : b + per]), t_end, dt)]
-
-
-def _augmented_lockstep(plants, Ks, X0s, t_end, dt) -> list:
-    """The stacked runs and solves of `simulate_augmented`, which raise at
-    the first check any member fails."""
+    if len(plants) > per:  # a batch at a time
+        return [cost for b in range(0, len(plants), per) for cost in simulate_augmented(
+            plants[b : b + per], Ks[b : b + per], X0s[b : b + per], t_end, dt)]
     K = np.array(Ks, dtype=float)
     A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite

@@ -85,11 +85,8 @@ def simulate_augmented(plant, K, X0, t_end: float, dt: float) -> AugmentedTrajec
 
 def augmented_cost(plant, K, X0, t_end: float, dt: float) -> simulator.CostReport:
     """The cost report of one follower's closed augmented loop, by
-    `simulator.simulate_augmented` on a batch of one; its error is raised."""
-    (cost,) = simulator.simulate_augmented([plant], [K], [X0], t_end, dt)
-    if isinstance(cost, Exception):
-        raise cost
-    return cost
+    `simulator.simulate_augmented` on a batch of one."""
+    return simulator.simulate_augmented([plant], [K], [X0], t_end, dt)[0]
 
 
 def policy_improvement(plant, P) -> np.ndarray:

@@ -210,6 +210,17 @@ class TestCommands:
         assert np.array_equal(cli.seeded_w0(2, 42), cli.seeded_w0(2, 42))
         assert np.linalg.norm(cli.seeded_w0(2, 42)) > 0
 
+    @pytest.mark.parametrize("verb", cli.VERBS)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, verb):
+        # numpy seeds with no negative number; the parser refuses it, in every verb
+        with pytest.raises(SystemExit) as stop:
+            cli.main([verb, str(SCENARIO), "--out", str(tmp_path), "--seed", "-1"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"syncopt {verb}: error: argument --seed: must be a non-negative "
+                            "integer, got -1\n") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("verb", ["simulate", "learn", "validate"])
     def test_bad_scenario_exits_2(self, tmp_path, scenario_dict, capsys, verb):
         for keys, value in BAD_SCENARIO_FIELDS:
@@ -327,6 +338,25 @@ class TestCommands:
                 "Q has non-finite entries\n")
         assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "numerical failure: state blow-up at t = 0.001\n"
+
+    @pytest.mark.parametrize("names", [("agent1",), ("agent5", "agent3")])
+    def test_simulate_names_the_follower_whose_gain_overflows(self, tmp_path, capsys, names):
+        # a stamped gains file whose Kic is 1.7e308 everywhere for `names`:
+        # their rows A - B K1, -B K2, -B K3 of the network overflow, and
+        # simulate refuses the run before its first step, naming the first
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
+        gains_file = tmp_path / "optimal_gains.json"
+        payload = json.loads(gains_file.read_text())
+        for name in names:
+            optimal = payload["agents"][name]["optimal"]
+            optimal["Kic"] = np.full_like(np.array(optimal["Kic"]), 1.7e308).tolist()
+        gains_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(SCENARIO), "--out", str(tmp_path), "--gains", "optimal"]) == 3
+        first = min(names)
+        assert capsys.readouterr().err == (
+            f"numerical failure: agent {first}: A - B K1, B K2 or B K3 has non-finite entries\n")
+        assert not (tmp_path / "trajectory_optimal.csv").exists()
 
     def test_svg_works_with_numpy_alone(self, tmp_path, capsys, monkeypatch):
         # with matplotlib unimportable, --svg writes a chart that xml.etree

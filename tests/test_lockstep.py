@@ -11,7 +11,7 @@ import pytest
 from helpers import rk4, simulate_augmented
 from syncopt import cli, numkernel, simulator
 from syncopt.errors import NumericalError, ToolkitError
-from syncopt.numkernel import lockstep, solve_lyapunov
+from syncopt.numkernel import solve_lyapunov
 from syncopt.policy_iteration import policy_evaluation, run_pi, run_pi_group
 from syncopt.protocol import AugmentedPlant
 
@@ -35,14 +35,35 @@ def stable(n, seed, shift=0.5):
 
 
 def test_lockstep_runs_each_member_alone_when_the_stack_fails():
-    def run(xs):  # a stacked call that fails as a whole for one bad member
-        if any(x < 0 for x in xs):
-            raise NumericalError(f"negative member among {len(xs)}")
-        return [2 * x for x in xs]
+    # members (shape, value) run a shape at a time; a stacked call fails as
+    # a whole for a negative member, as that member alone fails
+    calls = []
 
-    got = lockstep(run, ([1, -2, 3, -4],))
-    assert got[0] == 2 and got[2] == 6
-    assert [str(got[1]), str(got[3])] == ["negative member among 1"] * 2
+    def run(group):
+        calls.append([v for _, v in group])
+        if any(v < 0 for _, v in group):
+            raise NumericalError(f"negative member among {len(group)}")
+        return [2 * v for _, v in group]
+
+    def lock(members):
+        return cli.in_lockstep(members, lambda m: m[0], run, lambda m: f"member {m[1]}")
+
+    assert lock([("a", 1), ("b", 2), ("a", 3)]) == [2, 4, 6]
+    assert calls == [[1, 3], [2]]
+    # the group of "a" fails first, and the members then run alone in order
+    # up to the first that fails, which is in the group of "b"
+    del calls[:]
+    with pytest.raises(NumericalError, match=r"^member -2: negative member among 1$"):
+        lock([("a", 1), ("b", -2), ("a", -3), ("b", 4)])
+    assert calls == [[1, -3], [1], [-2]]
+
+    def stack_only(group):  # fails as a stack though no member fails alone
+        if len(group) > 1:
+            raise ValueError("stack failed")
+        return group
+
+    with pytest.raises(ValueError, match="^stack failed$"):
+        cli.in_lockstep([1, 2], lambda m: 0, stack_only, str)
 
 
 def test_lyapunov_stack_gives_each_member_its_own_outcome():
@@ -86,23 +107,25 @@ def test_pi_group_matches_one_member_runs(paper_bundle):
 
 
 def test_pi_group_failures_are_each_members_own(paper_bundle):
+    # a group without a failing member gives each member the bits of its run
+    # alone; a group that holds one raises the error that member alone raises
     ads = paper_bundle.per_agent
     singular = dataclasses.replace(ads[1].plant, D=np.zeros_like(ads[1].plant.D))
-    members = [
-        (ads[0].plant, ads[0].initial.Kic),
-        (singular, ads[1].initial.Kic),  # D^T D singular
-        (ads[2].plant, -10 * ads[2].initial.Kic),  # not stabilizing
-        (ads[3].plant, ads[3].initial.Kic),
-        (ads[4].plant, ads[4].initial.Kic),
-    ]
+    bad = [(singular, ads[1].initial.Kic),  # D^T D singular
+           (ads[2].plant, -10 * ads[2].initial.Kic)]  # not stabilizing
     for max_iter in (7, 100):  # at 7, the members that need 8 run out of iterations
-        got = run_pi_group(*zip(*members), max_iter=max_iter)
-        for out, (plant, k) in zip(got, members):
-            want = outcome(run_pi, plant, k, 1e-6, max_iter)
+        members = [(ad.plant, ad.initial.Kic) for ad in ads] + bad
+        wants = [outcome(run_pi, plant, k, 1e-6, max_iter) for plant, k in members]
+        passing = [(m, want) for m, want in zip(members, wants) if not isinstance(want, Exception)]
+        assert len(passing) == (2 if max_iter == 7 else 5)
+        traces = run_pi_group(*zip(*(m for m, _ in passing)), max_iter=max_iter)
+        assert len(traces) == len(passing)
+        for trace, (_, want) in zip(traces, passing):
+            assert_same_traces(trace, want)
+        for member, want in zip(members, wants):
             if isinstance(want, Exception):
-                assert_same_error(out, want)
-            else:
-                assert_same_traces(out, want)
+                group = zip(passing[0][0], member, passing[-1][0])
+                assert_same_error(outcome(run_pi_group, *group, 1e-6, max_iter), want)
 
 
 def blowup_group():
@@ -131,13 +154,11 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
     Acl = np.array([p.A - p.B @ k for p, k in zip(plants, K)])
     chunks = simulator._power_stack(Acl, 1e-3, 385)[1]
     assert chunks[0] == 128 and chunks[1] == chunks[2] < 128
-    got = simulator.simulate_augmented(plants, K, X0, 0.385, 1e-3)
-    assert isinstance(got[2], NumericalError) and "state blow-up" in str(got[2])
+    # the first two loops as a group have the bits of each run alone
+    got = simulator.simulate_augmented(plants[:2], K[:2], X0[:2], 0.385, 1e-3)
+    assert len(got) == 2
     for out, p, k, x0 in zip(got, plants, K, X0):
-        want = outcome(lambda: simulator.simulate_augmented([p], [k], [x0], 0.385, 1e-3)[0])
-        if isinstance(want, Exception):
-            assert_same_error(out, want)
-            continue
+        want = simulator.simulate_augmented([p], [k], [x0], 0.385, 1e-3)[0]
         assert dataclasses.astuple(out) == dataclasses.astuple(want)
         whole = simulate_augmented(p, k, x0, 0.385, 1e-3)
         tail = simulator._tail_start(len(whole.times) - 1)
@@ -148,7 +169,11 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
         assert out.horizon_warning == (
             f"horizon 0.385s is shorter than 5 time constants of the slowest mode "
             f"({-1.0 / whole.abscissa:.3g}s); quadrature may be truncated")
-    with pytest.raises(NumericalError, match=str(got[2])):
+    # the third blows up, alone, whole and in the group, with the same text
+    want = outcome(simulator.simulate_augmented, plants[2:], K[2:], X0[2:], 0.385, 1e-3)
+    assert isinstance(want, NumericalError) and "state blow-up" in str(want)
+    assert_same_error(outcome(simulator.simulate_augmented, plants, K, X0, 0.385, 1e-3), want)
+    with pytest.raises(NumericalError, match=str(want)):
         simulate_augmented(plants[2], K[2], X0[2], 0.385, 1e-3)
 
 
@@ -180,12 +205,22 @@ def test_rk4_group_samples_are_one_system_runs():
         assert np.concatenate(parts[g]).tobytes() == rk4(M[g], Y0[g], 3.0, 0.01)[1].tobytes()
 
 
-def permuted_scenario(tmp_path, max_iter):
+def permuted_scenario(tmp_path, max_iter, widen=None):
     """The bundled scenario with its agents listed agent4, agent1, agent5,
-    agent2, agent3: they need 6, 8, 7, 8 and 8 iterations."""
+    agent2, agent3: they need 6, 8, 7, 8 and 8 iterations. The agent named
+    `widen` gets a fourth state, stable, driven by nothing and read by its
+    first output: a shape of its own, and the same iteration count."""
     raw = json.loads(cli.bundled_scenario_path().read_text())
     raw["agents"] = [raw["agents"][i] for i in (3, 0, 4, 1, 2)]
     raw["design"]["max_iter"] = max_iter
+    for spec in raw["agents"]:
+        if spec["name"] == widen:
+            spec["A"] = [row + [0] for row in spec["A"]] + [[0, 0, 0, -2]]
+            spec["B"] = spec["B"] + [[0, 0]]
+            spec["C"] = [row + [v] for row, v in zip(spec["C"], (0.5, 0))]
+            spec["E"] = spec["E"] + [[0, 0]]
+            raw["init"]["x0"][widen] += [0]
+            raw["k1_override"][widen] = [row + [0] for row in raw["k1_override"][widen]]
     path = tmp_path / "permuted.json"
     path.write_text(json.dumps(raw))
     return path
@@ -205,6 +240,37 @@ def test_learn_reports_the_lowest_numbered_failing_follower(tmp_path, capsys, ve
     capsys.readouterr()
     assert cli.main([verb, str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"numerical failure: {serial[0]}\n"
+
+
+@pytest.mark.parametrize("verb", ["learn", "compare"])
+def test_the_first_failing_follower_may_run_in_a_later_group(tmp_path, capsys, verb):
+    # agent1, of a shape of its own, runs after the group of the others,
+    # which fails; agent1 is still the first follower to fail, and the one named
+    path = permuted_scenario(tmp_path, max_iter=7, widen="agent1")
+    bundle = cli.run_design(cli.load_scenario(path))
+    shapes = [(ad.plant.order, *ad.plant.D.shape) for ad in bundle.per_agent]
+    assert shapes[1] != shapes[0] == shapes[2] == shapes[3] == shapes[4]
+    capsys.readouterr()
+    assert cli.main([verb, str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: agent agent1 (learn): policy iteration did not converge within 7 iterations\n")
+
+
+def test_compare_names_the_first_failing_loop_across_groups(tmp_path, capsys):
+    # agent1 (a shape of its own, the second group) and agent2 (in the first
+    # group) get an optimal gain that is not stabilizing; agent1 comes first
+    path, out = permuted_scenario(tmp_path, max_iter=100, widen="agent1"), tmp_path / "out"
+    assert cli.main(["learn", str(path), "--out", str(out)]) == 0
+    gains_file = out / "optimal_gains.json"
+    payload = json.loads(gains_file.read_text())
+    for name in ("agent1", "agent2"):
+        optimal = payload["agents"][name]["optimal"]
+        optimal["Kic"] = (-np.array(optimal["Kic"])).tolist()
+    gains_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["compare", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: agent agent1 (compare, optimal): "
+                                       "gain is not stabilizing; refusing the augmented run\n")
 
 
 def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
