@@ -1,19 +1,19 @@
-"""Dense linear-algebra kernels: spectra, Hurwitz tests, Lyapunov solves,
-stabilizing-gain synthesis.
+"""Dense linear-algebra kernels: spectral abscissae, Hurwitz tests,
+Lyapunov solves, stabilizing-gain synthesis.
 
 All routines are pure functions on numpy arrays and are safe to call
 concurrently. Sizes here are desk-scale (orders up to ~10), so Lyapunov
 equations are solved exactly by Kronecker vectorization rather than a
-Schur-based method. The Kronecker sum is written in place into one zeroed
-array, each input of a solve is validated once, and the solve's one
-eigenvalue decomposition of Abar gives both its Hurwitz check and the
-spectral abscissa it returns, so policy iteration needs no spectrum of its
-own.
+Schur-based method. `solve_lyapunov` takes a stack of equations of one
+order, which policy iteration and `compare` hand it, and a single equation
+as a stack of one: the Kronecker sums are written in place into one zeroed
+array, each input is validated once, and one stacked eigenvalue
+decomposition of the closed loops gives both their Hurwitz check and the
+spectral abscissae the solve returns, so neither caller needs a spectrum of
+its own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,6 @@ LYAP_RESIDUAL_RTOL = 1e-9
 PSD_EIG_TOL = -1e-9
 # Bytes of the Kronecker sums that one stacked Lyapunov solve may hold.
 _STACK_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (with multiplicity) of a square real matrix."""
-
-    values: np.ndarray  # complex, length = matrix order
-    max_real: float
 
 
 def _as_square(A, name: str = "A") -> np.ndarray:
@@ -49,15 +41,10 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def spectrum(A) -> Spectrum:
-    """All eigenvalues of a square real matrix and their maximum real part."""
-    vals = _eigvals(_as_square(A))
-    return Spectrum(values=vals, max_real=float(vals.real.max()))
-
-
 def abscissae(A: np.ndarray) -> np.ndarray:
-    """Spectral abscissa (max real part of the spectrum) of each of a stack of
-    finite square matrices, by one stacked eigenvalue decomposition."""
+    """Spectral abscissa (max real part of the spectrum) of a finite square
+    matrix, or of each of a stack of them by one stacked eigenvalue
+    decomposition."""
     return _eigvals(A).real.max(axis=-1)
 
 
@@ -65,7 +52,7 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     """True iff every eigenvalue of A has real part < -margin."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    return spectrum(A).max_real < -margin
+    return float(abscissae(_as_square(A))) < -margin
 
 
 def _kronecker_sum(A: np.ndarray) -> np.ndarray:
@@ -94,43 +81,40 @@ def _kronecker_sum(A: np.ndarray) -> np.ndarray:
     return M
 
 
-def solve_lyapunov(Abar, Q) -> tuple[np.ndarray, float, float]:
-    """Solve Abar^T P + P Abar + Q = 0 for symmetric PSD P.
+def solve_lyapunov(Abar, Q) -> tuple:
+    """Solve Abar^T P + P Abar + Q = 0 for symmetric PSD P, for each of a
+    stack of G equations of one order n: Abar and Q are (G, n, n).
 
-    Abar must be Hurwitz and Q symmetric PSD; both are checked, Abar by one
-    eigenvalue decomposition. The solve is a dense Kronecker vectorization,
-    and the result is re-symmetrized and verified by substitution. Returns
-    P, the Frobenius norm of that substitution residual, and the spectral
-    abscissa of Abar that was tested. A non-Hurwitz Abar raises
-    `NotHurwitzError`.
+    The checks run over the whole stack in turn: every Abar finite, every Q
+    finite and symmetric, then every Abar Hurwitz, by one stacked eigenvalue
+    decomposition (a member that is not raises `NotHurwitzError`); the
+    call raises at the first check any member fails, the error that member
+    alone would raise. Then `_lyapunov_solve` solves, re-symmetrizes,
+    verifies by substitution and checks that P is PSD. A single equation is
+    a stack of one. Returns the stack of P, the list of the Frobenius norms
+    of the substitution residuals, and the list of the spectral abscissae
+    of Abar that were tested.
     """
-    Abar = _as_square(Abar, "Abar")
-    Q = _as_square(Q, "Q")
-    if Abar.shape != Q.shape:
+    Abar, Q = np.asarray(Abar, dtype=float), np.asarray(Q, dtype=float)
+    if Abar.ndim != 3 or Abar.shape[1] != Abar.shape[2]:
+        raise ValueError(f"Abar must be a (G, n, n) stack, got shape {Abar.shape}")
+    if Q.shape != Abar.shape:
         raise ValueError(f"shape mismatch: Abar {Abar.shape} vs Q {Q.shape}")
-    return tuple(x[0] for x in _lyapunov_lockstep(Abar[None], Q[None]))
-
-
-def _lyapunov_lockstep(Abar: np.ndarray, Q: np.ndarray) -> tuple:
-    """`solve_lyapunov` for a stack of G equations of one order, which raises
-    at the first check any member fails, the error it raises alone: one
-    eigenvalue decomposition for the stack, then `_lyapunov_solve`. Returns
-    the stack of P and the lists of residuals and abscissae."""
     if not np.isfinite(Abar).all():
         raise ValueError("Abar has non-finite entries")
-    _check_weight(Q, ValueError)
+    _check_weight(Q)
     abscissa = abscissae(Abar).tolist()
     if not all(a < 0 for a in abscissa):
         raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
     return (*_lyapunov_solve(Abar, Q), abscissa)
 
 
-def _check_weight(Q: np.ndarray, error: type) -> None:
-    """Raise `error` unless every Q of the stack is finite and symmetric."""
+def _check_weight(Q: np.ndarray) -> None:
+    """Raise ValueError unless every Q of the stack is finite and symmetric."""
     if not np.isfinite(Q).all():
-        raise error("Q has non-finite entries")
+        raise ValueError("Q has non-finite entries")
     if not (np.abs(Q - Q.mT) <= 1e-12).all():
-        raise error("Q is not symmetric within 1e-12")
+        raise ValueError("Q is not symmetric within 1e-12")
 
 
 def _lyapunov_solve(Abar: np.ndarray, Q: np.ndarray) -> tuple:
@@ -189,7 +173,7 @@ def stabilize(A, B) -> np.ndarray:
     beta = np.linalg.norm(A, "fro") + 1.0
     shifted = -(A + beta * np.eye(n)).T  # Hurwitz by construction of beta
     try:
-        W = solve_lyapunov(shifted, 2.0 * B @ B.T)[0]
+        W = solve_lyapunov(shifted[None], (2.0 * B @ B.T)[None])[0][0]
         K = B.T @ np.linalg.inv(W)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         raise NumericalError(

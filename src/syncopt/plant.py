@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkernel import spectrum
+from .numkernel import _eigvals
 from .topology import Topology, validate_topology
 
 RANK_RTOL = 1e-9  # singular values below RANK_RTOL * sigma_max count as zero
@@ -135,7 +135,7 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
         agents = list(agents.items())
     diagnostics = []
     per_agent = {}
-    s_eigs = spectrum(leader.S).values
+    s_eigs = _eigvals(leader.S)
     checked = {}  # plant key -> (AgentChecks, diagnostic texts)
 
     for name, ag in agents:
@@ -184,7 +184,7 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     the text of each failed check, naming the first eigenvalue that fails."""
     n = ag.n
     texts = []
-    eigs = spectrum(ag.A).values
+    eigs = _eigvals(ag.A)
 
     # PBH: [A - lambda I; C] has rank n at every eigenvalue lambda of A
     observable = not _rank_drops(np.vstack([ag.A, ag.C]), n, eigs).any()

@@ -1,11 +1,13 @@
 """Policy iteration for the cross-term Riccati equation of the augmented
 per-agent plant.
 
-Policy evaluation is a Lyapunov solve for the cost of the current gain;
-policy improvement is K = (D^T D)^{-1} (D^T C + B^T P). The improvement uses
-the positive sign, which is the stationary point of the Hamiltonian with
-u = -K X and the only reading under which the iteration's fixed point
-satisfies the Riccati equation.
+Policy evaluation is a Lyapunov solve for the cost of the current gain
+(Kleinman, IEEE TAC 13(1), 1968), made for the gains of a whole lockstep
+group by one stacked `numkernel.solve_lyapunov`; policy improvement is
+K = (D^T D)^{-1} (D^T C + B^T P). The improvement uses the positive sign,
+which is the stationary point of the Hamiltonian with u = -K X and the
+only reading under which the iteration's fixed point satisfies the
+Riccati equation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import _lyapunov_lockstep
+from .numkernel import solve_lyapunov
 from .plant import gram_invertible
 from .protocol import AugmentedPlant
 
@@ -57,26 +59,19 @@ def _gram(plant: AugmentedPlant) -> np.ndarray:
     return g
 
 
-def policy_evaluation(plant: AugmentedPlant, K) -> tuple[np.ndarray, float, float]:
-    """Cost matrix of the fixed gain K, its Lyapunov residual and the spectral
-    abscissa of A - B K: solve the closed-loop Lyapunov equation with the
-    tracking-error weight (C - D K)^T (C - D K). A gain that is not
-    stabilizing is rejected with `NotHurwitzError`."""
-    return tuple(x[0] for x in _evaluate(*_stack([plant]), np.array([K], dtype=float)))
-
-
-def _stack(plants) -> tuple:
-    return tuple(np.array([getattr(p, f) for p in plants]) for f in "ABCD")
-
-
-def _evaluate(A, B, C, D, K) -> tuple:
-    """`policy_evaluation` of each of a stack of gains on its plant, which
-    raises at the first check any member fails; returns the stack of P and
-    the lists of residuals and abscissae."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+def policy_evaluation(A, B, C, D, K) -> tuple:
+    """Cost matrix of each of a stack of fixed gains K on its plant (A, B,
+    C, D), its Lyapunov residual and the spectral abscissa of A - B K: one
+    stacked `solve_lyapunov` of the closed loops with the tracking-error
+    weights (C - D K)^T (C - D K), which raises at the first check any
+    member fails. A gain that is not stabilizing is rejected with
+    `NotHurwitzError`, and a closed loop or weight that is not finite with
+    `ValueError`. Returns the stack of P and the lists of residuals and
+    abscissae."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
         Cbar = C - D @ K
         Abar, Q = A - B @ K, Cbar.mT @ Cbar
-    return _lyapunov_lockstep(Abar, Q)
+    return solve_lyapunov(Abar, Q)
 
 
 def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> float:
@@ -134,7 +129,7 @@ def run_pi_group(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     grams = [_gram(plant) for plant in plants]
-    A, B, C, D = _stack(plants)
+    A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
     gram = np.array(grams)
     K = np.array(K0s, dtype=float)
     iterates = [[] for _ in plants]
@@ -142,7 +137,7 @@ def run_pi_group(
     p_prev = None
     for k in range(max_iter):
         try:
-            P, residuals, abscissa = _evaluate(A, B, C, D, K)
+            P, residuals, abscissa = policy_evaluation(A, B, C, D, K)
         except NotHurwitzError as exc:
             raise NumericalError(f"gain at iteration {k} is not stabilizing") from exc
         except ValueError as exc:  # a closed loop or cost weight that is not finite

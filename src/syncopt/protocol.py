@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numkernel import is_hurwitz, spectrum, stabilize
+from .numkernel import abscissae, is_hurwitz, stabilize
 from .plant import AgentDynamics, LeaderModel
 from .regulator import RegulatorSolution
 from .topology import Topology, topological_order, validate_topology
@@ -76,7 +76,7 @@ def design_compensator(leader: LeaderModel, topo: Topology, r: float) -> Compens
     report = validate_topology(topo)
     if not report.passed:
         raise ValidationError(f"topology invalid: {report.diagnostics}")
-    lam_m = spectrum(leader.S).max_real
+    lam_m = float(abscissae(leader.S))
     return CompensatorDesign(
         r=float(r),
         lambda_M=lam_m,

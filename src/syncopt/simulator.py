@@ -4,7 +4,7 @@ of the per-agent augmented error systems, plus tracking and cost metrics.
 The network (leader, compensators, local generators, followers under the
 distributed protocol) is one large LTI system; it is assembled once, from
 the agents and the edge list, as the nonzeros of its block matrix and
-integrated with classical 4th-order Runge-Kutta (see `_rk4_blocks`). One
+integrated with classical 4th-order Runge-Kutta (see `_rk4_lockstep`). One
 RK4 step of a linear system is exactly y <- R y with R the step map, the
 RK4 stability polynomial of the step times the matrix. A system of fewer
 than 363 states is made dense and advanced by R, several steps per matrix
@@ -23,10 +23,11 @@ asked only for its tail errors (`NetworkRun.tail_errors`, what `compare`
 reads) forms no more of itself than the last 10% of the horizon needs: on
 the dense path it passes the whole chunks before the tail by the top power
 of R alone, and it computes the followers' outputs from the tail on. The
-closed augmented loops of followers of one shape are integrated, and their
-Lyapunov equations solved, in lockstep (`simulate_augmented`); each run keeps
-only a running sum of |e|^2 and its largest value over the last 10% of the
-horizon. No run holds a grid of its times: sample k is at time k * dt.
+closed augmented loops of followers of one shape have their Lyapunov
+equations solved, then are integrated, in lockstep (`simulate_augmented`);
+each run keeps only a running sum of |e|^2 and its largest value over the
+last 10% of the horizon. No run holds a grid of its times: sample k is at
+time k * dt.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .numkernel import _check_weight, _lyapunov_solve, abscissae
+from .errors import NotHurwitzError, NumericalError
+from .numkernel import solve_lyapunov
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -121,19 +122,6 @@ def _steps(t_end: float, dt: float) -> int:
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
     return int(np.floor(t_end / dt + 1e-9))
-
-
-def _rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
-    """Classical fixed-step RK4 for dy = M y, yielded as consecutive blocks
-    of samples: y0 and the first `_block_rows` steps, then that many steps
-    a block. Each block is a new array. M is the n x n matrix; from n = 363
-    on it may instead be given as its nonzeros (rows, cols, vals), sorted
-    row-major. A non-finite start, or a sample that is non-finite or beyond
-    BLOWUP_LIMIT, raises before the block that holds it is yielded. This is
-    the one-system call of `_rk4_lockstep`."""
-    systems = M[None] if isinstance(M, np.ndarray) else [M]
-    for _, _, block in _rk4_lockstep(systems, np.asarray(y0, dtype=float)[None], t_end, dt):
-        yield block[0]
 
 
 def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
@@ -394,7 +382,7 @@ class NetworkRun:
     the leader state itself.
 
     Each iteration integrates the network from its initial state and yields
-    the run as consecutive row blocks (see `_rk4_blocks`), each a
+    the run as consecutive row blocks (see `_rk4_lockstep`), each a
     `Trajectory` over the samples of that block. As a block passes, the
     norms of its followers' tracking errors go into `tracking`, a
     `TrackingSummary` whose metrics cover the whole run once an iteration
@@ -431,8 +419,10 @@ class NetworkRun:
         matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
         if _chunk_length(dim) > 1:  # made dense for the step map
             rows, cols, vals = matrix
-            matrix = np.zeros((dim, dim))
-            matrix[rows, cols] = vals
+            matrix = np.zeros((1, dim, dim))
+            matrix[0, rows, cols] = vals
+        else:
+            matrix = [matrix]
 
         self.tracking = TrackingSummary(_steps(t_end, dt), dt, names)
         # Followers of one shape (n, m, p) that follow each other lie at even
@@ -456,12 +446,13 @@ class NetworkRun:
                     [ag.C for ag in ags], [ag.D for ag in ags], [ag.F for ag in ags],
                 )),
             ))
-        self._integration = matrix, y0, t_end, dt
+        self._integration = matrix, y0[None], t_end, dt  # a lockstep stack of one system
 
     def __iter__(self):
         dt = self.tracking.dt
         self.tracking = TrackingSummary(self.tracking.steps, dt, self.tracking.names)  # afresh
-        for samples in _rk4_blocks(*self._integration):
+        for _, _, block in _rk4_lockstep(*self._integration):
+            samples = block[0]
             followers, norms = self._outputs(samples)
             self.tracking.add(norms)
             del norms  # not held while the block is used
@@ -477,11 +468,9 @@ class NetworkRun:
         path, from the chunk that holds the sample before the tail (see
         `_rk4_lockstep`); on the others, every step is taken and the outputs
         start at the tail's block."""
-        matrix, y0, t_end, dt = self._integration
         start = _tail_start(self.tracking.steps)
         top = np.full(len(self.tracking.names), -np.inf)
-        systems = matrix[None] if isinstance(matrix, np.ndarray) else [matrix]
-        for _, first, block in _rk4_lockstep(systems, y0[None], t_end, dt, start):
+        for _, first, block in _rk4_lockstep(*self._integration, start):
             if first + block.shape[1] > start:
                 norms = self._outputs(block[0])[1][max(0, start - first) :]
                 np.maximum(top, norms.max(axis=0), out=top)
@@ -563,9 +552,11 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     lockstep (see `_rk4_lockstep`) and a row block at a time, in batches of
     as many as keep their power stacks within _GROUP_BYTES.
 
-    One eigenvalue decomposition of A - B K serves both the refusal of a
-    gain that is not stabilizing and the horizon warning. A blow-up stops
-    the run. Returns each member's CostReport, with the bits of its run
+    Before any member is integrated, one stacked `solve_lyapunov` of the
+    loops makes the checks of a policy-evaluation step and gives P; its one
+    eigenvalue decomposition of A - B K serves both the refusal of a gain
+    that is not stabilizing and the horizon warning. A blow-up stops the
+    run. Returns each member's CostReport, with the bits of its run
     alone; at the first check any member fails, the call raises the error
     that member alone would raise.
     """
@@ -581,9 +572,12 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
         Q = Cbar.mT @ Cbar
     if not np.isfinite(Acl).all():
         raise NumericalError("A has non-finite entries")
-    abscissa = abscissae(Acl).tolist()
-    if not all(a < 0 for a in abscissa):
-        raise NumericalError("gain is not stabilizing; refusing the augmented run")
+    try:
+        P, _, abscissa = solve_lyapunov(Acl, Q)
+    except NotHurwitzError as exc:
+        raise NumericalError("gain is not stabilizing; refusing the augmented run") from exc
+    except ValueError as exc:  # a weight that is not finite or not symmetric
+        raise NumericalError(str(exc)) from exc
 
     steps = _steps(t_end, dt)
     tail = _tail_start(steps)
@@ -609,8 +603,6 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
         top[members] = np.maximum(top[members], e2[:, max(0, tail - first) :].max(axis=1, initial=0.0))
         before = block[:, -1:]
     quadrature = dt * (total - (first_e2 + last_e2) / 2)
-    _check_weight(Q, NumericalError)
-    P = _lyapunov_solve(Acl, Q)[0]
     horizon = steps * dt
     warnings = [None if horizon >= 5.0 / -a else
                 f"horizon {horizon:.3g}s is shorter than 5 time constants of the slowest mode "

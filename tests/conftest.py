@@ -30,26 +30,27 @@ def paper_traces(paper_scenario, paper_bundle):
 @pytest.fixture(scope="session")
 def chain_network(tmp_path_factory):
     """60 bundled paper agents round-robin on a chain: 422 states, past the
-    363 from which `_rk4_blocks` integrates by the nonzeros of the step map
+    363 from which `_rk4_lockstep` integrates by the nonzeros of the step map
     instead of the dense one. Returns the scenario, its initial gain sets and the (M, y0) it
     integrates, with M made dense from the nonzeros (rows, cols, vals)
-    `_rk4_blocks` receives."""
+    `_rk4_lockstep` receives."""
     raw = chain_payload(60)
     path = tmp_path_factory.mktemp("chain") / "chain.json"
     path.write_text(json.dumps(raw))
     scenario = cli.load_scenario(path)
     gains = {ad.name: ad.initial for ad in cli.run_design(scenario).per_agent}
-    calls, rk4 = [], simulator._rk4_blocks
+    calls, rk4 = [], simulator._rk4_lockstep
 
-    def recording(M, y0, t_end, dt):
-        rows, cols, vals = M
+    def recording(M, Y0, *args):
+        (rows, cols, vals), = M
+        y0 = np.array(Y0[0], dtype=float)
         dense = np.zeros((len(y0), len(y0)))
         dense[rows, cols] = vals
-        calls.append((dense, np.array(y0, dtype=float)))
-        return rk4(M, y0, t_end, dt)
+        calls.append((dense, y0))
+        return rk4(M, Y0, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_rk4_blocks", recording)
+        mp.setattr(simulator, "_rk4_lockstep", recording)
         simulate_network(scenario, gains, t_end=0.0, dt=0.01)
     (M, y0), = calls
     assert M.shape == (422, 422) and simulator._chunk_length(422) == 1

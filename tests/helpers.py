@@ -1,8 +1,10 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
-APIs, which only tests call: an RK4 run and the network run joined into
-one trajectory, its tracking-error norms and their metrics, the closed
-augmented loop of one follower with its states and with its cost, and the
-policy-improvement and Riccati-residual formulas of one plant."""
+APIs, which only tests call: the RK4 run of one system, as blocks and
+joined, and the network run joined into one trajectory, its tracking-error
+norms and their metrics, the closed augmented loop of one follower with its
+states and with its cost, the Lyapunov solve of one equation, and the
+policy-evaluation, policy-improvement and Riccati-residual formulas of one
+plant."""
 
 from dataclasses import dataclass
 
@@ -10,13 +12,24 @@ import numpy as np
 
 from syncopt import policy_iteration, protocol, simulator
 from syncopt.errors import NumericalError
-from syncopt.numkernel import spectrum
+from syncopt.numkernel import solve_lyapunov
+
+
+def rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
+    """Classical fixed-step RK4 for dy = M y, yielded as consecutive blocks
+    of samples: `simulator._rk4_lockstep` on a stack of one system. M is the
+    n x n matrix; from n = 363 on it may instead be given as its nonzeros
+    (rows, cols, vals), sorted row-major."""
+    systems = M[None] if isinstance(M, np.ndarray) else [M]
+    for _, _, block in simulator._rk4_lockstep(systems, np.asarray(y0, dtype=float)[None],
+                                               t_end, dt):
+        yield block[0]
 
 
 def rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 for dy = M y; returns (times, samples), the
-    blocks of `simulator._rk4_blocks` joined."""
-    blocks = list(simulator._rk4_blocks(M, y0, t_end, dt))
+    blocks of `rk4_blocks` joined."""
+    blocks = list(rk4_blocks(M, y0, t_end, dt))
     return (np.arange(simulator._steps(t_end, dt) + 1) * dt,
             blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
 
@@ -75,7 +88,7 @@ def simulate_augmented(plant, K, X0, t_end: float, dt: float) -> AugmentedTrajec
     integrated whole, with its states and tracking errors."""
     K = np.asarray(K, dtype=float)
     Acl = plant.A - plant.B @ K
-    abscissa = spectrum(Acl).max_real
+    abscissa = float(np.linalg.eigvals(Acl).real.max())
     if not abscissa < 0:
         raise NumericalError("gain is not stabilizing; refusing the augmented run")
     times, X = rk4(Acl, np.asarray(X0, dtype=float), t_end, dt)
@@ -87,6 +100,21 @@ def augmented_cost(plant, K, X0, t_end: float, dt: float) -> simulator.CostRepor
     """The cost report of one follower's closed augmented loop, by
     `simulator.simulate_augmented` on a batch of one."""
     return simulator.simulate_augmented([plant], [K], [X0], t_end, dt)[0]
+
+
+def lyapunov(Abar, Q) -> tuple:
+    """P, residual and spectral abscissa of one Lyapunov equation
+    Abar^T P + P Abar + Q = 0: `numkernel.solve_lyapunov` on a stack of one."""
+    return tuple(x[0] for x in solve_lyapunov(np.asarray(Abar, dtype=float)[None],
+                                              np.asarray(Q, dtype=float)[None]))
+
+
+def policy_evaluation(plant, K) -> tuple:
+    """Cost matrix of the fixed gain K on one plant, its Lyapunov residual and
+    the spectral abscissa of A - B K: `policy_iteration.policy_evaluation` on
+    a stack of one."""
+    stack = (np.array([M], dtype=float) for M in (plant.A, plant.B, plant.C, plant.D, K))
+    return tuple(x[0] for x in policy_iteration.policy_evaluation(*stack))
 
 
 def policy_improvement(plant, P) -> np.ndarray:

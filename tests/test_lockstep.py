@@ -8,11 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import rk4, simulate_augmented
-from syncopt import cli, numkernel, simulator
+from helpers import lyapunov, policy_evaluation, rk4, simulate_augmented
+from syncopt import cli, simulator
 from syncopt.errors import NumericalError, ToolkitError
 from syncopt.numkernel import solve_lyapunov
-from syncopt.policy_iteration import policy_evaluation, run_pi, run_pi_group
+from syncopt.policy_iteration import run_pi, run_pi_group
 from syncopt.protocol import AugmentedPlant
 
 
@@ -67,8 +67,9 @@ def test_lockstep_runs_each_member_alone_when_the_stack_fails():
 
 
 def test_lyapunov_stack_gives_each_member_its_own_outcome():
-    # the stacked solve gives each member the bits of its solve alone, and a
-    # stack that holds a failing member raises that member's own error
+    # the stacked solve gives each member the bits of its solve as a stack
+    # of one, and a stack that holds a failing member raises that member's
+    # own error
     n = 4
     g = np.random.default_rng(1).standard_normal((n, n))
     good = [(stable(n, s), g @ g.T + s * np.eye(n)) for s in range(3)]
@@ -76,13 +77,13 @@ def test_lyapunov_stack_gives_each_member_its_own_outcome():
     nan_a[1, 2] = np.nan
     bad = [(nan_a, good[0][1]), (good[1][0], good[1][1] + np.triu(g, 1)),
            (-good[2][0], good[2][1]), (-np.eye(n), np.diag([1.0, -1.0, 1.0, 1.0]))]
-    P, residuals, abscissae = numkernel._lyapunov_lockstep(*map(np.array, zip(*good)))
+    P, residuals, abscissae = solve_lyapunov(*map(np.array, zip(*good)))
     for j, (a, q) in enumerate(good):
-        want = solve_lyapunov(a, q)
+        want = lyapunov(a, q)
         assert P[j].tobytes() == want[0].tobytes() and (residuals[j], abscissae[j]) == want[1:]
     for member in bad:
-        want = outcome(solve_lyapunov, *member)
-        got = outcome(numkernel._lyapunov_lockstep, *map(np.array, zip(good[0], member, good[1])))
+        want = outcome(lyapunov, *member)
+        got = outcome(solve_lyapunov, *map(np.array, zip(good[0], member, good[1])))
         assert_same_error(got, want)
 
 
@@ -318,19 +319,87 @@ def test_compare_names_the_follower_whose_loop_fails(tmp_path, capsys, scale, te
     assert capsys.readouterr().err == f"numerical failure: agent agent1 (compare, optimal): {text}\n"
 
 
+def k1_times_1e10(kic):  # Hurwitz and finite, but its Lyapunov solution is not PSD
+    return np.hstack([kic[:, :2], 1e10 * kic[:, 2:]])
+
+
+def k1_negated_k3_1e160(kic):  # not stabilizing, and its weight overflows
+    return np.hstack([np.full_like(kic[:, :2], 1e160), -kic[:, 2:]])
+
+
+@pytest.mark.parametrize("edit, text", [
+    (k1_times_1e10, "Lyapunov solution is not PSD within tolerance"),  # was a blow-up
+    (k1_negated_k3_1e160, "Q has non-finite entries"),  # was "gain is not stabilizing"
+])
+def test_compare_checks_each_loop_as_a_policy_evaluation_step(tmp_path, capsys, edit, text):
+    # compare refuses agent1's optimal loop with the error a policy
+    # evaluation of that gain raises, checked before the loop is integrated
+    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    assert cli.main(["learn", path, "--out", str(out)]) == 0
+    gains_file = out / "optimal_gains.json"
+    payload = json.loads(gains_file.read_text())
+    optimal = payload["agents"]["agent1"]["optimal"]
+    kic = edit(np.array(optimal["Kic"]))
+    optimal["Kic"] = kic.tolist()
+    gains_file.write_text(json.dumps(payload))
+    plant = cli.run_design(cli.load_scenario(path)).per_agent[0].plant
+    with pytest.raises((ValueError, NumericalError), match=f"^{text}$"):
+        policy_evaluation(plant, kic)
+    capsys.readouterr()
+    assert cli.main(["compare", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: agent agent1 (compare, optimal): {text}\n"
+
+
+def test_compare_refuses_a_loop_before_integrating_it(tmp_path, capsys, monkeypatch):
+    # agent1's optimal K3 (the first q = 2 columns of Kic) at 1e160 leaves
+    # its loop Hurwitz and finite, but its weight (C - D K)^T (C - D K)
+    # overflows: the group of 10 loops and agent1's optimal loop alone are
+    # refused by the Lyapunov checks before they are integrated, so the one
+    # integration is that of agent1's initial loop, run alone before it
+    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    assert cli.main(["learn", path, "--out", str(out)]) == 0
+    gains_file = out / "optimal_gains.json"
+    payload = json.loads(gains_file.read_text())
+    optimal = payload["agents"]["agent1"]["optimal"]
+    kic = np.array(optimal["Kic"])
+    kic[:, :2] = 1e160
+    optimal["Kic"] = kic.tolist()
+    gains_file.write_text(json.dumps(payload))
+    runs, rk4_lockstep = [], simulator._rk4_lockstep
+
+    def counting(M, *args):
+        runs.append(len(M))
+        return rk4_lockstep(M, *args)
+
+    monkeypatch.setattr(simulator, "_rk4_lockstep", counting)
+    capsys.readouterr()
+    assert cli.main(["compare", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: agent agent1 (compare, optimal): "
+                                       "Q has non-finite entries\n")
+    assert runs == [1]
+
+
 def test_compare_takes_one_spectrum_of_its_augmented_loops(tmp_path, monkeypatch):
     # after learn, compare runs and solves the 10 loops of the bundled
     # scenario (5 followers of one shape, 2 gain sets) with one stacked
-    # eigenvalue decomposition, for both the refusal and the horizon warning
+    # Lyapunov solve and its one stacked eigenvalue decomposition, for both
+    # the refusal and the horizon warning
     path, out = str(cli.bundled_scenario_path()), str(tmp_path)
     assert cli.main(["learn", path, "--out", out]) == 0
     stacked, eigvals = [], np.linalg.eigvals
+    solves, solve = [], simulator.solve_lyapunov
 
     def counting(a):
         if np.ndim(a) == 3:
             stacked.append(np.shape(a))
         return eigvals(a)
 
+    def counting_solves(abar, q):
+        solves.append(np.shape(abar))
+        return solve(abar, q)
+
     monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(simulator, "solve_lyapunov", counting_solves)
     assert cli.main(["compare", path, "--out", out]) == 0
     assert len(stacked) == 1 and stacked[0][0] == 10
+    assert len(solves) == 1 and solves[0] == stacked[0]

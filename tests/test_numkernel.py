@@ -1,36 +1,32 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lyapunov
 from syncopt import numkernel
-from syncopt.errors import NumericalError
-from syncopt.numkernel import is_hurwitz, solve_lyapunov, spectrum, stabilize
+from syncopt.errors import NotHurwitzError, NumericalError
+from syncopt.numkernel import abscissae, is_hurwitz, solve_lyapunov, stabilize
 
 
 class TestSpectrum:
-    def test_identity(self):
-        s = spectrum(np.eye(2))
-        assert sorted(s.values.real) == [1, 1]
-        assert s.max_real == 1
+    """Spectral abscissae, of one matrix and of a stack."""
 
-    def test_leader_matrix_max_real(self):
+    def test_identity(self):
+        assert abscissae(np.eye(2)) == 1
+        assert abscissae(np.stack([np.eye(2), -2 * np.eye(2)])).tolist() == [1, -2]
+
+    def test_leader_matrix_max_real(self, paper_scenario):
         # S = I_2 of the bundled scenario: lambda_M = 1
-        assert spectrum(np.eye(2)).max_real == pytest.approx(1.0)
+        assert float(abscissae(paper_scenario.leader.S)) == pytest.approx(1.0)
 
     def test_companion_matrix(self):
         # characteristic polynomial l^2 + 3l + 2 = (l+1)(l+2)
-        s = spectrum([[0, 1], [-2, -3]])
-        assert sorted(s.values.real) == pytest.approx([-2, -1])
-        assert np.abs(s.values.imag).max() == pytest.approx(0.0)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            spectrum(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            spectrum([[np.nan, 0], [0, 1]])
+        a = np.array([[0.0, 1.0], [-2.0, -3.0]])
+        assert sorted(np.linalg.eigvals(a).real) == pytest.approx([-2, -1])
+        assert float(abscissae(a)) == pytest.approx(-1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -42,8 +38,8 @@ class TestSpectrum:
     )
     def test_triangular_spectrum_is_diagonal(self, rows):
         a = np.triu(np.array(rows))
-        vals = np.sort_complex(spectrum(a).values)
-        assert np.allclose(vals, np.sort_complex(np.diag(a).astype(complex)), atol=1e-8)
+        assert float(abscissae(a)) == pytest.approx(np.diag(a).max(), abs=1e-8)
+        assert np.array_equal(abscissae(np.stack([a, a.T])), [abscissae(a), abscissae(a.T)])
 
 
 class TestIsHurwitz:
@@ -62,14 +58,22 @@ class TestIsHurwitz:
         k1 = paper_scenario.k1_override[name]
         assert is_hurwitz(ag.A - ag.B @ k1)
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            is_hurwitz(np.ones((2, 3)))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            is_hurwitz([[np.nan, 0], [0, 1]])
+
 
 class TestSolveLyapunov:
     def test_negative_identity(self):
-        p, _, _ = solve_lyapunov(-np.eye(2), np.eye(2))
+        p, _, _ = lyapunov(-np.eye(2), np.eye(2))
         assert np.allclose(p, 0.5 * np.eye(2))
 
     def test_decoupled_scalars(self):
-        p, _, _ = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        p, _, _ = lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
         assert np.allclose(p, np.diag([0.5, 0.25]))
 
     def test_random_residual(self):
@@ -78,29 +82,43 @@ class TestSolveLyapunov:
         a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4)
         g = rng.standard_normal((4, 4))
         q = g @ g.T
-        p, _, _ = solve_lyapunov(a, q)
+        p, _, _ = lyapunov(a, q)
         res = np.linalg.norm(a.T @ p + p @ a + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
         assert np.array_equal(p, p.T)
 
+    # the refusals below are of stacks of one
     def test_rejects_unstable(self):
-        with pytest.raises(NumericalError):
-            solve_lyapunov(np.eye(2), np.eye(2))
+        with pytest.raises(NotHurwitzError, match="^Abar is not Hurwitz"):
+            solve_lyapunov(np.eye(2)[None], np.eye(2)[None])
 
     def test_rejects_asymmetric_q(self):
-        with pytest.raises(ValueError):
-            solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^Q is not symmetric within 1e-12$"):
+            solve_lyapunov(-np.eye(2)[None], np.array([[[1.0, 1.0], [0.0, 1.0]]]))
 
     def test_rejects_indefinite_solution(self):
         # Hurwitz A, symmetric indefinite Q: P = diag(1/2, -1/2)
         with pytest.raises(NumericalError, match="not PSD"):
-            solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
+            solve_lyapunov(-np.eye(2)[None], np.diag([1.0, -1.0])[None])
 
     def test_rejects_a_solution_past_the_float_range(self):
         # finite and Hurwitz, but the Kronecker solve overflows: P holds NaN
         # and inf, and the residual that measures it is NaN
         with pytest.raises(NumericalError, match="Lyapunov residual nan exceeds tolerance"):
-            solve_lyapunov(np.array([[-1.0, 1e160], [0.0, -2.0]]), np.eye(2))
+            solve_lyapunov(np.array([[[-1.0, 1e160], [0.0, -2.0]]]), np.eye(2)[None])
+
+    @pytest.mark.parametrize("abar, q, text", [
+        (-np.eye(2), np.eye(2), "Abar must be a (G, n, n) stack, got shape (2, 2)"),
+        (-np.ones((1, 2, 3)), np.ones((1, 2, 3)), "Abar must be a (G, n, n) stack, got shape (1, 2, 3)"),
+        (-np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)),
+         "Abar must be a (G, n, n) stack, got shape (1, 1, 2, 2)"),
+        (-np.eye(2)[None], np.eye(3)[None], "shape mismatch: Abar (1, 2, 2) vs Q (1, 3, 3)"),
+        (-np.stack([np.eye(2)] * 2), np.eye(2)[None], "shape mismatch: Abar (2, 2, 2) vs Q (1, 2, 2)"),
+        (-np.eye(2)[None], np.eye(2), "shape mismatch: Abar (1, 2, 2) vs Q (2, 2)"),
+    ])
+    def test_rejects_anything_but_one_stack_of_square_matrices(self, abar, q, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            solve_lyapunov(abar, q)
 
     def test_cross_oracle_with_hurwitz(self):
         # stability of A <-> the Lyapunov solve with Q = I succeeds and is PSD
@@ -109,7 +127,7 @@ class TestSolveLyapunov:
             a = rng.standard_normal((3, 3))
             a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.1, 1.0)) * np.eye(3)
             assert is_hurwitz(a)
-            p, _, _ = solve_lyapunov(a, np.eye(3))
+            p, _, _ = lyapunov(a, np.eye(3))
             assert np.linalg.eigvalsh(p).min() > 0
 
 
@@ -136,9 +154,9 @@ class TestKroneckerSum:
         a = rng.standard_normal((4, 4))
         a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4)
         g = rng.standard_normal((4, 4))
-        want = solve_lyapunov(a, g @ g.T)
+        want = lyapunov(a, g @ g.T)
         monkeypatch.setattr(numkernel.np, "kron", refuse)
-        got = solve_lyapunov(a, g @ g.T)
+        got = lyapunov(a, g @ g.T)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 

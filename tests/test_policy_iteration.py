@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import are_residual, policy_improvement
+from helpers import are_residual, policy_evaluation, policy_improvement
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
 from syncopt import policy_iteration
 from syncopt.errors import NumericalError
-from syncopt.numkernel import spectrum
-from syncopt.policy_iteration import policy_evaluation, run_pi
+from syncopt.numkernel import abscissae
+from syncopt.policy_iteration import run_pi
 from syncopt.protocol import AugmentedPlant
 
 
@@ -37,7 +37,7 @@ class TestPolicyEvaluation:
         res = np.linalg.norm(abar.T @ p + p @ abar + q, "fro")
         assert res < 1e-9 * (1 + np.linalg.norm(q, "fro"))
         assert reported == res
-        assert abscissa == spectrum(abar).max_real < 0
+        assert abscissa == float(abscissae(abar)) < 0
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(NumericalError):
@@ -124,13 +124,13 @@ class TestRunPi:
         # a = -1: the cost of the gain K is (1 - K)^2 / (2 (1 + K)). K0 = 0
         # costs 1/2; the stabilizing K = 5 costs 4/3. Evaluating K = 5 in place
         # of the improved gain makes the cost rise at iteration 1.
-        evaluate, gains = policy_iteration._evaluate, []
+        evaluate, gains = policy_iteration.policy_evaluation, []
 
         def costlier(A, B, C, D, K):
             gains.append(K)
             return evaluate(A, B, C, D, np.array([[[5.0]]]) if len(gains) == 2 else K)
 
-        monkeypatch.setattr(policy_iteration, "_evaluate", costlier)
+        monkeypatch.setattr(policy_iteration, "policy_evaluation", costlier)
         with pytest.raises(NumericalError, match="cost monotonicity violated at iteration 1"):
             run_pi(scalar_plant(), np.array([[0.0]]))
 

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (augmented_cost, error_norms, network_run, rk4, simulate_augmented,
-                     simulate_network, tracking_metrics)
+from helpers import (augmented_cost, error_norms, network_run, policy_evaluation, rk4,
+                     rk4_blocks, simulate_augmented, simulate_network, tracking_metrics)
 from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
 from syncopt.errors import NumericalError
 from syncopt.plant import LeaderModel
-from syncopt.policy_iteration import policy_evaluation
 from syncopt.protocol import AugmentedPlant
 
 
@@ -46,15 +45,17 @@ def zero_start(scenario):
 
 
 def captured_rk4_inputs(monkeypatch):
-    """Record (M, y0) of every _rk4_blocks call made while the patch is active."""
+    """Record (M, y0) of every one-system _rk4_lockstep call made while the
+    patch is active."""
     calls = []
-    original = simulator._rk4_blocks
+    original = simulator._rk4_lockstep
 
-    def recording(M, y0, t_end, dt):
-        calls.append((M.copy(), np.array(y0, dtype=float)))
-        return original(M, y0, t_end, dt)
+    def recording(M, Y0, *args):
+        (m,), (y0,) = M, Y0
+        calls.append((m.copy(), np.array(y0, dtype=float)))
+        return original(M, Y0, *args)
 
-    monkeypatch.setattr(simulator, "_rk4_blocks", recording)
+    monkeypatch.setattr(simulator, "_rk4_lockstep", recording)
     return calls
 
 
@@ -263,7 +264,7 @@ class TestRk4StepMap:
         _, whole = rk4(M, y0, 10.0, 0.01)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
-        blocks = list(simulator._rk4_blocks(M, y0, 10.0, 0.01))
+        blocks = list(rk4_blocks(M, y0, 10.0, 0.01))
         assert len(blocks) > 1
         assert (len(blocks[0]) - 1) % CHUNK == 0
         assert all(len(block) % CHUNK == 0 for block in blocks[1:-1])
@@ -383,7 +384,7 @@ class TestRk4Stages:
         _, whole = rk4(M, y0, 1.0, 0.01)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", 7)
-        blocks = list(simulator._rk4_blocks(M, y0, 1.0, 0.01))
+        blocks = list(rk4_blocks(M, y0, 1.0, 0.01))
         assert [len(block) for block in blocks] == [8] + [7] * 13 + [2]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
@@ -525,7 +526,7 @@ class TestSparseStepMap:
         path.write_text(json.dumps(dag_payload(1000, seed=7)))
         scenario = cli.load_scenario(path)
         gains = initial_gain_sets(cli.run_design(scenario))
-        matrix, y0, _, dt = network_run(scenario, gains, 0.0, 1e-3)._integration
+        (matrix,), (y0,), _, dt = network_run(scenario, gains, 0.0, 1e-3)._integration
         tracemalloc.start()
         try:
             R = simulator._sparse_step_map(*matrix, len(y0), dt)
