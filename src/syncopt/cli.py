@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -138,6 +139,7 @@ def load_scenario(path) -> Scenario:
 
     agents = []
     names = set()
+    plants = {}  # shapes and bytes of the six matrices -> the one AgentDynamics of that plant
     for spec in _list(_require(raw, "agents", ""), "agents"):
         name = _require(spec, "name", "agents[]")
         if not isinstance(name, str):
@@ -147,12 +149,11 @@ def load_scenario(path) -> Scenario:
         if name in names:
             raise ValidationError(f"duplicate agent name `{name}`")
         names.add(name)
+        mats = [_require(spec, field, name) for field in "ABCDEF"]
         try:
-            ag = AgentDynamics(
-                A=_require(spec, "A", name), B=_require(spec, "B", name),
-                C=_require(spec, "C", name), D=_require(spec, "D", name),
-                E=_require(spec, "E", name), F=_require(spec, "F", name),
-            )
+            mats = [np.asarray(M, dtype=float) for M in mats]  # as AgentDynamics takes them
+            key = tuple((M.shape, M.tobytes()) for M in mats)
+            ag = plants.get(key) or plants.setdefault(key, AgentDynamics(*mats))  # checked once a plant
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"agent {name}: {exc}") from exc
         if ag.q != leader.q:
@@ -230,28 +231,37 @@ def run_design(scenario: Scenario) -> DesignBundle:
 
     Agents that share a plant (`AgentDynamics.key`) and a K1 override, or
     the absence of one, share its regulator solution and initial gain set,
-    which are computed once, by the first of them; the augmented plant and
-    its closed-loop check depend on the agent's place in the network and are
-    built for every agent.
-    """
+    computed once, by the first of them. The augmented plants are assembled,
+    and their loops checked, as one stack per shape (n, m, p), and each
+    `AgentDesign` holds views of its member. A failure is reported for the
+    first agent, in scenario order, that fails."""
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
     transform = protocol.build_transform(design, scenario.topology, scenario.leader)
-    solved = {}  # (plant key, K1 override shape and bytes or None) -> (reg, initial gains)
-    per_agent = []
+    solved = {}  # (plant key, K1 override shape and bytes or None) -> (agent, reg, initial gains)
+    members = []
     for idx, (name, ag) in enumerate(scenario.agents, start=1):
         k1 = scenario.k1_override.get(name) if scenario.k1_override else None
         k1_key = None if k1 is None else (np.shape(k1), np.asarray(k1, dtype=float).tobytes())
-        key = (ag.key(), k1_key)
-        try:
+        members.append((idx, name, ag, k1, (ag.key, k1_key)))
+
+    def run(group):  # the agents of one shape
+        for _, _, ag, k1, key in group:
             if key not in solved:
                 reg = regulator.solve_regulator(ag, scenario.leader)
-                solved[key] = reg, protocol.initial_gains(ag, reg, K1=k1)
-            reg, gains = solved[key]
-            plant = protocol.build_augmented_plant(ag, reg, design, transform, idx)
-            protocol.check_augmented_loop(plant, gains)
-        except ToolkitError as exc:
-            raise type(exc)(f"agent {name}: {exc}") from exc
-        per_agent.append(AgentDesign(name=name, agent=ag, reg=reg, plant=plant, initial=gains))
+                solved[key] = ag, reg, protocol.initial_gains(ag, reg, K1=k1)
+        distinct = {}  # key -> its place among the group's distinct keys
+        at = [distinct.setdefault(key, len(distinct)) for *_, key in group]
+        ags, regs, gains = zip(*map(solved.get, distinct))
+        stacks = SimpleNamespace(**{f: np.stack([getattr(o, f) for o in objs])[at]  # (G, ., .), by member
+                                    for objs, fields in ((ags, "ABCDEF"), (regs, ["Pi"]), (gains, ["Kic"]))
+                                    for f in fields})
+        plant = protocol.build_augmented_plant(stacks, stacks, design, transform, [idx for idx, *_ in group])
+        protocol.check_augmented_loop(plant, stacks.Kic)
+        views = zip(plant.A, plant.B, plant.C, plant.D, plant.Phi, plant.Psi)
+        return [AgentDesign(name, ag, regs[j], protocol.AugmentedPlant(*mats), gains[j])
+                for (_, name, ag, _, _), j, mats in zip(group, at, views)]
+
+    per_agent = in_lockstep(members, lambda m: (m[2].n, m[2].m, m[2].p), run, lambda m: f"agent {m[1]}")
     return DesignBundle(design=design, transform=transform, per_agent=per_agent)
 
 
@@ -510,7 +520,8 @@ def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
     block as it comes, through `_replacing`."""
     from . import fmt17  # only here, so that the verbs writing no CSV do not load it
 
-    header = ["t"] + [f"w_{k + 1}" for k in range(scenario.leader.q)]
+    q = scenario.leader.q
+    header = ["t"] + [f"w_{k + 1}" for k in range(q)]
     for name, ag in scenario.agents:
         header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
         header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
@@ -519,13 +530,16 @@ def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
         csv.writer(f).writerow(header)  # quotes any agent name that needs it
         f.flush()  # the rows go to the byte stream below the text layer
         for block in blocks:
-            arrays = [block.times[:, None], block.leader_states]
-            for name, _ in scenario.agents:
-                arrays += [block.followers[name].e, block.followers[name].x]
-            table = np.concatenate(arrays, axis=1)
+            table = np.empty((len(block.times), len(header)))
+            table[:, 0], table[:, 1 : 1 + q], col = block.times, block.leader_states, 1 + q
+            for _, x, _, _, _, e in block.groups:  # each follower's e, then x: two copies a group
+                G, b, p = e.shape
+                cells = table[:, col : col + G * (p + x.shape[2])].reshape(b, G, -1)
+                cells[:, :, :p], cells[:, :, p:] = e.transpose(1, 0, 2), x.transpose(1, 0, 2)
+                col += cells.shape[1] * cells.shape[2]
             for r0 in range(0, len(table), rows):
                 f.buffer.write(fmt17.csv_rows(table[r0 : r0 + rows]))
-            del table  # before the next block is integrated
+            del table, block, cells, x, e  # and the views of the block: before the next is integrated
 
 
 def error_envelope(run, low: np.ndarray, high: np.ndarray):
@@ -535,10 +549,10 @@ def error_envelope(run, low: np.ndarray, high: np.ndarray):
     for block in run:
         k = run.tracking.seen  # the run's samples up to the end of this block
         cols = np.arange(k - len(block.times), k) * len(low) // (run.tracking.steps + 1)
-        norms = np.stack([np.linalg.norm(s.e, axis=1) for s in block.followers.values()], axis=1)
-        np.fmin.at(low, cols, norms)
-        np.fmax.at(high, cols, norms)
+        np.fmin.at(low, cols, block.norms)
+        np.fmax.at(high, cols, block.norms)
         yield block
+        del block  # before the next block is integrated
 
 
 def write_error_svg(path: Path, run, low: np.ndarray, high: np.ndarray):
@@ -581,15 +595,7 @@ def cmd_validate(args) -> int:
         "passed": report.passed,
         "leader_unstable_modes": report.leader_unstable_modes,
         "topology_ok": report.topology_ok,
-        "per_agent": {
-            name: {
-                "observable": c.observable,
-                "feedthrough_invertible": c.feedthrough_invertible,
-                "stabilizable": c.stabilizable,
-                "rank_condition": c.rank_condition,
-            }
-            for name, c in report.per_agent.items()
-        },
+        "per_agent": {name: vars(c) for name, c in report.per_agent.items()},  # AgentChecks' fields
         "diagnostics": list(report.diagnostics),
     }
     _write_json(Path(args.out) / "assumption_report.json", payload)

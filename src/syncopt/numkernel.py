@@ -86,14 +86,14 @@ def solve_lyapunov(Abar, Q) -> tuple:
     stack of G equations of one order n: Abar and Q are (G, n, n).
 
     The checks run over the whole stack in turn: every Abar finite, every Q
-    finite and symmetric, then every Abar Hurwitz, by one stacked eigenvalue
-    decomposition (a member that is not raises `NotHurwitzError`); the
-    call raises at the first check any member fails, the error that member
-    alone would raise. Then `_lyapunov_solve` solves, re-symmetrizes,
-    verifies by substitution and checks that P is PSD. A single equation is
-    a stack of one. Returns the stack of P, the list of the Frobenius norms
-    of the substitution residuals, and the list of the spectral abscissae
-    of Abar that were tested.
+    finite, symmetric and of finite Frobenius norm, then every Abar Hurwitz,
+    by one stacked eigenvalue decomposition (a member that is not raises
+    `NotHurwitzError`); the call raises at the first check any member fails,
+    the error that member alone would raise. Then `_lyapunov_solve` solves,
+    re-symmetrizes, verifies by substitution and checks that P is PSD. A
+    single equation is a stack of one. Returns the stack of P, the list of
+    the Frobenius norms of the substitution residuals, and the list of the
+    spectral abscissae of Abar that were tested.
     """
     Abar, Q = np.asarray(Abar, dtype=float), np.asarray(Q, dtype=float)
     if Abar.ndim != 3 or Abar.shape[1] != Abar.shape[2]:
@@ -102,27 +102,33 @@ def solve_lyapunov(Abar, Q) -> tuple:
         raise ValueError(f"shape mismatch: Abar {Abar.shape} vs Q {Q.shape}")
     if not np.isfinite(Abar).all():
         raise ValueError("Abar has non-finite entries")
-    _check_weight(Q)
+    qnorms = _check_weight(Q)
     abscissa = abscissae(Abar).tolist()
     if not all(a < 0 for a in abscissa):
         raise NotHurwitzError("Abar is not Hurwitz; Lyapunov equation rejected")
-    return (*_lyapunov_solve(Abar, Q), abscissa)
+    return (*_lyapunov_solve(Abar, Q, qnorms), abscissa)
 
 
-def _check_weight(Q: np.ndarray) -> None:
-    """Raise ValueError unless every Q of the stack is finite and symmetric."""
+def _check_weight(Q: np.ndarray) -> list:
+    """Raise ValueError unless every Q of the stack is finite, symmetric and
+    of a finite Frobenius norm; returns those norms."""
     if not np.isfinite(Q).all():
         raise ValueError("Q has non-finite entries")
     if not (np.abs(Q - Q.mT) <= 1e-12).all():
         raise ValueError("Q is not symmetric within 1e-12")
+    with np.errstate(over="ignore"):  # 2-D norms: a norm over a stack would sum in another order
+        qnorms = [np.linalg.norm(q, "fro") for q in Q]
+    if not np.isfinite(qnorms).all():
+        raise ValueError("Q has a Frobenius norm past the float range")
+    return qnorms
 
 
-def _lyapunov_solve(Abar: np.ndarray, Q: np.ndarray) -> tuple:
+def _lyapunov_solve(Abar: np.ndarray, Q: np.ndarray, qnorms: list) -> tuple:
     """The solve of a stack of Lyapunov equations with Hurwitz Abar and
-    symmetric Q: one Kronecker solve for each batch of members whose
-    Kronecker sums fit in _STACK_BYTES, then one eigvalsh call for the
-    stack. Returns the stack of P and the list of residuals, with the bits
-    of each member solved alone."""
+    symmetric Q of Frobenius norms `qnorms`: one Kronecker solve for each
+    batch of members whose Kronecker sums fit in _STACK_BYTES, then one
+    eigvalsh call for the stack. Returns the stack of P and the list of
+    residuals, with the bits of each member solved alone."""
     G, n = Abar.shape[:2]
     per = max(1, _STACK_BYTES // (8 * n**4))
     vec_q = Q.mT.reshape(G, n * n, 1)  # each Q in column order
@@ -137,17 +143,15 @@ def _lyapunov_solve(Abar: np.ndarray, Q: np.ndarray) -> tuple:
         P = vec_p.reshape(G, n, n).mT
         P = (P + P.mT) / 2.0
         sub = Abar.mT @ P + P @ Abar + Q
-        # 2-D norms: a norm over a stack would sum in another order
-        norms = [(float(np.linalg.norm(s, "fro")), np.linalg.norm(q, "fro"))
-                 for s, q in zip(sub, Q)]
-    for residual, qnorm in norms:
+        residuals = [float(np.linalg.norm(s, "fro")) for s in sub]
+    for residual, qnorm in zip(residuals, qnorms):
         if not residual < LYAP_RESIDUAL_RTOL * (1.0 + qnorm):
             raise NumericalError(
                 f"Lyapunov residual {residual:.3e} exceeds tolerance for ||Q||={qnorm:.3e}"
             )
     if np.linalg.eigvalsh(P).min() < PSD_EIG_TOL:
         raise NumericalError("Lyapunov solution is not PSD within tolerance")
-    return P, [residual for residual, _ in norms]
+    return P, residuals
 
 
 def stabilize(A, B) -> np.ndarray:

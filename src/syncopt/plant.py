@@ -7,6 +7,7 @@ needs p = m. The three PBH-type rank tests share one batched rank test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,9 @@ class AgentDynamics:
     F: np.ndarray  # p x q
 
     def __post_init__(self):
-        mats = []
-        for name in "ABCDEF":
-            M = np.asarray(getattr(self, name), dtype=float)
-            if M.ndim < 2:
-                M = np.atleast_2d(M)
+        mats = [np.atleast_2d(np.asarray(getattr(self, name), dtype=float)) for name in "ABCDEF"]
+        for name, M in zip("ABCDEF", mats):
             object.__setattr__(self, name, M)
-            mats.append(M)
         A, B, C, D, E, F = mats
         n, m, p, q = A.shape[0], B.shape[1], C.shape[0], E.shape[1]
         expect = ((n, n), (n, m), (p, n), (p, m), (n, q), (p, q))
@@ -46,9 +43,10 @@ class AgentDynamics:
             if not np.isfinite(M).all():
                 raise ValueError(f"matrix {name} has non-finite entries")
 
+    @cached_property
     def key(self) -> tuple:
-        """Shapes and bytes of (A, B, C, D, E, F): agents with equal keys
-        have bitwise-equal plants, so every per-plant result is shared."""
+        """Shapes and bytes of (A, B, C, D, E, F), taken once: agents with equal
+        keys have bitwise-equal plants, so every per-plant result is shared."""
         mats = (self.A, self.B, self.C, self.D, self.E, self.F)
         return tuple((M.shape, M.tobytes()) for M in mats)
 
@@ -141,7 +139,7 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
     for name, ag in agents:
         if ag.q != leader.q:
             raise ValueError(f"agent {name}: E/F column count {ag.q} != leader order {leader.q}")
-        key = ag.key()
+        key = ag.key
         if key not in checked:
             checked[key] = _check_plant(ag, s_eigs)
         per_agent[name], texts = checked[key]

@@ -134,36 +134,26 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
     return TransformU(U=(rows, cols, vals), c=c, h=h, residual=float(residual))
 
 
-def build_augmented_plant(
-    agent: AgentDynamics,
-    reg: RegulatorSolution,
-    design: CompensatorDesign,
-    transform: TransformU,
-    follower_index: int,
-) -> AugmentedPlant:
-    """Assemble the stacked (zeta_i, xtilde_i) plant for one follower.
-
-    follower_index is 1-based, matching the graph node numbering.
-    """
-    i = follower_index - 1
-    if not (0 <= i < len(transform.c)):
+def build_augmented_plant(agent, reg, design, transform, follower_index) -> AugmentedPlant:
+    """Assemble the stacked (zeta_i, xtilde_i) plant of one follower, or of
+    G followers of one shape at once, each entry the float of its own: then
+    `agent` and `reg` hold (G, ., .) stacks of A..F and Pi, and
+    follower_index (1-based, as the graph numbers nodes) has G entries."""
+    i = np.asarray(follower_index) - 1
+    if not ((0 <= i) & (i < len(transform.c))).all():
         raise ValueError(f"follower index {follower_index} out of range")
-    q = agent.q
-    if design.s_shifted.shape != (q, q):
-        raise ValueError(
-            f"leader order {design.s_shifted.shape[0]} does not match agent coupling width {q}"
-        )
+    q, n, m = len(design.s_shifted), agent.A.shape[-1], agent.B.shape[-1]
+    c, alpha_h = transform.c[i][..., None, None], (design.alphas[i] * transform.h[i])[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        Phi = transform.c[i] * agent.E + design.alphas[i] * transform.h[i] * reg.Pi
-        Psi = -transform.c[i] * agent.F
+        Phi = c * agent.E + alpha_h * reg.Pi
+        Psi = -c * agent.F
     if not (np.isfinite(Phi).all() and np.isfinite(Psi).all()):
         raise NumericalError("augmented plant has non-finite entries")
-    A = np.block([
-        [design.s_shifted, np.zeros((q, agent.n))],
-        [-Phi, agent.A],
-    ])
-    B = np.vstack([np.zeros((q, agent.m)), agent.B])
-    C = np.hstack([-Psi, agent.C])
+    A = np.zeros((*i.shape, q + n, q + n))
+    A[..., :q, :q], A[..., q:, :q], A[..., q:, q:] = design.s_shifted, -Phi, agent.A
+    B = np.zeros((*i.shape, q + n, m))
+    B[..., q:, :] = agent.B
+    C = np.concatenate([-Psi, agent.C], axis=-1)
     return AugmentedPlant(A=A, B=B, C=C, D=agent.D.copy(), Phi=Phi, Psi=Psi)
 
 
@@ -192,8 +182,10 @@ def initial_gains(agent: AgentDynamics, reg: RegulatorSolution, K1=None) -> Gain
     return gains
 
 
-def check_augmented_loop(plant: AugmentedPlant, gains: GainSet) -> None:
-    """Re-verify that an initial gain set stabilizes one follower's closed
-    augmented loop."""
-    if not is_hurwitz(plant.A - plant.B @ gains.Kic):
+def check_augmented_loop(plant: AugmentedPlant, Kic) -> None:
+    """Re-verify that initial gains Kic stabilize the closed augmented loop of
+    a follower, or of each of a stack, by one stacked eigenvalue decomposition."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not Hurwitz
+        closed = plant.A - plant.B @ Kic
+    if not (np.isfinite(closed).all() and (abscissae(closed) < 0).all()):
         raise NumericalError("initial gain does not stabilize the augmented plant")

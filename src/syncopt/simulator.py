@@ -14,11 +14,12 @@ such a system, in practice a large and almost entirely zero network matrix,
 is advanced by the nonzeros of R instead, built from those of the matrix,
 or by the four RK4 stages on the matrix's nonzeros where R fills in.
 
-The samples come out in row blocks of about 1 MB (at least 256 rows), so a
-run need never be held whole: a `NetworkRun` yields each block as a
-`Trajectory` of its own rows, with the followers' inputs and tracking errors
-(memoryless functions of the state) computed for those rows, and keeps only
-what the tracking metrics read, two numbers per follower. A run that is
+The samples come out in row blocks of about 1 MB (at least 256 rows), one
+alive at a time, so a run need never be held whole: a `NetworkRun` yields
+each block as a `Trajectory` of its own rows, with the followers' inputs,
+tracking errors and their norms computed for those rows a group of
+followers at a time, and keeps only what the tracking metrics read, two
+numbers per follower. A run that is
 asked only for its tail errors (`NetworkRun.tail_errors`, what `compare`
 reads) forms no more of itself than the last 10% of the horizon needs: on
 the dense path it passes the whole chunks before the tail by the top power
@@ -72,7 +73,14 @@ class FollowerStream:
 class Trajectory:
     times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
-    followers: dict  # name -> FollowerStream
+    groups: list  # (names, x, xi, zeta, u, e) per run of followers of one shape, each stream G x T x width
+    norms: np.ndarray  # T x N: |e| of each follower, the followers in order
+
+    @property
+    def followers(self) -> dict:
+        """name -> FollowerStream, views of the groups' streams."""
+        return {name: FollowerStream(*(stream[j] for stream in streams))
+                for names, *streams in self.groups for j, name in enumerate(names)}
 
 
 @dataclass(frozen=True)
@@ -184,19 +192,15 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
             # sample `start` holds two rows or more: the followers' outputs
             # over a lone row take another BLAS path
             y, k = passing(y, max(0, start - 2) // chunk)
-        if k == 0:  # the first block holds y0 too
-            block = np.empty((len(members), 1 + min(per_block, steps), n))
-            block[:, 0] = y
-            advance(block[:, 0], block, 1, 0)
-            yield members, 0, block
-            k = block.shape[1] - 1
-            y = block[:, -1].copy()  # not a view, which would keep the block alive
-        while k < steps:  # blocks end at multiples of per_block, as in a whole run
-            block = np.empty((len(members), min(steps, (k // per_block + 1) * per_block) - k, n))
-            advance(y, block, 0, k)
-            yield members, k + 1, block
-            k += block.shape[1]
-            y = block[:, -1].copy()
+        head = int(k == 0)  # the first block holds y0 too
+        while head or k < steps:  # blocks end at multiples of per_block, as in a whole run
+            block = np.empty((len(members), head + min(steps, (k // per_block + 1) * per_block) - k, n))
+            block[:, :head] = y[:, None]  # y0, in the first block
+            advance(y, block, head, k)
+            yield members, k + 1 - head, block
+            k += block.shape[1] - head
+            y, head = block[:, -1].copy(), 0  # not a view, which would keep the block alive
+            del block  # the one block alive: freed before the next is allocated
 
     def guard(block, r0, k):
         """Raise at the first system with a sample from row r0 on (step k + 1
@@ -407,14 +411,9 @@ class NetworkRun:
         xi_off = q + q * np.arange(N)
         z_off = q + N * q + q * np.arange(N)
         x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
-        dim = q + 2 * N * q + sum(n_list)
-
-        y0 = np.zeros(dim)
-        y0[:q] = leader.w0
-        for i, (name, ag) in enumerate(agents):
-            y0[xi_off[i] : xi_off[i] + q] = scenario.xi0[name]
-            y0[z_off[i] : z_off[i] + q] = scenario.zeta0
-            y0[x_off[i] : x_off[i] + ag.n] = scenario.x0[name]
+        y0 = np.concatenate([leader.w0, *(scenario.xi0[name] for name in names),
+                             np.tile(scenario.zeta0, N), *(scenario.x0[name] for name in names)])
+        dim = len(y0)
 
         matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
         if _chunk_length(dim) > 1:  # made dense for the step map
@@ -441,7 +440,7 @@ class NetworkRun:
             self._groups.append((
                 names[start:stop], start, shapes[start][0],
                 (x_off[start], xi_off[start], z_off[start]),
-                *(np.stack(mats).transpose(0, 2, 1) for mats in (  # each matrix transposed
+                *(np.stack(mats).mT for mats in (  # each matrix transposed
                     [g.K1 for g in gs], [g.K2 for g in gs], [g.K3 for g in gs],
                     [ag.C for ag in ags], [ag.D for ag in ags], [ag.F for ag in ags],
                 )),
@@ -449,16 +448,13 @@ class NetworkRun:
         self._integration = matrix, y0[None], t_end, dt  # a lockstep stack of one system
 
     def __iter__(self):
-        dt = self.tracking.dt
-        self.tracking = TrackingSummary(self.tracking.steps, dt, self.tracking.names)  # afresh
-        for _, _, block in _rk4_lockstep(*self._integration):
-            samples = block[0]
-            followers, norms = self._outputs(samples)
-            self.tracking.add(norms)
-            del norms  # not held while the block is used
-            k = self.tracking.seen
-            yield Trajectory(times=np.arange(k - len(samples), k) * dt,
-                             leader_states=samples[:, : self._q], followers=followers)
+        self.tracking = TrackingSummary(self.tracking.steps, self.tracking.dt, self.tracking.names)
+        for _, first, block in _rk4_lockstep(*self._integration):
+            trajectory = self._outputs(block[0], first)
+            self.tracking.add(trajectory.norms)
+            del block  # the trajectory holds views of it: both are freed before the next block
+            yield trajectory
+            del trajectory
 
     def tail_errors(self) -> dict:
         """Each follower's largest tracking-error norm over the last 10% of
@@ -472,31 +468,30 @@ class NetworkRun:
         top = np.full(len(self.tracking.names), -np.inf)
         for _, first, block in _rk4_lockstep(*self._integration, start):
             if first + block.shape[1] > start:
-                norms = self._outputs(block[0])[1][max(0, start - first) :]
+                norms = self._outputs(block[0], first).norms[max(0, start - first) :]
                 np.maximum(top, norms.max(axis=0), out=top)
+            del block  # before the next is allocated
         return dict(zip(self.tracking.names, top.tolist()))
 
-    def _outputs(self, samples: np.ndarray) -> tuple:
+    def _outputs(self, samples: np.ndarray, first: int) -> Trajectory:
         """The followers' streams over consecutive samples (rows) of the
-        state, and the norms of their tracking errors, one column per
-        follower."""
+        state from sample `first` on, and the norms of their tracking
+        errors."""
         b, q = len(samples), self._q
         w = samples[:, :q]
-        followers = {}
         norms = np.empty((b, len(self.tracking.names)))
-        for names, first, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
+        groups = []
+        for names, col, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
             G = len(names)
 
-            def stacked(col, width):  # G x b x width, follower-major views
-                return samples[:, col : col + G * width].reshape(b, G, width).transpose(1, 0, 2)
-
-            x, xi, zeta = stacked(x0, n), stacked(xi0, q), stacked(z0, q)
+            x, xi, zeta = (samples[:, c : c + G * k].reshape(b, G, k).transpose(1, 0, 2)  # G x b x k views
+                           for c, k in ((x0, n), (xi0, q), (z0, q)))
             u = -(x @ K1 + xi @ K2 + zeta @ K3)
             e = x @ C + u @ D - w @ F
-            norms[:, first : first + G] = np.linalg.norm(e, axis=2).T
-            for j, name in enumerate(names):
-                followers[name] = FollowerStream(x=x[j], xi=xi[j], zeta=zeta[j], u=u[j], e=e[j])
-        return followers, norms
+            norms[:, col : col + G] = np.sqrt(_sum_squares(e)).T
+            groups.append((names, x, xi, zeta, u, e))
+        return Trajectory(times=np.arange(first, first + b) * self.tracking.dt, leader_states=w,
+                          groups=groups, norms=norms)
 
 
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
@@ -590,10 +585,7 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
         # a one-row product takes another BLAS path than the rows of a taller
         # one, so a lone last row goes with the row before it
         X = block if rows > 1 or first == 0 else np.concatenate([before, block], axis=1)
-        sq = (X @ Cbar[members].mT)[:, -rows:] ** 2
-        # numpy sums fewer than 8 terms left to right, so adding the columns
-        # in turn gives the floats of np.sum(sq, axis=2), and fast
-        e2 = sum(np.moveaxis(sq, 2, 0)) if sq.shape[2] < 8 else np.sum(sq, axis=2)
+        e2 = _sum_squares((X @ Cbar[members].mT)[:, -rows:])
         if first == 0:
             first_e2[members] = e2[:, 0]
         last_e2[members] = e2[:, -1]
@@ -650,6 +642,13 @@ class TrackingSummary:
                 settle = (last + 1) * self.dt
             out[name] = TrackingMetrics(tail_error=tail, settle_time=settle)
         return out
+
+
+def _sum_squares(e: np.ndarray) -> np.ndarray:
+    """|e|^2 over the last axis, as np.linalg.norm sums it: numpy adds fewer
+    than 8 terms left to right, so adding the columns in turn is the same."""
+    sq = e * e
+    return sum(np.moveaxis(sq, -1, 0)) if sq.shape[-1] < 8 else np.sum(sq, axis=-1)
 
 
 def _tail_start(steps: int) -> int:

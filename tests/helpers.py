@@ -41,9 +41,16 @@ def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.Net
     return simulator.NetworkRun(scenario, design, gains, t_end, dt)
 
 
-def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulator.Trajectory:
+@dataclass(frozen=True)
+class NetworkTrajectory:
+    times: np.ndarray
+    leader_states: np.ndarray  # T x q
+    followers: dict  # name -> simulator.FollowerStream over the whole run
+
+
+def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> NetworkTrajectory:
     """Integrate the whole closed-loop network under the given gain sets:
-    the blocks of its `NetworkRun`, joined into one `Trajectory`."""
+    the blocks of its `NetworkRun`, joined into one `NetworkTrajectory`."""
     run = network_run(scenario, gains, t_end, dt)
     times, w, streams = [], [], {name: [] for name in run.tracking.names}
     for block in run:
@@ -51,20 +58,20 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> simulato
         w.append(block.leader_states)
         for name, s in block.followers.items():
             streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
-    return simulator.Trajectory(
+    return NetworkTrajectory(
         times=np.concatenate(times), leader_states=np.concatenate(w),
         followers={name: simulator.FollowerStream(*map(np.concatenate, zip(*parts)))
                    for name, parts in streams.items()},
     )
 
 
-def error_norms(traj: simulator.Trajectory) -> np.ndarray:
+def error_norms(traj: NetworkTrajectory) -> np.ndarray:
     """|e| of each follower of a whole trajectory at each sample, T x N, the
     followers in the trajectory's order."""
     return np.stack([np.linalg.norm(stream.e, axis=1) for stream in traj.followers.values()], axis=1)
 
 
-def tracking_metrics(traj: simulator.Trajectory) -> dict:
+def tracking_metrics(traj: NetworkTrajectory) -> dict:
     """Per-follower tail error and settle time of the tracking error of a
     whole trajectory: its `TrackingSummary` given every sample's norms at
     once. Sample k is at times[k] = k * dt, so dt is times[1]."""

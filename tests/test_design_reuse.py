@@ -3,12 +3,14 @@ a plant share its results, which are bitwise those of an agent-by-agent run,
 computed once per call."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from networks import chain_payload, with_extra_state
 from syncopt import cli, plant, protocol, regulator
-from syncopt.errors import ValidationError
+from syncopt.errors import NumericalError, ValidationError
 from syncopt.plant import AgentDynamics, LeaderModel, check_assumptions
 from syncopt.topology import build_topology
 
@@ -66,10 +68,11 @@ def test_chain_does_per_plant_work_once_per_call(chain_network, monkeypatch):
     stabilizes = counted(monkeypatch, protocol, "stabilize")
     checks = counted(monkeypatch, plant, "_check_plant")
     loops = counted(monkeypatch, protocol, "check_augmented_loop")
+    # the loops of all 60 followers, one shape, are checked as one stack
     cli.run_design(scenario)
-    assert (len(solves), len(stabilizes), len(loops)) == (5, 0, 60)
+    assert (len(solves), len(stabilizes), len(loops), len(loops[0][1])) == (5, 0, 1, 60)
     cli.run_design(dataclasses.replace(scenario, k1_override=None))
-    assert (len(solves), len(stabilizes), len(loops)) == (10, 5, 120)
+    assert (len(solves), len(stabilizes), len(loops), len(loops[1][1])) == (10, 5, 2, 60)
     for _ in range(2):
         check_assumptions(scenario.agents, scenario.leader, scenario.topology)
     assert len(checks) == 10
@@ -122,3 +125,73 @@ def test_repeated_failing_plants_report_per_agent():
         "c": (False, False, False, False), "d": (False, True, True, True),
         "e": (False, False, False, False), "f": (True, True, True, True),
     }
+
+
+def interleaved(tmp_path, payload=None):
+    """12 paper agents round-robin on a chain, a2, a3 and a7 with one more
+    state: the shapes (3, 2, 2) and (4, 2, 2) interleaved, and plants
+    repeated in each (a7 has a2's plant, a5 and a10 a0's)."""
+    payload = payload or with_extra_state(chain_payload(12), {"a2", "a3", "a7"})
+    path = tmp_path / "interleaved.json"
+    path.write_text(json.dumps(payload))
+    return cli.load_scenario(path)
+
+
+def test_stacked_design_is_the_agent_by_agent_design(tmp_path, monkeypatch):
+    scenario = interleaved(tmp_path)
+    assert scenario.agents[2][1] is scenario.agents[7][1]  # one AgentDynamics per plant
+    assert scenario.agents[0][1] is scenario.agents[5][1] is scenario.agents[10][1]
+    loops = counted(monkeypatch, protocol, "check_augmented_loop")
+    bundle = cli.run_design(scenario)
+    assert [len(kic) for _, kic in loops] == [9, 3]  # one stacked check per shape
+    design, transform, q = bundle.design, bundle.transform, scenario.leader.q
+    for i, ((name, ag), ad) in enumerate(zip(scenario.agents, bundle.per_agent)):
+        reg = regulator.solve_regulator(ag, scenario.leader)
+        gains = protocol.initial_gains(ag, reg, K1=scenario.k1_override[name])
+        # one follower's plant, assembled as np.block writes it
+        Phi = transform.c[i] * ag.E + design.alphas[i] * transform.h[i] * reg.Pi
+        Psi = -transform.c[i] * ag.F
+        want = {"A": np.block([[design.s_shifted, np.zeros((q, ag.n))], [-Phi, ag.A]]),
+                "B": np.vstack([np.zeros((q, ag.m)), ag.B]), "C": np.hstack([-Psi, ag.C]),
+                "D": ag.D, "Phi": Phi, "Psi": Psi}
+        assert ad.name == name and ad.agent is ag
+        for field, M in want.items():
+            assert same_bytes(getattr(ad.plant, field), M), (name, field)
+        for field in GAIN_FIELDS:
+            assert same_bytes(getattr(ad.initial, field), getattr(gains, field)), (name, field)
+        assert same_bytes(ad.reg.Pi, reg.Pi) and same_bytes(ad.reg.Gamma, reg.Gamma)
+
+
+@pytest.mark.parametrize("at, named", [([6], "a6"), ([6, 3], "a3")])
+def test_non_finite_plant_in_a_stack_names_the_first_agent(tmp_path, monkeypatch, at, named):
+    # c_i = inf makes Phi_i non-finite: a6 is in the middle of the (3, 2, 2)
+    # stack, assembled first; a3, in the (4, 2, 2) stack, comes before it
+    scenario = interleaved(tmp_path)
+    build_transform = protocol.build_transform
+
+    def with_inf(*args):
+        transform = build_transform(*args)
+        c = transform.c.copy()
+        c[at] = np.inf
+        return dataclasses.replace(transform, c=c)
+
+    monkeypatch.setattr(protocol, "build_transform", with_inf)
+    with pytest.raises(NumericalError, match=f"^agent {named}: augmented plant has non-finite entries$"):
+        cli.run_design(scenario)
+
+
+@pytest.mark.parametrize("spoil, text", [
+    (lambda agents: agents[1]["A"][0].__setitem__(0, float("nan")), "agent a1: matrix A has non-finite entries"),
+    (lambda agents: agents[3].__setitem__("B", [row[:1] for row in agents[3]["B"]]),
+     "agent a3: matrix D has shape (2, 2), expected (2, 1)"),
+])
+def test_load_error_in_a_shared_plant_names_its_first_agent(tmp_path, spoil, text):
+    # a1 and a6 share their matrices' lists, a3's B is a3's own: the plant
+    # of a1 and a6 is refused for a1, and a3's plant for a3, before a8 (a3's
+    # plant as it was) and a4 (one of its own, with a NaN)
+    payload = chain_payload(12)
+    payload["agents"][4]["E"] = [[float("nan")] * 2] * 3
+    spoil(payload["agents"])
+    with pytest.raises(ValidationError) as exc:
+        interleaved(tmp_path, payload)
+    assert str(exc.value) == text

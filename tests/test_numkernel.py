@@ -96,6 +96,15 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError, match="^Q is not symmetric within 1e-12$"):
             solve_lyapunov(-np.eye(2)[None], np.array([[[1.0, 1.0], [0.0, 1.0]]]))
 
+    def test_rejects_a_weight_whose_frobenius_norm_overflows(self):
+        # every entry finite and Q symmetric, but ||Q||_F is inf: the
+        # residual's tolerance 1e-9 (1 + ||Q||_F) would be inf and pass any P
+        with pytest.raises(ValueError, match="^Q has a Frobenius norm past the float range$"):
+            solve_lyapunov(-np.eye(2)[None], np.full((1, 2, 2), 1e160))
+        # the second member of a stack: refused as that member alone is
+        with pytest.raises(ValueError, match="^Q has a Frobenius norm past the float range$"):
+            solve_lyapunov(-np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.full((2, 2), 1e160)]))
+
     def test_rejects_indefinite_solution(self):
         # Hurwitz A, symmetric indefinite Q: P = diag(1/2, -1/2)
         with pytest.raises(NumericalError, match="not PSD"):

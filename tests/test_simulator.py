@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,31 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
         pass
     assert np.concatenate(added).tobytes() == error_norms(traj).tobytes()
     assert run.tracking.metrics() == tracking_metrics(traj)
+
+
+def test_tracking_norms_of_eight_outputs_are_numpys(tmp_path):
+    # p = m = 8: numpy adds 8 terms or more pairwise, not left to right, and
+    # the norms each block passes to the tracking metrics and the `--svg`
+    # envelope are still those np.linalg.norm takes of each follower's e
+    rng = np.random.default_rng(8)
+    eye = np.eye(8).tolist()
+    plant = {"A": (-np.eye(8)).tolist(), "B": eye, "C": eye, "D": eye,
+             "E": rng.standard_normal((8, 2)).tolist(), "F": rng.standard_normal((8, 2)).tolist()}
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({
+        "leader": {"S": [[1.0, 0.0], [0.0, 1.0]], "w0": [1.0, -1.0]},
+        "topology": {"n_followers": 2, "edges": [[0, 1], [1, 2]]},
+        "design": {"r": 1.0}, "sim": {"t_end": 0.5, "dt": 1e-3},
+        "agents": [dict(plant, name="p"), dict(plant, name="q")],
+        "init": {"x0": {name: rng.standard_normal(8).tolist() for name in "pq"},
+                 "xi0": {name: [0.5, -0.5] for name in "pq"}},
+    }))
+    scenario = cli.load_scenario(path)
+    run = network_run(scenario, initial_gain_sets(cli.run_design(scenario)), t_end=0.5, dt=1e-3)
+    for block in run:
+        want = np.stack([np.linalg.norm(s.e, axis=1) for s in block.followers.values()], axis=1)
+        assert block.norms.tobytes() == want.tobytes()
+        assert (want > 0).all()
 
 
 @pytest.mark.parametrize("network", ["paper", "chain"])
@@ -710,6 +736,46 @@ class TestTrackingMetrics:
             tracemalloc.stop()
         assert len(block.times) < 1000
         assert peak < 8 << 20, peak
+
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_trajectory_csv_holds_one_block_at_a_time(self, tmp_path, monkeypatch, svg):
+        # 200 paper agents on a chain, 1402 states: row blocks of 256 x 1402
+        # samples, 2.9 MB each. The CSV writer, the `--svg` envelope, the run
+        # and its integrator each let a block go before the next is
+        # allocated, so no block is alive when the next is, and from the
+        # second block on the traced memory grows by the block, its
+        # followers' outputs and its table, never by a second block
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_payload(200)))
+        scenario = cli.load_scenario(path)
+        run = network_run(scenario, initial_gain_sets(cli.run_design(scenario)), t_end=1.0, dt=1e-3)
+        blocks, alive, start = [], [], []
+        empty = np.empty
+
+        def tracked_empty(shape, *args, **kwargs):  # the blocks: 1 system x rows x 1402 states
+            out = empty(shape, *args, **kwargs)
+            if np.shape(shape) == (3,) and shape[2] == 1402:
+                alive.append(sum(block() is not None for block in blocks))
+                blocks.append(weakref.ref(out))
+            return out
+
+        def after_the_first(trajectories):
+            trajectories = iter(trajectories)
+            yield next(trajectories)
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+            yield from trajectories
+
+        monkeypatch.setattr(np, "empty", tracked_empty)
+        tracemalloc.start()
+        try:
+            passed = cli.error_envelope(run, *np.full((2, 1000, 200), np.nan)) if svg else run
+            cli.write_trajectory_csv(tmp_path / "trajectory.csv", scenario, after_the_first(passed))
+            peak = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        assert alive == [0, 0, 0, 0]  # 1001 samples: 257, 256, 256 and 232 rows
+        assert peak < 1.5 * 256 * 1402 * 8, peak
 
     def test_error_envelope_memory_does_not_grow_with_samples_times_followers(self, chain_network):
         # the same run through the `simulate --svg` envelope: its first three
