@@ -353,40 +353,25 @@ def _mat(x) -> list:
     return np.asarray(x).tolist()
 
 
-def _json_float(x: float) -> str:
-    """A float as `json` spells it: NaN, Infinity and -Infinity, else its repr."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _json_key(key) -> str:
     """An object key as `json` writes it: a float, bool, None or int key is
     spelled as the value, and the text is quoted."""
     if not isinstance(key, (str, int, float)) and key is not None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else _json(key, ""))
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
 
 
 def _json(o, nl: str) -> str:
     """`o` as `json.dump(o, f, indent=2)` writes it, where `nl` is the newline
-    and indentation its lines start with; the same type rules and texts."""
+    and indentation its lines start with; the same type rules and texts.
+    Strings, exact ints, finite floats, rows of floats, lists and dicts are
+    written here; `json` spells everything else."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
+    if type(o) is int:
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
+    if type(o) is float and math.isfinite(o):
+        return float.__repr__(o)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
@@ -405,7 +390,7 @@ def _json(o, nl: str) -> str:
             return "{}"
         body = f",{inner}".join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in o.items()])
         return f"{{{inner}{body}{nl}}}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return json.dumps(o)
 
 
 def _dump(o, write, nl: str, depth: int):
@@ -424,11 +409,11 @@ def _dump(o, write, nl: str, depth: int):
 
 
 def _write_json(path: Path, payload: dict):
-    """Write `payload` byte for byte as `json.dump(payload, f, indent=2)` does.
-    The members of the top object and of its objects (a report's `agents`)
-    are encoded and written one at a time, so no report is held whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    """Write `payload` byte for byte as `json.dump(payload, f, indent=2)` does,
+    through `_replacing`. The members of the top object and of its objects
+    (a report's `agents`) are encoded and written one at a time, so no
+    report is held whole."""
+    with _replacing(path) as f:
         _dump(payload, f.write, "\n", 2)
 
 

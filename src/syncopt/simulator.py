@@ -6,15 +6,18 @@ distributed protocol) is one large LTI system; it is assembled once, from
 the agents and the edge list, as the nonzeros of its block matrix and
 integrated with classical 4th-order Runge-Kutta (see `_rk4_lockstep`). One
 RK4 step of a linear system is exactly y <- R y with R the step map, the
-RK4 stability polynomial of the step times the matrix. A system of fewer
-than 363 states is made dense and advanced by R, several steps per matrix
-product. From 363 states on, one dense step map alone fills the 2 MB chunk
-budget, so a chunk holds a single step and there is nothing to amortise;
-such a system, in practice a large and almost entirely zero network matrix,
-is advanced by the nonzeros of R instead, built from those of the matrix,
-or by the four RK4 stages on the matrix's nonzeros where R fills in.
+RK4 stability polynomial of the step times the matrix. The integrator
+alone decides how a run is cut. A system of fewer than 363 states is made
+dense and advanced by R, several steps per matrix product, in batches of
+systems whose powers of R fit the 2 MB chunk budget. From 363 states on,
+one dense step map alone fills that budget, so a chunk holds a single step
+and there is nothing to amortise; such a system, in practice a large and
+almost entirely zero network matrix, is advanced by the nonzeros of R
+instead, built from those of the matrix, or by the four RK4 stages on the
+matrix's nonzeros where R fills in.
 
-The samples come out in row blocks of about 1 MB (at least 256 rows), one
+The samples come out in row blocks of about 1 MB (at least 256 rows, and
+never a lone last row), one
 alive at a time, so a run need never be held whole: a `NetworkRun` yields
 each block as a `Trajectory` of its own rows, with the followers' inputs,
 tracking errors and their norms computed for those rows a group of
@@ -53,9 +56,6 @@ _MAX_CHUNK = 128
 # enough samples.
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 256
-# Bytes of the power stacks of one lockstep batch of augmented runs (see
-# `simulate_augmented`).
-_GROUP_BYTES = 1 << 20
 # Rows of the sparse step map built at a time (see `_sparse_step_map`).
 _STRIP_ROWS = 256
 
@@ -136,9 +136,14 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
     """Classical fixed-step RK4 for G systems dy = M_g y of one order n, in
     lockstep, yielded as blocks of samples (members, first, block): block[j]
     holds the samples of system members[j] from sample `first` on. The
-    systems of one chunk length (below) run together, y0 and the first
-    `_block_rows` steps, then that many steps a block; each block is a new
-    array.
+    systems of one batch and one chunk length (below) run together, y0 and
+    the first `_block_rows` steps, then that many steps a block; each block
+    is a new array. Over a block of one row, the products its reader takes
+    (the followers' outputs, |e|^2) would be matrix-vector calls, whose
+    floats differ from those of the matrix-matrix calls over taller blocks;
+    so a lone last row joins the block before it, formed by the same
+    products, and every sample reads the same whatever the horizon. Only a
+    run of no steps yields a block of one row.
 
     A run that is read only from sample `start` on may begin its blocks
     later: on the step-map path, the whole chunks before the one that holds
@@ -149,13 +154,15 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
     the same float, and a run that fails raises the same error. On the
     other paths every block is formed and yielded.
 
-    M is the (G, n, n) stack of the matrices; from n = 363 on it may instead
-    be the list of their nonzeros (rows, cols, vals), sorted row-major.
+    M is the (G, n, n) stack of the matrices or the list of their nonzeros
+    (rows, cols, vals), sorted row-major; the integrator makes the form its
+    path needs.
 
     For a linear system one RK4 step is exactly y <- R y with R the RK4
     stability polynomial of dt M (Hairer, Norsett & Wanner, Solving ODEs I).
     While a chunk can stack at least two powers of R (n < 363 states), R is
-    built once and the samples are emitted in chunks,
+    built once, for a batch of as many systems as keep their power stacks
+    within _CHUNK_BYTES, and the samples are emitted in chunks,
     out[k+1 : k+b] = (R^1 .. R^(b-1)) out[k] and out[k+b] = R^b out[k],
     with blocks of whole chunks; the last sample of a whole chunk comes from
     R^b alone, so a chunk passed over by R^b ends on the same float as one
@@ -174,7 +181,8 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
 
     A start that is non-finite, or a sample that is non-finite or beyond
     BLOWUP_LIMIT, fails the stack: the run raises the error of the first
-    such system, before the block that holds that sample is yielded. The
+    such system of the batch and chunk length being run, before the block
+    that holds that sample is yielded. The
     samples are checked a block at a time: a system that blows up runs on
     to the block's end.
     """
@@ -193,8 +201,11 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
             # over a lone row take another BLAS path
             y, k = passing(y, max(0, start - 2) // chunk)
         head = int(k == 0)  # the first block holds y0 too
-        while head or k < steps:  # blocks end at multiples of per_block, as in a whole run
-            block = np.empty((len(members), head + min(steps, (k // per_block + 1) * per_block) - k, n))
+        while head or k < steps:
+            end = min(steps, (k // per_block + 1) * per_block)  # at a multiple of per_block, as in a whole run
+            if end == steps - 1:  # a lone last row joins the block before it
+                end = steps
+            block = np.empty((len(members), head + end - k, n))
             block[:, :head] = y[:, None]  # y0, in the first block
             advance(y, block, head, k)
             yield members, k + 1 - head, block
@@ -229,7 +240,11 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
         yield from blocks(np.arange(G), 1, sparse)
         return
 
-    powers, chunks, peaks = _power_stack(M, dt, steps)
+    if not isinstance(M, np.ndarray):  # nonzeros, made dense for the step map
+        dense = np.zeros((G, n, n))
+        for g, (rows, cols, vals) in enumerate(M):
+            dense[g, rows, cols] = vals
+        M = dense
     # A sample R^j y of a chunk is formed with an error of at most
     # gamma_n |R^j| |y| entrywise (Higham, Accuracy and Stability of
     # Numerical Algorithms, 2nd ed., section 3.5; gamma_k = k u / (1 - k u)),
@@ -237,37 +252,44 @@ def _rk4_lockstep(M, Y0: np.ndarray, t_end: float, dt: float, start: int = 0):
     # of roundoff cover the rounding of that bound and of its test.
     u = float(np.finfo(float).eps) / 2
     slack = 1 + (n + 4) * u / (1 - (n + 4) * u)
-    for chunk in sorted(set(chunks.tolist()), reverse=True):
-        members = np.flatnonzero(chunks == chunk)
-        every = slice(None) if len(members) == G else members
-        flat = powers[every, : chunk - 1].reshape(len(members), (chunk - 1) * n, n)
-        top = powers[every, chunk - 1]
-        reach = slack * n * float(peaks[every, :chunk].max())
 
-        def products(y, block, r0, k, chunk=chunk, flat=flat, top=top):
-            out = block.reshape(len(block), -1)  # a view: the block is contiguous
-            with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
-                for i in range(r0, block.shape[1], chunk):
-                    rows = block[:, i : i + chunk]
-                    inner = min(rows.shape[1], chunk - 1)
-                    np.matmul(flat[:, : inner * n], y[:, :, None], out=out[:, i * n : (i + inner) * n, None])
-                    if rows.shape[1] == chunk:
-                        np.matmul(top, y[:, :, None], out=rows[:, -1, :, None])
-                    y = rows[:, -1]
-            guard(block, r0, k)
+    def batch(b0, M):  # the systems from b0 on whose matrices are M, on one power stack
+        powers, chunks, peaks = _power_stack(M, dt, steps)
+        for chunk in sorted(set(chunks.tolist()), reverse=True):
+            members = np.flatnonzero(chunks == chunk)
+            every = slice(None) if len(members) == len(M) else members
+            flat = powers[every, : chunk - 1].reshape(len(members), (chunk - 1) * n, n)
+            top = powers[every, chunk - 1]
+            reach = slack * n * float(peaks[every, :chunk].max())
 
-        def passing(y, count, chunk=chunk, top=top, reach=reach):
-            """Advance y over up to `count` whole chunks, a chunk by R^b
-            alone, while `reach` ||y||_inf stays within BLOWUP_LIMIT, so
-            that no sample passed over could fail the guard. Returns the
-            sample reached and its step."""
-            for c in range(count):
-                if not reach * float(np.abs(y).max()) <= BLOWUP_LIMIT:  # NaN and inf fail too
-                    return y, c * chunk
-                y = np.matmul(top, y[:, :, None])[:, :, 0]  # the call that forms a chunk's last sample
-            return y, count * chunk
+            def products(y, block, r0, k, chunk=chunk, flat=flat, top=top):
+                out = block.reshape(len(block), -1)  # a view: the block is contiguous
+                with np.errstate(all="ignore"):  # a system that blows up runs on to the block's end
+                    for i in range(r0, block.shape[1], chunk):
+                        rows = block[:, i : i + chunk]
+                        inner = min(rows.shape[1], chunk - 1)
+                        np.matmul(flat[:, : inner * n], y[:, :, None], out=out[:, i * n : (i + inner) * n, None])
+                        if rows.shape[1] == chunk:
+                            np.matmul(top, y[:, :, None], out=rows[:, -1, :, None])
+                        y = rows[:, -1]
+                guard(block, r0, k)
 
-        yield from blocks(members, chunk, products, passing)
+            def passing(y, count, chunk=chunk, top=top, reach=reach):
+                """Advance y over up to `count` whole chunks, a chunk by R^b
+                alone, while `reach` ||y||_inf stays within BLOWUP_LIMIT, so
+                that no sample passed over could fail the guard. Returns the
+                sample reached and its step."""
+                for c in range(count):
+                    if not reach * float(np.abs(y).max()) <= BLOWUP_LIMIT:  # NaN and inf fail too
+                        return y, c * chunk
+                    y = np.matmul(top, y[:, :, None])[:, :, 0]  # the call that forms a chunk's last sample
+                return y, count * chunk
+
+            yield from blocks(b0 + members, chunk, products, passing)
+
+    per = max(1, _CHUNK_BYTES // (8 * _chunk_length(n) * n * n))  # power stacks within the budget
+    for b0 in range(0, G, per):
+        yield from batch(b0, M[b0 : b0 + per])
 
 
 def _power_stack(M: np.ndarray, dt: float, steps: int) -> tuple:
@@ -413,15 +435,7 @@ class NetworkRun:
         x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
         y0 = np.concatenate([leader.w0, *(scenario.xi0[name] for name in names),
                              np.tile(scenario.zeta0, N), *(scenario.x0[name] for name in names)])
-        dim = len(y0)
-
         matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
-        if _chunk_length(dim) > 1:  # made dense for the step map
-            rows, cols, vals = matrix
-            matrix = np.zeros((1, dim, dim))
-            matrix[0, rows, cols] = vals
-        else:
-            matrix = [matrix]
 
         self.tracking = TrackingSummary(_steps(t_end, dt), dt, names)
         # Followers of one shape (n, m, p) that follow each other lie at even
@@ -445,7 +459,7 @@ class NetworkRun:
                     [ag.C for ag in ags], [ag.D for ag in ags], [ag.F for ag in ags],
                 )),
             ))
-        self._integration = matrix, y0[None], t_end, dt  # a lockstep stack of one system
+        self._integration = [matrix], y0[None], t_end, dt  # a lockstep stack of one system
 
     def __iter__(self):
         self.tracking = TrackingSummary(self.tracking.steps, self.tracking.dt, self.tracking.names)
@@ -544,10 +558,10 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     plants of one shape under the gains Ks, from X0s, both by quadrature of
     |e|^2, e = (C - D K) X, over an RK4 run and by the closed form X0^T P X0
     with P the solution of the loop's Lyapunov equation. The members run in
-    lockstep (see `_rk4_lockstep`) and a row block at a time, in batches of
-    as many as keep their power stacks within _GROUP_BYTES.
+    lockstep, in the integrator's batches and a row block at a time (see
+    `_rk4_lockstep`).
 
-    Before any member is integrated, one stacked `solve_lyapunov` of the
+    Before any member is integrated, one stacked `solve_lyapunov` of all the
     loops makes the checks of a policy-evaluation step and gives P; its one
     eigenvalue decomposition of A - B K serves both the refusal of a gain
     that is not stabilizing and the horizon warning. A blow-up stops the
@@ -555,11 +569,6 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     alone; at the first check any member fails, the call raises the error
     that member alone would raise.
     """
-    order = len(X0s[0])
-    per = max(1, _GROUP_BYTES // (8 * _chunk_length(order) * order * order))
-    if len(plants) > per:  # a batch at a time
-        return [cost for b in range(0, len(plants), per) for cost in simulate_augmented(
-            plants[b : b + per], Ks[b : b + per], X0s[b : b + per], t_end, dt)]
     K = np.array(Ks, dtype=float)
     A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
@@ -581,11 +590,7 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     # samples so far, and its largest value over the tail
     first_e2, last_e2, total, top = np.zeros((4, len(plants)))
     for members, first, block in _rk4_lockstep(Acl, X0, t_end, dt):
-        rows = block.shape[1]
-        # a one-row product takes another BLAS path than the rows of a taller
-        # one, so a lone last row goes with the row before it
-        X = block if rows > 1 or first == 0 else np.concatenate([before, block], axis=1)
-        e2 = _sum_squares((X @ Cbar[members].mT)[:, -rows:])
+        e2 = _sum_squares(block @ Cbar[members].mT)
         if first == 0:
             first_e2[members] = e2[:, 0]
         last_e2[members] = e2[:, -1]
@@ -593,7 +598,6 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
         # whatever the blocks and the batch
         total[members] = np.cumsum(np.column_stack([total[members], e2]), axis=1)[:, -1]
         top[members] = np.maximum(top[members], e2[:, max(0, tail - first) :].max(axis=1, initial=0.0))
-        before = block[:, -1:]
     quadrature = dt * (total - (first_e2 + last_e2) / 2)
     horizon = steps * dt
     warnings = [None if horizon >= 5.0 / -a else

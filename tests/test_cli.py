@@ -1,5 +1,6 @@
 import copy
 import csv
+import errno
 import json
 import sys
 import tracemalloc
@@ -576,6 +577,20 @@ class TestCommands:
                 assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + [csv_path.name])
                 assert csv_path.read_bytes() == earlier
 
+    def test_a_sample_has_the_same_csv_bytes_whatever_the_horizon(self, tmp_path, capsys, scenario_dict):
+        # the network's row blocks hold 3584 samples at 37 states, so at 3585
+        # steps sample 3585 would be a block of its own, whose follower
+        # outputs take numpy's matrix-vector path; it joins the block before
+        raw, rows = scenario_dict, []
+        for t_end in (3.585, 3.586):
+            raw["sim"]["t_end"] = t_end
+            out = tmp_path / str(t_end)
+            out.mkdir()
+            path = write_scenario(out, raw)
+            assert cli.main(["simulate", str(path), "--out", str(out), "--gains", "optimal"]) == 0
+            rows.append((out / "trajectory_optimal.csv").read_bytes().splitlines()[1 + 3585])
+        assert rows[0] == rows[1]
+
     def test_simulate_memory_is_bounded_by_blocks(self, tmp_path, capsys):
         # 150 followers on a chain, 1052 states, 4001 samples: 33.7 MB of
         # samples, where a row block holds 256 rows, 2.2 MB. numpy reports
@@ -839,3 +854,31 @@ def test_write_json_rejects_what_json_dump_rejects(tmp_path, bad):
     with pytest.raises(TypeError) as got:
         cli._write_json(tmp_path / "report.json", obj)
     assert str(got.value) == str(want.value)
+
+
+def test_a_report_write_that_fails_leaves_the_earlier_report(tmp_path, capsys, monkeypatch):
+    # the disk fills after the first chunk of design_report.json: the verb
+    # exits 4, the report of the run before is left byte for byte, and no
+    # temporary file stays behind
+    assert cli.main(["design", str(SCENARIO), "--out", str(tmp_path)]) == 0
+    before = (tmp_path / "design_report.json").read_bytes()
+
+    def disk_full(*args, **kwargs):  # a file that takes one chunk, then raises
+        f = open(*args, **kwargs)
+        chunks = []
+
+        def write(text):
+            if chunks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            chunks.append(text)
+            return type(f).write(f, text)
+
+        f.write = write
+        return f
+
+    monkeypatch.setattr(cli, "open", disk_full, raising=False)
+    capsys.readouterr()
+    assert cli.main(["design", str(SCENARIO), "--out", str(tmp_path)]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert (tmp_path / "design_report.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["design_report.json"]

@@ -146,8 +146,8 @@ def blowup_group():
 
 @pytest.mark.parametrize("min_rows", [None, 128])
 def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
-    # min_rows 128: blocks of one chunk of the stable loop, with a last block
-    # of a single row at 385 steps
+    # min_rows 128: blocks of one chunk of the stable loop, whose lone last
+    # row at 385 steps joins the block before it
     if min_rows:
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", min_rows)
@@ -155,6 +155,10 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
     Acl = np.array([p.A - p.B @ k for p, k in zip(plants, K)])
     chunks = simulator._power_stack(Acl, 1e-3, 385)[1]
     assert chunks[0] == 128 and chunks[1] == chunks[2] < 128
+    if min_rows:
+        blocks = [(first, block.shape[1]) for members, first, block in
+                  simulator._rk4_lockstep(Acl[:2], np.array(X0[:2]), 0.385, 1e-3) if members.tolist() == [0]]
+        assert blocks == [(0, 129), (129, 128), (257, 129)]
     # the first two loops as a group have the bits of each run alone
     got = simulator.simulate_augmented(plants[:2], K[:2], X0[:2], 0.385, 1e-3)
     assert len(got) == 2
@@ -176,6 +180,43 @@ def test_augmented_group_matches_one_member_runs(monkeypatch, min_rows):
     assert_same_error(outcome(simulator.simulate_augmented, plants, K, X0, 0.385, 1e-3), want)
     with pytest.raises(NumericalError, match=str(want)):
         simulate_augmented(plants[2], K[2], X0[2], 0.385, 1e-3)
+
+
+def test_integrator_batches_give_each_member_its_run_alone(monkeypatch):
+    # the power stacks of three order-5 loops fill the budget, so seven loops
+    # run in batches of three, three and one, and the six that pass in two:
+    # stable loops (chunks of 128) mixed with loops started at zero in a mode
+    # outside the RK4 stability region (shorter chunks), and in the second
+    # batch of seven one that blows up
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 3 * 8 * 5 * 5 * simulator._MAX_CHUNK)
+    assert simulator._chunk_length(5) == simulator._MAX_CHUNK
+    stacks, power_stack = [], simulator._power_stack
+    monkeypatch.setattr(simulator, "_power_stack", lambda M, *args: stacks.append(len(M)) or power_stack(M, *args))
+    plants, K, X0 = blowup_group()
+    which = [0, 1, 0, 0, 2, 0, 1]  # the fifth blows up
+    members = [(plants[i], K[i], (1 + j / 10) * X0[i]) for j, i in enumerate(which)]
+    Acl = np.array([p.A - p.B @ k for p, k, _ in members])
+    Y0 = np.array([x0 for *_, x0 in members])
+    passing = [j for j in range(7) if j != 4]
+
+    seen, groups = {j: [] for j in passing}, []
+    for group, first, block in simulator._rk4_lockstep(Acl[passing], Y0[passing], 0.385, 1e-3):
+        groups.append(group.tolist())
+        for g, samples in zip(group, block):
+            seen[passing[g]].append(samples)
+    assert stacks == [3, 3]
+    assert groups == [[0, 2], [1], [3, 4], [5]]  # a batch at a time, a chunk length at a time
+    for j in passing:
+        want = rk4(Acl[j], Y0[j], 0.385, 1e-3)[1]
+        assert np.concatenate(seen[j]).tobytes() == want.tobytes()
+
+    costs = simulator.simulate_augmented(*zip(*(members[j] for j in passing)), 0.385, 1e-3)
+    for cost, j in zip(costs, passing):
+        alone = simulator.simulate_augmented(*zip(members[j]), 0.385, 1e-3)[0]
+        assert dataclasses.astuple(cost) == dataclasses.astuple(alone)
+    want = outcome(simulator.simulate_augmented, *zip(members[4]), 0.385, 1e-3)
+    assert isinstance(want, NumericalError) and "state blow-up" in str(want)
+    assert_same_error(outcome(simulator.simulate_augmented, *zip(*members), 0.385, 1e-3), want)
 
 
 def test_augmented_cost_does_not_depend_on_the_blocks(monkeypatch):

@@ -47,13 +47,14 @@ def zero_start(scenario):
 
 def captured_rk4_inputs(monkeypatch):
     """Record (M, y0) of every one-system _rk4_lockstep call made while the
-    patch is active."""
+    patch is active, M dense: a network run passes its matrix's nonzeros."""
     calls = []
     original = simulator._rk4_lockstep
 
     def recording(M, Y0, *args):
         (m,), (y0,) = M, Y0
-        calls.append((m.copy(), np.array(y0, dtype=float)))
+        m = m.copy() if isinstance(m, np.ndarray) else dense(m, len(y0))
+        calls.append((m, np.array(y0, dtype=float)))
         return original(M, Y0, *args)
 
     monkeypatch.setattr(simulator, "_rk4_lockstep", recording)
@@ -476,6 +477,26 @@ def layered_dag(in_degree, layers=20, width=25, seed=0):
 
 def refuse(*args, **kwargs):
     raise RuntimeError("refused")
+
+
+@pytest.mark.parametrize("path", ["step map", "nonzeros of R", "four stages"])
+def test_no_block_has_one_row(chain_network, monkeypatch, path):
+    # three blocks and a lone last row: at a step count one past a multiple
+    # of the block rows, that row joins the block before it, with its bits
+    if path == "step map":
+        M, rows = stable_matrix(6, seed=4), CHUNK  # blocks of whole chunks
+    elif path == "nonzeros of R":
+        M, rows = chain_network[2], 7
+    else:
+        M, rows = layered_dag(in_degree=5), 7
+        monkeypatch.setattr(simulator, "_sparse_steps", refuse)
+    y0, steps = np.linspace(-1.0, 1.0, len(M)), 3 * rows + 1
+    _, whole = rk4(M, y0, steps * 0.01, 0.01)
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(simulator, "_MIN_BLOCK_ROWS", rows)
+    blocks = list(rk4_blocks(M, y0, steps * 0.01, 0.01))
+    assert [len(block) for block in blocks] == [rows + 1, rows, rows + 1]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 class TestSparseStepMap:
