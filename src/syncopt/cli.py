@@ -499,6 +499,19 @@ def _replacing(path: Path):
         raise
 
 
+def _copy_rows(out: np.ndarray, block, r0: int, q: int):
+    """Fill `out` with the CSV cells of a row block's samples from r0 on: the
+    time, the leader's q states, then each follower's e and x, two strided
+    copies a group of followers."""
+    r1 = r0 + len(out)
+    out[:, 0], out[:, 1 : 1 + q], col = block.times[r0:r1], block.leader_states[r0:r1], 1 + q
+    for _, x, _, _, _, e in block.groups:
+        G, _, p = e.shape
+        cells = out[:, col : col + G * (p + x.shape[2])].reshape(len(out), G, -1)
+        cells[:, :, :p], cells[:, :, p:] = e[:, r0:r1].transpose(1, 0, 2), x[:, r0:r1].transpose(1, 0, 2)
+        col += cells.shape[1] * cells.shape[2]
+
+
 def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
     """Write the trajectory CSV of a network run given as consecutive row
     blocks (`Trajectory`s, as a `simulator.NetworkRun` yields them), each
@@ -511,20 +524,16 @@ def write_trajectory_csv(path: Path, scenario: Scenario, blocks):
         header += [f"{name}_e_{k + 1}" for k in range(ag.p)]
         header += [f"{name}_x_{k + 1}" for k in range(ag.n)]
     rows = max(1, fmt17.BLOCK_CELLS // len(header))
+    table = np.empty((rows, len(header)))  # one formatter block, refilled; not a whole row block
     with _replacing(path) as f:
         csv.writer(f).writerow(header)  # quotes any agent name that needs it
         f.flush()  # the rows go to the byte stream below the text layer
         for block in blocks:
-            table = np.empty((len(block.times), len(header)))
-            table[:, 0], table[:, 1 : 1 + q], col = block.times, block.leader_states, 1 + q
-            for _, x, _, _, _, e in block.groups:  # each follower's e, then x: two copies a group
-                G, b, p = e.shape
-                cells = table[:, col : col + G * (p + x.shape[2])].reshape(b, G, -1)
-                cells[:, :, :p], cells[:, :, p:] = e.transpose(1, 0, 2), x.transpose(1, 0, 2)
-                col += cells.shape[1] * cells.shape[2]
-            for r0 in range(0, len(table), rows):
-                f.buffer.write(fmt17.csv_rows(table[r0 : r0 + rows]))
-            del table, block, cells, x, e  # and the views of the block: before the next is integrated
+            for r0 in range(0, len(block.times), rows):
+                part = table[: len(block.times) - r0]
+                _copy_rows(part, block, r0, q)
+                f.buffer.write(fmt17.csv_rows(part))
+            del block  # before the next is integrated
 
 
 def error_envelope(run, low: np.ndarray, high: np.ndarray):
