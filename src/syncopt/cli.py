@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,14 +54,9 @@ class Scenario:
     x0: dict  # name -> initial follower state
     xi0: dict  # name -> initial compensator state
     zeta0: np.ndarray  # common local-generator initial state
-    seed: int | None = None
-    k1_override: dict | None = None  # name -> K1 matrix
-    sha256: str | None = None  # of the scenario file's bytes
-
-
-def bundled_scenario_path(name: str = "paper_six_agents") -> Path:
-    """Filesystem path of a scenario shipped with the package."""
-    return Path(resources.files("syncopt").joinpath(f"scenarios/{name}.json"))
+    seed: int | None
+    k1_override: dict | None  # name -> K1 matrix
+    sha256: str  # of the scenario file's bytes
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -701,7 +695,7 @@ def cmd_compare(args) -> int:
 
 def _load_checked(args) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scenario.seed = args.seed
         scenario.leader = LeaderModel(
             S=scenario.leader.S, w0=seeded_w0(scenario.leader.q, args.seed)

@@ -6,7 +6,7 @@ needs p = m. The three PBH-type rank tests share one batched rank test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -109,7 +109,7 @@ class AssumptionReport:
     per_agent: dict  # name -> AgentChecks
     leader_unstable_modes: bool
     topology_ok: bool
-    diagnostics: tuple = field(default=())
+    diagnostics: tuple
 
     @property
     def passed(self) -> bool:
@@ -123,14 +123,12 @@ class AssumptionReport:
 def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> AssumptionReport:
     """Run all assumption checks on the full scenario.
 
-    `agents` is a list of (name, AgentDynamics) pairs or a dict. The rank
+    `agents` is a list of (name, AgentDynamics) pairs. The rank
     tests (observability, stabilizability, the rank condition at the leader
     eigenvalues) are each one batched complex SVD. Each distinct plant
     (see `AgentDynamics.key`) is checked once, and its checks and
     diagnostics are reported under every agent that has it, in order.
     """
-    if isinstance(agents, dict):
-        agents = list(agents.items())
     diagnostics = []
     per_agent = {}
     s_eigs = _eigvals(leader.S)

@@ -12,7 +12,7 @@ Riccati equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,9 @@ class PiIterate:
 
 @dataclass(frozen=True)
 class PiTrace:
-    iterates: list[PiIterate] = field(default_factory=list)
-    converged: bool = False
-    are_residual_final: float = float("nan")
+    iterates: list[PiIterate]
+    converged: bool
+    are_residual_final: float
 
     @property
     def P(self) -> np.ndarray:
@@ -86,43 +86,26 @@ def _are_residual(plant: AugmentedPlant, gram: np.ndarray, P: np.ndarray) -> flo
     return float(np.linalg.norm(res, "fro"))
 
 
-def run_pi(
-    plant: AugmentedPlant,
-    K0,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PiTrace:
-    """Alternate evaluation and improvement from a stabilizing K0 until the
-    gain update falls below epsilon.
-
-    Records every iterate and enforces the convergence guarantees at runtime:
-    each closed loop stays Hurwitz (its spectral abscissa, from the one
-    eigenvalue decomposition the evaluation makes, is recorded), the cost
-    matrices decrease monotonically (min-eigenvalue tolerance -1e-9), and
-    the converged pair satisfies the Riccati equation within 1e-8 relative
-    to the error weight. D^T D is checked once, before the first iterate.
-    This is `run_pi_group` on a group of one.
-    """
-    return run_pi_group([plant], [K0], epsilon, max_iter)[0]
-
-
 def run_pi_group(
     plants,
     K0s,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list:
-    """`run_pi` from K0s[g] on each of the augmented plants of one shape
-    (order, m, p), in lockstep; returns each member's PiTrace, with the bits
-    of its run alone.
+    """Policy iteration from the stabilizing K0s[g] on each of the augmented
+    plants of one shape (order, m, p), in lockstep, until each gain update
+    falls below epsilon; returns each member's PiTrace, with the bits of its
+    run alone.
 
-    Followers learn from their own plants alone, so each member keeps its
-    own iterates and checks, and leaves the iteration when it converges. An
-    iteration evaluates the members with one stacked eigenvalue
-    decomposition, Kronecker solve and eigvalsh, tests their monotonicity
-    with one eigvalsh and improves their gains with one solve; the norms
-    are taken per member. At the first check any member fails, the group
-    raises the error that member alone would raise.
+    Each member keeps its own iterates and leaves the iteration when it
+    converges. Its checks enforce the convergence guarantees: D^T D is
+    invertible (checked once), each closed loop is Hurwitz (its spectral
+    abscissa is recorded), the costs decrease monotonically (min-eigenvalue
+    tolerance -1e-9), and the converged pair satisfies the Riccati equation
+    within 1e-8 relative to the error weight. An iteration makes one stacked
+    eigvals, Kronecker solve and eigvalsh, one monotonicity eigvalsh and one
+    improvement solve for all members. At the first check any member fails,
+    the group raises the error that member alone would raise.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

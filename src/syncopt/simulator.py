@@ -61,26 +61,11 @@ _STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
-class FollowerStream:
-    x: np.ndarray  # T x n
-    xi: np.ndarray  # T x q
-    zeta: np.ndarray  # T x q
-    u: np.ndarray  # T x m
-    e: np.ndarray  # T x p
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
     groups: list  # (names, x, xi, zeta, u, e) per run of followers of one shape, each stream G x T x width
     norms: np.ndarray  # T x N: |e| of each follower, the followers in order
-
-    @property
-    def followers(self) -> dict:
-        """name -> FollowerStream, views of the groups' streams."""
-        return {name: FollowerStream(*(stream[j] for stream in streams))
-                for names, *streams in self.groups for j, name in enumerate(names)}
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,7 @@ class CostReport:
     j_quadrature: float  # trapezoid of |e|^2 over the horizon
     j_closed_form: float  # X0^T P X0
     tail_error: float  # max |e| over the last 10% of the horizon
-    horizon_warning: str | None = None
+    horizon_warning: str | None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class ValidationReport:
     acyclic: bool
     rooted: bool
     leader_isolated: bool
-    diagnostics: tuple = field(default=())
+    diagnostics: tuple
 
     @property
     def passed(self) -> bool:

@@ -7,14 +7,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import simulate_network
+from helpers import BUNDLED_SCENARIO, simulate_network
 from networks import chain_payload
 from syncopt import cli, simulator
 
 
 @pytest.fixture(scope="session")
 def paper_scenario():
-    return cli.load_scenario(cli.bundled_scenario_path())
+    return cli.load_scenario(BUNDLED_SCENARIO)
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,25 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
-APIs, which only tests call: the RK4 run of one system, as blocks and
-joined, and the network run joined into one trajectory, its tracking-error
-norms and their metrics, the closed augmented loop of one follower with its
-states and with its cost, the Lyapunov solve of one equation, and the
-policy-evaluation, policy-improvement and Riccati-residual formulas of one
-plant."""
+APIs, which only tests call: the path of the bundled scenario, the RK4 run
+of one system, as blocks and joined, each follower's streams in a network
+block, the network run joined into one trajectory, its tracking-error norms
+and their metrics, the closed augmented loop of one follower with its
+states and with its cost, the Lyapunov solve of one equation, policy
+iteration on one plant, and the policy-evaluation, policy-improvement and
+Riccati-residual formulas of one plant."""
 
+from collections import namedtuple
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from syncopt import policy_iteration, protocol, simulator
 from syncopt.errors import NumericalError
 from syncopt.numkernel import solve_lyapunov
+
+BUNDLED_SCENARIO = Path(resources.files("syncopt") / "scenarios" / "paper_six_agents.json")
+FollowerStream = namedtuple("FollowerStream", "x xi zeta u e")  # T x n, q, q, m, p
 
 
 def rk4_blocks(M, y0: np.ndarray, t_end: float, dt: float):
@@ -41,11 +48,18 @@ def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.Net
     return simulator.NetworkRun(scenario, design, gains, t_end, dt)
 
 
+def followers(block: simulator.Trajectory) -> dict:
+    """name -> FollowerStream of one block of a network run, views of its
+    groups' streams."""
+    return {name: FollowerStream(*(stream[j] for stream in streams))
+            for names, *streams in block.groups for j, name in enumerate(names)}
+
+
 @dataclass(frozen=True)
 class NetworkTrajectory:
     times: np.ndarray
     leader_states: np.ndarray  # T x q
-    followers: dict  # name -> simulator.FollowerStream over the whole run
+    followers: dict  # name -> FollowerStream over the whole run
 
 
 def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> NetworkTrajectory:
@@ -56,11 +70,11 @@ def simulate_network(scenario, gains: dict, t_end: float, dt: float) -> NetworkT
     for block in run:
         times.append(block.times)
         w.append(block.leader_states)
-        for name, s in block.followers.items():
-            streams[name].append((s.x, s.xi, s.zeta, s.u, s.e))
+        for name, stream in followers(block).items():
+            streams[name].append(stream)
     return NetworkTrajectory(
         times=np.concatenate(times), leader_states=np.concatenate(w),
-        followers={name: simulator.FollowerStream(*map(np.concatenate, zip(*parts)))
+        followers={name: FollowerStream(*map(np.concatenate, zip(*parts)))
                    for name, parts in streams.items()},
     )
 
@@ -122,6 +136,12 @@ def policy_evaluation(plant, K) -> tuple:
     a stack of one."""
     stack = (np.array([M], dtype=float) for M in (plant.A, plant.B, plant.C, plant.D, K))
     return tuple(x[0] for x in policy_iteration.policy_evaluation(*stack))
+
+
+def run_pi(plant, K0, epsilon=policy_iteration.DEFAULT_EPSILON,
+           max_iter=policy_iteration.DEFAULT_MAX_ITER) -> policy_iteration.PiTrace:
+    """Policy iteration on one plant: `policy_iteration.run_pi_group` on a group of one."""
+    return policy_iteration.run_pi_group([plant], [K0], epsilon, max_iter)[0]
 
 
 def policy_improvement(plant, P) -> np.ndarray:

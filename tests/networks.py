@@ -7,14 +7,14 @@ import json
 
 import numpy as np
 
-from syncopt import cli
+from helpers import BUNDLED_SCENARIO
 from syncopt.topology import build_topology
 
 
 def chain_payload(n_followers: int) -> dict:
     """The bundled paper agents round-robin on a chain of `n_followers`, each
     with its paper K1: 7 states a follower besides the leader's 2."""
-    raw = json.loads(cli.bundled_scenario_path().read_text())
+    raw = json.loads(BUNDLED_SCENARIO.read_text())
     paper = raw["agents"]
     agents, x0, xi0, k1 = [], {}, {}, {}
     for i in range(n_followers):

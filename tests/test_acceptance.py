@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 import paper_tables
-from helpers import are_residual, augmented_cost, simulate_network
+from helpers import are_residual, augmented_cost, run_pi, simulate_network
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
 from syncopt import cli
 from syncopt.plant import LeaderModel
-from syncopt.policy_iteration import run_pi
 from syncopt.regulator import solve_regulator
 
 MASTER_SEED = 20260823

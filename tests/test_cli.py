@@ -12,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import BUNDLED_SCENARIO as SCENARIO
 from helpers import error_norms, network_run, simulate_network, tracking_metrics
 from networks import chain_payload, dag_payload, dense
 from syncopt import cli, policy_iteration, simulator
 from syncopt.errors import ValidationError
 
-SCENARIO = cli.bundled_scenario_path()
 SVG = "{http://www.w3.org/2000/svg}"
 
 

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import BUNDLED_SCENARIO as SCENARIO
 from syncopt import cli, fmt17
-
-SCENARIO = cli.bundled_scenario_path()
 
 # cells that take the formatter's other paths: Python's (nan, inf, a
 # subnormal, a y within 1e-6 of a tie that is not one, |v| > 1e280), an exact

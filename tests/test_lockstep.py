@@ -8,11 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import lyapunov, policy_evaluation, rk4, simulate_augmented
+from helpers import BUNDLED_SCENARIO, lyapunov, policy_evaluation, rk4, run_pi, simulate_augmented
 from syncopt import cli, simulator
 from syncopt.errors import NumericalError, ToolkitError
 from syncopt.numkernel import solve_lyapunov
-from syncopt.policy_iteration import run_pi, run_pi_group
+from syncopt.policy_iteration import run_pi_group
 from syncopt.protocol import AugmentedPlant
 
 
@@ -252,7 +252,7 @@ def permuted_scenario(tmp_path, max_iter, widen=None):
     agent2, agent3: they need 6, 8, 7, 8 and 8 iterations. The agent named
     `widen` gets a fourth state, stable, driven by nothing and read by its
     first output: a shape of its own, and the same iteration count."""
-    raw = json.loads(cli.bundled_scenario_path().read_text())
+    raw = json.loads(BUNDLED_SCENARIO.read_text())
     raw["agents"] = [raw["agents"][i] for i in (3, 0, 4, 1, 2)]
     raw["design"]["max_iter"] = max_iter
     for spec in raw["agents"]:
@@ -318,7 +318,7 @@ def test_compare_names_the_first_failing_loop_across_groups(tmp_path, capsys):
 def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
     # no file, a file learned for this run, and one learned for another seed:
     # the same bytes and stdout, and a learn only where the file is not this run's
-    path = str(cli.bundled_scenario_path())
+    path = str(BUNDLED_SCENARIO)
     learns, run_learn = [], cli.run_learn
 
     def counting(*args):
@@ -347,7 +347,7 @@ def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
 def test_compare_names_the_follower_whose_loop_fails(tmp_path, capsys, scale, text):
     # a stamped gains file whose agent1 Kic compare reads and refuses, naming
     # the follower and the gain set, with exit 3 and no traceback
-    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    path, out = str(BUNDLED_SCENARIO), tmp_path / "out"
     assert cli.main(["learn", path, "--out", str(out)]) == 0
     gains_file = out / "optimal_gains.json"
     payload = json.loads(gains_file.read_text())
@@ -375,7 +375,7 @@ def k1_negated_k3_1e160(kic):  # not stabilizing, and its weight overflows
 def test_compare_checks_each_loop_as_a_policy_evaluation_step(tmp_path, capsys, edit, text):
     # compare refuses agent1's optimal loop with the error a policy
     # evaluation of that gain raises, checked before the loop is integrated
-    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    path, out = str(BUNDLED_SCENARIO), tmp_path / "out"
     assert cli.main(["learn", path, "--out", str(out)]) == 0
     gains_file = out / "optimal_gains.json"
     payload = json.loads(gains_file.read_text())
@@ -397,7 +397,7 @@ def test_compare_refuses_a_loop_before_integrating_it(tmp_path, capsys, monkeypa
     # overflows: the group of 10 loops and agent1's optimal loop alone are
     # refused by the Lyapunov checks before they are integrated, so the one
     # integration is that of agent1's initial loop, run alone before it
-    path, out = str(cli.bundled_scenario_path()), tmp_path / "out"
+    path, out = str(BUNDLED_SCENARIO), tmp_path / "out"
     assert cli.main(["learn", path, "--out", str(out)]) == 0
     gains_file = out / "optimal_gains.json"
     payload = json.loads(gains_file.read_text())
@@ -426,7 +426,7 @@ def test_compare_takes_one_spectrum_of_its_augmented_loops(tmp_path, monkeypatch
     # Lyapunov solve and its one stacked eigenvalue decomposition, for both
     # the refusal and the horizon warning; the only other one is the
     # design's check of the 5 initial loops
-    path, out = str(cli.bundled_scenario_path()), str(tmp_path)
+    path, out = str(BUNDLED_SCENARIO), str(tmp_path)
     assert cli.main(["learn", path, "--out", out]) == 0
     stacked, eigvals = [], np.linalg.eigvals
     solves, solve = [], simulator.solve_lyapunov

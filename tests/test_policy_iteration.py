@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import are_residual, policy_evaluation, policy_improvement
+from helpers import are_residual, policy_evaluation, policy_improvement, run_pi
 from oracles import hamiltonian_are_solve, random_stabilizable_plant
 from syncopt import policy_iteration
 from syncopt.errors import NumericalError
 from syncopt.numkernel import abscissae
-from syncopt.policy_iteration import run_pi
 from syncopt.protocol import AugmentedPlant
 
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import (augmented_cost, error_norms, network_run, policy_evaluation, rk4,
+from helpers import (augmented_cost, error_norms, followers, network_run, policy_evaluation, rk4,
                      rk4_blocks, simulate_augmented, simulate_network, tracking_metrics)
 from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
@@ -240,7 +240,7 @@ def test_tracking_norms_of_eight_outputs_are_numpys(tmp_path):
     scenario = cli.load_scenario(path)
     run = network_run(scenario, initial_gain_sets(cli.run_design(scenario)), t_end=0.5, dt=1e-3)
     for block in run:
-        want = np.stack([np.linalg.norm(s.e, axis=1) for s in block.followers.values()], axis=1)
+        want = np.stack([np.linalg.norm(s.e, axis=1) for s in followers(block).values()], axis=1)
         assert block.norms.tobytes() == want.tobytes()
         assert (want > 0).all()
 

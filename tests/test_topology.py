@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import BUNDLED_SCENARIO
 from networks import graph_matrices, h_matrix, random_dag
 from paper_tables import LAPLACIAN
 from syncopt import cli, topology
@@ -187,5 +188,5 @@ def test_topological_order_once_per_verb(tmp_path, monkeypatch, capsys, verb):
         return original(*args)
 
     monkeypatch.setattr(topology, "_try_topological_order", counting)
-    assert cli.main([verb, str(cli.bundled_scenario_path()), "--out", str(tmp_path)]) == 0
+    assert cli.main([verb, str(BUNDLED_SCENARIO), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
