@@ -27,7 +27,7 @@ import numpy as np
 
 from . import policy_iteration, protocol, regulator
 from .errors import NumericalError, ToolkitError, ValidationError
-from .plant import AgentDynamics, LeaderModel, check_assumptions
+from .plant import AgentDynamics, LeaderModel, check_assumptions, plant_key
 from .topology import Topology, build_topology
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def load_scenario(path) -> Scenario:
 
     agents = []
     names = set()
-    plants = {}  # shapes and bytes of the six matrices -> the one AgentDynamics of that plant
+    plants = {}  # plant_key -> the one AgentDynamics of that plant
     for spec in _list(_require(raw, "agents", ""), "agents"):
         name = _require(spec, "name", "agents[]")
         if not isinstance(name, str):
@@ -146,7 +146,7 @@ def load_scenario(path) -> Scenario:
         mats = [_require(spec, field, name) for field in "ABCDEF"]
         try:
             mats = [np.asarray(M, dtype=float) for M in mats]  # as AgentDynamics takes them
-            key = tuple((M.shape, M.tobytes()) for M in mats)
+            key = plant_key(mats)
             ag = plants.get(key) or plants.setdefault(key, AgentDynamics(*mats))  # checked once a plant
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"agent {name}: {exc}") from exc
@@ -639,7 +639,7 @@ def cmd_simulate(args) -> int:
             gains = load_gain_sets(gains_file, bundle, scenario)
         else:
             gains = optimal_gain_sets(bundle, run_learn(scenario, bundle))
-    run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
+    run = simulator.NetworkRun(scenario, bundle.design, gains)
     out = Path(args.out)
     csv_path = out / f"trajectory_{args.gains}.csv"
     blocks = run
@@ -679,7 +679,7 @@ def cmd_compare(args) -> int:
     }
 
     for label, gains in gain_sets.items():
-        run = simulator.NetworkRun(scenario, bundle.design, gains, scenario.t_end, scenario.dt)
+        run = simulator.NetworkRun(scenario, bundle.design, gains)
         for name, tail_error in run.tail_errors().items():
             rows[name][label]["network_tail_error"] = tail_error
 

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkernel import _eigvals
-from .topology import Topology, validate_topology
+from .topology import Topology
 
 RANK_RTOL = 1e-9  # singular values below RANK_RTOL * sigma_max count as zero
 GRAM_TOL, GRAM_RTOL = 1e-10, 1e-12  # D^T D is invertible: sigma_min > max(GRAM_TOL, GRAM_RTOL sigma_max)
@@ -45,10 +45,8 @@ class AgentDynamics:
 
     @cached_property
     def key(self) -> tuple:
-        """Shapes and bytes of (A, B, C, D, E, F), taken once: agents with equal
-        keys have bitwise-equal plants, so every per-plant result is shared."""
-        mats = (self.A, self.B, self.C, self.D, self.E, self.F)
-        return tuple((M.shape, M.tobytes()) for M in mats)
+        """`plant_key` of (A, B, C, D, E, F), taken once."""
+        return plant_key((self.A, self.B, self.C, self.D, self.E, self.F))
 
     @property
     def n(self) -> int:
@@ -65,6 +63,13 @@ class AgentDynamics:
     @property
     def q(self) -> int:
         return self.E.shape[1]
+
+
+def plant_key(mats) -> tuple:
+    """Shapes and bytes of a plant's six matrices (A, B, C, D, E, F): agents
+    with equal keys have bitwise-equal plants, so every per-plant result is
+    shared."""
+    return tuple((M.shape, M.tobytes()) for M in mats)
 
 
 @dataclass(frozen=True)
@@ -147,14 +152,12 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
     if not leader_ok:
         diagnostics.append("leader S has a strictly stable eigenvalue")
 
-    topo_report = validate_topology(topology)
-    if not topo_report.passed:
-        diagnostics.extend(topo_report.diagnostics)
+    diagnostics.extend(topology.diagnostics)
 
     return AssumptionReport(
         per_agent=per_agent,
         leader_unstable_modes=bool(leader_ok),
-        topology_ok=topo_report.passed,
+        topology_ok=not topology.diagnostics,
         diagnostics=tuple(diagnostics),
     )
 

@@ -13,7 +13,7 @@ from .errors import NumericalError, ValidationError
 from .numkernel import abscissae, is_hurwitz, stabilize
 from .plant import AgentDynamics, LeaderModel
 from .regulator import RegulatorSolution
-from .topology import Topology, topological_order, validate_topology
+from .topology import Topology
 
 TRANSFORM_RESIDUAL_TOL = 1e-8
 
@@ -73,9 +73,8 @@ def design_compensator(leader: LeaderModel, topo: Topology, r: float) -> Compens
     """
     if r <= 0:
         raise ValidationError("design constant r must be positive")
-    report = validate_topology(topo)
-    if not report.passed:
-        raise ValidationError(f"topology invalid: {report.diagnostics}")
+    if topo.diagnostics:
+        raise ValidationError(f"topology invalid: {topo.diagnostics}")
     lam_m = float(abscissae(leader.S))
     return CompensatorDesign(
         r=float(r),
@@ -121,9 +120,11 @@ def build_transform(design: CompensatorDesign, topo: Topology, leader: LeaderMod
             "transform not representable: the defining identity has no exact "
             f"solution for S = {leader.S.tolist()} (residual {residual:.3e})"
         )
+    if topo.order is None:
+        raise ValidationError("graph has a directed cycle; no topological order")
     c, h = np.empty(N), np.empty(N)
     with np.errstate(all="ignore"):  # an overflow is reported below
-        for i in topological_order(topo):
+        for i in topo.order:
             s = sum(c[j - 1] for j in topo.senders[i] if j > 0)
             c[i - 1] = (1.0 - alphas[i - 1] / r * s) / u_diag[i - 1]
             h[i - 1] = d[i - 1] * c[i - 1] - s

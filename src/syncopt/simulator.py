@@ -387,7 +387,8 @@ class NetworkRun:
     """The whole closed-loop network under the given gain sets, assembled
     and ready to integrate.
 
-    `scenario` provides leader, agents, topology and initial conditions;
+    `scenario` provides leader, agents, topology, initial conditions and the
+    horizon t_end with its step dt;
     `design` is the scenario's `protocol.CompensatorDesign`, and `gains`
     maps agent name -> GainSet. The compensator state of the leader node is
     the leader state itself.
@@ -400,8 +401,8 @@ class NetworkRun:
     has ended.
     """
 
-    def __init__(self, scenario, design, gains: dict, t_end: float, dt: float):
-        leader = scenario.leader
+    def __init__(self, scenario, design, gains: dict):
+        leader, t_end, dt = scenario.leader, scenario.t_end, scenario.dt
         agents = list(scenario.agents)
         topo = scenario.topology
         q = leader.q

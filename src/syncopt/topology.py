@@ -1,9 +1,10 @@
 """Directed communication graph over a leader (node 0) and N followers.
 
 Keeps the graph as its edge list, with the in-degrees, each node's
-senders and the followers' topological order, and checks the structural
-requirements: no directed loop, a spanning tree rooted at the leader, and
-an isolated leader row. Edge weights are unit only.
+senders and the followers' topological order, and checks its structure
+once, as it is built: no directed loop among the followers, every follower
+reachable from the leader, and no edge into the leader. Edge weights are
+unit only.
 """
 
 from __future__ import annotations
@@ -21,30 +22,21 @@ from .errors import ValidationError
 class Topology:
     n_followers: int
     edges: tuple  # ordered pairs (j, i): follower/leader j feeds agent i
-    in_degrees: np.ndarray  # d_i per node, leader included (d_0 = 0 enforced later)
+    in_degrees: np.ndarray  # d_i per node, leader included (d_0 > 0 is a diagnostic)
     senders: tuple  # per node i, the nodes j of its edges j -> i, ascending
     order: tuple | None  # followers in topological order, None if there is a directed cycle
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    acyclic: bool
-    rooted: bool
-    leader_isolated: bool
-    diagnostics: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.acyclic and self.rooted and self.leader_isolated
+    diagnostics: tuple  # the structural defects found, in the order above; empty for a valid graph
 
 
 def build_topology(n_followers: int, edges) -> Topology:
     """Construct the graph, its in-degrees, senders and topological order
-    from an edge list.
+    from an edge list, and check its structure.
 
     Edges are ordered pairs (j, i) meaning agent i receives from agent j;
     node 0 is the leader. An edge that is not a pair of integers, a
-    duplicate edge and a self-edge are rejected.
+    duplicate edge and a self-edge are rejected. A directed cycle among the
+    followers, a follower the leader does not reach and an edge into the
+    leader are reported, in that order, in `diagnostics`.
     """
     n = int(n_followers)
     if n < 1:
@@ -64,61 +56,24 @@ def build_topology(n_followers: int, edges) -> Topology:
         seen.add((j, i))
 
     edges = tuple(sorted(seen))
-    senders = [[] for _ in range(n + 1)]
+    senders, receivers = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
     for j, i in edges:  # ascending j per receiver
         senders[i].append(j)
-    deg = np.array([len(s) for s in senders], dtype=float)
-    return Topology(n_followers=n, edges=edges, in_degrees=deg,
-                    senders=tuple(map(tuple, senders)), order=_try_topological_order(n, edges))
-
-
-def validate_topology(t: Topology) -> ValidationReport:
-    """Check acyclicity, leader-rooted reachability, and leader isolation."""
-    n = t.n_followers
-    diagnostics = []
-
-    acyclic = t.order is not None
-    if not acyclic:
-        diagnostics.append("directed cycle among followers")
-
-    # BFS from the leader over the full graph
-    reached = {0}
-    frontier = [0]
-    succ = [[] for _ in range(n + 1)]
-    for j, i in t.edges:
-        succ[j].append(i)
+        receivers[j].append(i)
+    order = _try_topological_order(n, edges)
+    diagnostics = [] if order is not None else ["directed cycle among followers"]
+    reached, frontier = {0}, [0]  # depth-first from the leader over the whole graph
     while frontier:
-        node = frontier.pop()
-        for nxt in succ[node]:
+        for nxt in receivers[frontier.pop()]:
             if nxt not in reached:
                 reached.add(nxt)
                 frontier.append(nxt)
-    unreached = sorted(set(range(1, n + 1)) - reached)
-    rooted = not unreached
-    if unreached:
-        diagnostics.append(f"followers unreachable from the leader: {unreached}")
-
-    leader_isolated = bool(t.in_degrees[0] == 0)
-    if not leader_isolated:
+    if len(reached) <= n:
+        diagnostics.append(f"followers unreachable from the leader: {sorted(set(range(1, n + 1)) - reached)}")
+    if senders[0]:
         diagnostics.append("leader has incoming edges")
-
-    return ValidationReport(
-        acyclic=acyclic,
-        rooted=rooted,
-        leader_isolated=leader_isolated,
-        diagnostics=tuple(diagnostics),
-    )
-
-
-def topological_order(t: Topology) -> list[int]:
-    """Follower permutation in which every edge points forward.
-
-    Every follower comes after all of its senders. Ties break on the lowest
-    original index for reproducibility.
-    """
-    if t.order is None:
-        raise ValidationError("graph has a directed cycle; no topological order")
-    return list(t.order)
+    return Topology(n_followers=n, edges=edges, in_degrees=np.array([len(s) for s in senders], dtype=float),
+                    senders=tuple(map(tuple, senders)), order=order, diagnostics=tuple(diagnostics))
 
 
 def _try_topological_order(n: int, edges) -> tuple | None:

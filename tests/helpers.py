@@ -7,6 +7,7 @@ states and with its cost, the Lyapunov solve of one equation, policy
 iteration on one plant, and the policy-evaluation, policy-improvement and
 Riccati-residual formulas of one plant."""
 
+import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
@@ -42,10 +43,11 @@ def rk4(M, y0: np.ndarray, t_end: float, dt: float) -> tuple[np.ndarray, np.ndar
 
 
 def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.NetworkRun:
-    """The scenario's `NetworkRun` under the given gain sets, with the
-    compensator design of the scenario's leader, topology and r."""
+    """The scenario's `NetworkRun` under the given gain sets and over the
+    horizon t_end of step dt, with the compensator design of the scenario's
+    leader, topology and r."""
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
-    return simulator.NetworkRun(scenario, design, gains, t_end, dt)
+    return simulator.NetworkRun(dataclasses.replace(scenario, t_end=t_end, dt=dt), design, gains)
 
 
 def followers(block: simulator.Trajectory) -> dict:

@@ -222,6 +222,15 @@ class TestCommands:
                             "integer, got -1\n") and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("verb", cli.VERBS)
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys, verb):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([verb, str(SCENARIO), "--out", str(tmp_path), "--seed", "abc"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"syncopt {verb}: error: argument --seed: invalid int value: 'abc'\n")
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("verb", ["simulate", "learn", "validate"])
     def test_bad_scenario_exits_2(self, tmp_path, scenario_dict, capsys, verb):
         for keys, value in BAD_SCENARIO_FIELDS:
@@ -238,6 +247,7 @@ class TestCommands:
     @pytest.mark.parametrize("defect, text", [
         ("E/F columns", "agent agent1: E/F have 3 columns, leader order is 2"),
         ("unknown k1_override", "k1_override references unknown agent `agent9`"),
+        ("NaN in leader S", "leader: leader model has non-finite entries"),  # json reads NaN
     ])
     def test_scenario_refusal_exits_2_with_its_text(self, tmp_path, scenario_dict, capsys, defect,
                                                     text):
@@ -245,12 +255,42 @@ class TestCommands:
             agent1 = scenario_dict["agents"][0]
             agent1["E"] = [row + [0.0] for row in agent1["E"]]
             agent1["F"] = [row + [0.0] for row in agent1["F"]]
+        elif defect == "NaN in leader S":
+            scenario_dict["leader"]["S"][1][0] = float("nan")
         else:
             scenario_dict["k1_override"]["agent9"] = scenario_dict["k1_override"]["agent1"]
         path = write_scenario(tmp_path, scenario_dict)
         for verb in ("validate", "simulate"):
             assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == f"validation failure: {text}\n"
+
+    @pytest.mark.parametrize("defect, diagnostics", [
+        ("edge 5 -> 1", ["directed cycle among followers"]),
+        ("no edge into 4", ["followers unreachable from the leader: [4, 5]"]),
+        ("edge 3 -> 0", ["leader has incoming edges"]),
+        # without the edges into 4 the edge 5 -> 1 closes no cycle
+        ("all three", ["followers unreachable from the leader: [4, 5]", "leader has incoming edges"]),
+    ])
+    def test_graph_refusal_exits_2_with_its_diagnostics(self, tmp_path, scenario_dict, capsys, defect,
+                                                        diagnostics):
+        edges = scenario_dict["topology"]["edges"]
+        if defect in ("no edge into 4", "all three"):
+            edges[:] = [edge for edge in edges if edge[1] != 4]
+        if defect in ("edge 5 -> 1", "all three"):
+            edges.append([5, 1])
+        if defect in ("edge 3 -> 0", "all three"):
+            edges.append([3, 0])
+        path = write_scenario(tmp_path, scenario_dict)
+        assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "assumptions FAIL\n" + "".join(f"  - {line}\n" for line in diagnostics) and err == ""
+        report = json.loads((tmp_path / "assumption_report.json").read_text())
+        assert report["topology_ok"] is False and report["diagnostics"] == diagnostics
+        assert cli.main(["design", str(path), "--out", str(tmp_path / "design")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("validation failure: assumption checks failed: "
+                                     + "; ".join(diagnostics) + "\n")
+        assert not (tmp_path / "design").exists()
 
     def test_feedthrough_gram_refused_by_validate_as_by_learn(self, tmp_path, scenario_dict, capsys):
         # sigma(D^T D) = 1600 and 2.25e-10: above the plant checks' old

@@ -192,6 +192,16 @@ class TestStabilize:
             k = stabilize(a, b)
             assert is_hurwitz(a - b @ k)
 
+    @pytest.mark.parametrize("b, text", [
+        (np.ones((3, 1)), "B shape (3, 1) incompatible with A (2, 2)"),
+        (np.ones(2), "B shape (2,) incompatible with A (2, 2)"),
+        (np.array([[1.0], [np.nan]]), "B has non-finite entries"),
+        (np.array([[np.inf], [1.0]]), "B has non-finite entries"),
+    ])
+    def test_rejects_a_misshapen_or_non_finite_b(self, b, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            stabilize(np.eye(2), b)
+
     def test_uncontrollable_unstabilizable_errors(self):
         # unstable mode with no input authority
         a = np.array([[1.0, 0.0], [0.0, -1.0]])

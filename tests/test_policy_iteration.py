@@ -138,6 +138,15 @@ class TestRunPi:
         with pytest.raises(NumericalError, match="D\\^T D numerically singular"):
             run_pi(scalar_plant(d=0.0), np.array([[2.0]]))
 
+    @pytest.mark.parametrize("epsilon, max_iter, text", [
+        (0.0, 100, "epsilon must be positive"),
+        (-1e-6, 100, "epsilon must be positive"),
+        (1e-6, 0, "max_iter must be positive"),
+    ])
+    def test_rejects_a_nonpositive_tolerance_or_iteration_cap(self, epsilon, max_iter, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            run_pi(scalar_plant(), np.array([[0.0]]), epsilon=epsilon, max_iter=max_iter)
+
     def test_max_iter_exhaustion(self):
         rng = np.random.default_rng(5)
         plant, k0 = random_stabilizable_plant(rng)

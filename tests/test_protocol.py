@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,15 @@ class TestDesignCompensator:
     def test_rejects_nonpositive_r(self, paper_scenario):
         with pytest.raises(ValidationError):
             design_compensator(paper_scenario.leader, paper_scenario.topology, 0.0)
+
+    @pytest.mark.parametrize("edges, text", [
+        ([(0, 1), (1, 2), (2, 1)], "('directed cycle among followers',)"),
+        ([(0, 1)], "('followers unreachable from the leader: [2]',)"),
+        ([(0, 1), (0, 2), (2, 0)], "('leader has incoming edges',)"),
+    ])
+    def test_rejects_a_graph_with_diagnostics(self, edges, text):
+        with pytest.raises(ValidationError, match=f"^{re.escape('topology invalid: ' + text)}$"):
+            design_compensator(LeaderModel(S=np.eye(2), w0=[1, 0]), build_topology(2, edges), 1.0)
 
 
 class TestBuildTransform:
@@ -215,6 +225,12 @@ class TestBuildAugmentedPlant:
         assert np.allclose(plant.Phi, design.alphas[0] * tf.h[0] * reg.Pi)
         assert np.allclose(plant.Psi, 0)
         assert np.array_equal(plant.C, np.hstack([np.zeros((2, 2)), ag.C]))
+
+    @pytest.mark.parametrize("index", [0, 6, [1, 6]])
+    def test_rejects_a_follower_index_out_of_range(self, paper_scenario, paper_bundle, index):
+        ad = paper_bundle.per_agent[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'follower index {index} out of range')}$"):
+            build_augmented_plant(ad.agent, ad.reg, paper_bundle.design, paper_bundle.transform, index)
 
     def test_paper_agent1_leader_block(self, paper_bundle):
         plant = paper_bundle.per_agent[0].plant

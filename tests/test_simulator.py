@@ -123,6 +123,19 @@ class TestSimulateNetwork:
                 paper_scenario, initial_gain_sets(paper_bundle), t_end=1.0, dt=0.0
             )
 
+    @pytest.mark.parametrize("defect, text", [
+        ("four agents", "4 agents for 5 followers"),
+        ("no gains for agent3", "no gain set for agent agent3"),
+    ])
+    def test_run_refuses_agents_it_cannot_wire(self, paper_scenario, paper_bundle, defect, text):
+        scenario, gains = paper_scenario, initial_gain_sets(paper_bundle)
+        if defect == "four agents":
+            scenario = dataclasses.replace(scenario, agents=scenario.agents[:4])
+        else:
+            del gains["agent3"]
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            network_run(scenario, gains, t_end=1.0, dt=1e-3)
+
     def test_blowup_detected(self, paper_scenario, paper_bundle, monkeypatch):
         calls = captured_rk4_inputs(monkeypatch)
         gains = destabilized_gain_sets(paper_bundle)
@@ -544,6 +557,23 @@ class TestSparseStepMap:
         out = np.empty((129, n))
         simulator._sparse_steps(np.searchsorted(rows, np.arange(n)), cols, vals, y0, out)
         assert_rows_close(np.vstack([y0, out]), want, rtol=1e-12)
+
+    def test_non_finite_step_map_takes_the_stages(self, monkeypatch):
+        # a chain 0 -> 1 -> 2 -> 3 of couplings 1e120 whose nodes start and
+        # stay at 0: R = I + hM + ... would hold (h 1e120)^3 / 6, past the
+        # float range, where the stages only multiply the couplings by 0
+        M, huge = layered_dag(in_degree=1), layered_dag(in_degree=1)
+        M[[1, 2, 3], [0, 1, 2]] = 1.0
+        huge[[1, 2, 3], [0, 1, 2]] = 1e120
+        n, y0 = len(M), np.linspace(-1.0, 1.0, len(M))
+        y0[:4] = 0.0
+        assert simulator._sparse_step_map(*nonzeros(M), n, 0.01) is not None  # within the fill budget
+        assert simulator._sparse_step_map(*nonzeros(huge), n, 0.01) is None
+        want = rk4_loop(huge, y0, 129, 0.01)
+        assert np.isfinite(want).all() and not want[:, :4].any()
+        monkeypatch.setattr(simulator, "_sparse_steps", refuse)
+        _, samples = rk4(huge, y0, 1.29, 0.01)
+        assert_rows_close(samples, want, rtol=1e-12)
 
     def test_stage_fallback_blowup_time_matches_textbook_rk4(self):
         M = layered_dag(in_degree=5) + 20.0 * np.eye(500)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from networks import graph_matrices, h_matrix, random_dag
 from paper_tables import LAPLACIAN
 from syncopt import cli, topology
 from syncopt.errors import ValidationError
-from syncopt.topology import build_topology, topological_order, validate_topology
+from syncopt.plant import LeaderModel
+from syncopt.protocol import build_transform, design_compensator
+from syncopt.topology import build_topology
 
 PAPER_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
 
@@ -73,56 +77,73 @@ def test_build_rejects_bad_edges(edges, msg):
         build_topology(5, edges)
 
 
+def test_build_rejects_no_followers():
+    with pytest.raises(ValidationError, match="^need at least one follower$"):
+        build_topology(0, [])
+
+
+CYCLE = "directed cycle among followers"
+
+
+def refused_transform(t):
+    """The refusal `build_transform` raises on the graph t, designed for as
+    if t had no diagnostics."""
+    leader = LeaderModel(S=np.eye(2), w0=[1, 0])
+    design = design_compensator(leader, dataclasses.replace(t, diagnostics=()), 1.0)
+    with pytest.raises(ValidationError) as info:
+        build_transform(design, t, leader)
+    return str(info.value)
+
+
 class TestValidate:
     def test_paper_graph_passes(self):
-        report = validate_topology(build_topology(5, PAPER_EDGES))
-        assert report.passed
+        assert build_topology(5, PAPER_EDGES).diagnostics == ()
 
     def test_cycle_detected(self):
-        report = validate_topology(build_topology(2, [(0, 1), (1, 2), (2, 1)]))
-        assert not report.acyclic
+        assert CYCLE in build_topology(2, [(0, 1), (1, 2), (2, 1)]).diagnostics
 
     def test_unreachable_follower(self):
-        report = validate_topology(build_topology(2, [(0, 1)]))
-        assert not report.rooted
-        assert report.acyclic
+        t = build_topology(2, [(0, 1)])
+        assert "followers unreachable from the leader: [2]" in t.diagnostics
+        assert CYCLE not in t.diagnostics
 
     def test_leader_with_inbound_edge(self):
-        report = validate_topology(build_topology(1, [(0, 1), (1, 0)]))
-        assert not report.leader_isolated
+        assert "leader has incoming edges" in build_topology(1, [(0, 1), (1, 0)]).diagnostics
+
+    def test_all_three_in_order(self):
+        t = build_topology(4, [(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (2, 0)])
+        assert t.diagnostics == (CYCLE, "followers unreachable from the leader: [3, 4]",
+                                 "leader has incoming edges")
 
 
 class TestTopologicalOrder:
     def test_paper_graph_identity_order(self):
         t = build_topology(5, PAPER_EDGES)
-        assert topological_order(t) == [1, 2, 3, 4, 5]
+        assert t.order == (1, 2, 3, 4, 5)
 
     def test_single_follower(self):
-        assert topological_order(build_topology(1, [(0, 1)])) == [1]
+        assert build_topology(1, [(0, 1)]).order == (1,)
 
     def test_reversed_listing_still_triangular(self):
         edges = list(reversed(PAPER_EDGES))
         t = build_topology(5, edges)
-        order = topological_order(t)
-        perm = [i - 1 for i in order]
+        perm = [i - 1 for i in t.order]
         h = h_matrix(t)[np.ix_(perm, perm)]
         assert np.array_equal(h, np.tril(h)) or np.array_equal(h, np.triu(h))
         assert np.array_equal(np.diag(h), t.in_degrees[1:][perm])
 
     def test_cycle_raises(self):
         t = build_topology(2, [(0, 1), (1, 2), (2, 1)])
-        with pytest.raises(ValidationError):
-            topological_order(t)
+        assert t.order is None
+        assert refused_transform(t) == "graph has a directed cycle; no topological order"
 
     def test_order_agrees_with_validation(self):
         for edges in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 1)]):
             t = build_topology(2, edges)
-            report = validate_topology(t)
-            if report.acyclic:
-                assert topological_order(t)
+            if CYCLE not in t.diagnostics:
+                assert t.order
             else:
-                with pytest.raises(ValidationError):
-                    topological_order(t)
+                assert t.order is None and refused_transform(t)
 
 
 def test_h_spectrum_is_in_degrees():
@@ -173,7 +194,7 @@ def test_heap_order_is_the_sorted_list_order(seed):
     relabel = {0: 0, **{i + 1: int(p) for i, p in enumerate(perm)}}
     shuffled = build_topology(n, [(relabel[j], relabel[i]) for j, i in t.edges])
     for graph in (t, shuffled):
-        assert topological_order(graph) == sorted_list_kahn(graph)
+        assert list(graph.order) == sorted_list_kahn(graph)
     j, i = next((j, i) for j, i in shuffled.edges if j > 0)
     cyclic = build_topology(n, list(shuffled.edges) + [(i, j)])  # a two-cycle
     assert cyclic.order is None and sorted_list_kahn(cyclic) is None
@@ -181,12 +202,17 @@ def test_heap_order_is_the_sorted_list_order(seed):
 
 @pytest.mark.parametrize("verb", ["validate", "design", "learn", "simulate", "compare"])
 def test_topological_order_once_per_verb(tmp_path, monkeypatch, capsys, verb):
-    calls, original = [], topology._try_topological_order
+    # the graph is built and checked once, as the scenario is loaded
+    calls = {}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(topology, "_try_topological_order", counting)
+    monkeypatch.setattr(topology, "_try_topological_order",
+                        counting("order", topology._try_topological_order))
+    monkeypatch.setattr(cli, "build_topology", counting("build", cli.build_topology))
     assert cli.main([verb, str(BUNDLED_SCENARIO), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert calls == {"order": 1, "build": 1}
