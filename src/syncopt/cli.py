@@ -207,7 +207,6 @@ def seeded_w0(q: int, seed: int) -> np.ndarray:
 @dataclass
 class AgentDesign:
     name: str
-    agent: AgentDynamics
     reg: regulator.RegulatorSolution
     plant: protocol.AugmentedPlant
     initial: protocol.GainSet
@@ -252,8 +251,8 @@ def run_design(scenario: Scenario) -> DesignBundle:
         plant = protocol.build_augmented_plant(stacks, stacks, design, transform, [idx for idx, *_ in group])
         protocol.check_augmented_loop(plant, stacks.Kic)
         views = zip(plant.A, plant.B, plant.C, plant.D, plant.Phi, plant.Psi)
-        return [AgentDesign(name, ag, regs[j], protocol.AugmentedPlant(*mats), gains[j])
-                for (_, name, ag, _, _), j, mats in zip(group, at, views)]
+        return [AgentDesign(name, regs[j], protocol.AugmentedPlant(*mats), gains[j])
+                for (_, name, *_), j, mats in zip(group, at, views)]
 
     per_agent = in_lockstep(members, lambda m: (m[2].n, m[2].m, m[2].p), run, lambda m: f"agent {m[1]}")
     return DesignBundle(design=design, transform=transform, per_agent=per_agent)
@@ -355,60 +354,47 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
 
 
-def _json(o, nl: str) -> str:
-    """`o` as `json.dump(o, f, indent=2)` writes it, where `nl` is the newline
-    and indentation its lines start with; the same type rules and texts.
-    Strings, exact ints, finite floats, rows of floats, lists and dicts are
-    written here; `json` spells everything else."""
+def _json(o, write, nl: str):
+    """Write `o` through `write` as `json.dump(o, f, indent=2)` does, where `nl`
+    is the newline and indentation its lines start with, by the same type rules
+    and texts: a string, exact int, finite float or row of floats in one write,
+    a list or dict an item or member at a time; `json` spells everything else."""
     if isinstance(o, str):
-        return encode_basestring_ascii(o)
+        return write(encode_basestring_ascii(o))
     if type(o) is int:
-        return int.__repr__(o)
+        return write(int.__repr__(o))
     if type(o) is float and math.isfinite(o):
-        return float.__repr__(o)
+        return write(float.__repr__(o))
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        body = None
-        if isinstance(o[0], float):  # a row of floats, the bulk of every report
+        if o and isinstance(o[0], float):  # a row of floats, the bulk of every report
             try:
                 body = f",{inner}".join(map(float.__repr__, o))
             except TypeError:  # not all floats
-                pass
-        if body is None or "n" in body:  # or a `nan` or `inf` among them
-            body = f",{inner}".join([_json(x, inner) for x in o])
-        return f"[{inner}{body}{nl}]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = f",{inner}".join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in o.items()])
-        return f"{{{inner}{body}{nl}}}"
-    return json.dumps(o)
-
-
-def _dump(o, write, nl: str, depth: int):
-    """Write `o` as `_json` gives it, the members of a dict one at a time, down
-    to `depth` levels of nested dicts."""
-    if not (depth and isinstance(o, dict) and o):
-        write(_json(o, nl))
-        return
-    inner = nl + "  "
-    sep = "{"
-    for k, v in o.items():
-        write(f"{sep}{inner}{_json_key(k)}: ")
-        _dump(v, write, inner, depth - 1)
+                body = "n"
+            if "n" not in body:  # nor a `nan` or `inf` among them
+                return write(f"[{inner}{body}{nl}]")
+        members, brackets = (("", x) for x in o), "[]"
+    elif isinstance(o, dict):
+        members, brackets = ((f"{_json_key(k)}: ", v) for k, v in o.items()), "{}"
+    else:
+        return write(json.dumps(o))
+    if not o:
+        return write(brackets)
+    sep = brackets[0]
+    for key, v in members:
+        write(f"{sep}{inner}{key}")
+        _json(v, write, inner)
         sep = ","
-    write(nl + "}")
+    write(nl + brackets[1])
 
 
 def _write_json(path: Path, payload: dict):
     """Write `payload` byte for byte as `json.dump(payload, f, indent=2)` does,
-    through `_replacing`. The members of the top object and of its objects
-    (a report's `agents`) are encoded and written one at a time, so no
-    report is held whole."""
+    through `_replacing`, one member or item at a time at every level (a row
+    of floats whole), so no report is held whole."""
     with _replacing(path) as f:
-        _dump(payload, f.write, "\n", 2)
+        _json(payload, f.write, "\n")
 
 
 def _gains_json(g: protocol.GainSet) -> dict:

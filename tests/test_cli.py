@@ -4,6 +4,7 @@ import errno
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 from xml.etree import ElementTree
 
@@ -922,3 +923,38 @@ def test_a_report_write_that_fails_leaves_the_earlier_report(tmp_path, capsys, m
     assert "No space left on device" in capsys.readouterr().err
     assert (tmp_path / "design_report.json").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["design_report.json"]
+
+
+def _float_row(text: str) -> bool:
+    try:
+        row = json.loads(text)
+    except ValueError:
+        return False
+    return isinstance(row, list) and bool(row) and all(type(x) is float for x in row)
+
+
+def test_learn_streams_its_reports_a_member_or_item_at_a_time(tmp_path, monkeypatch):
+    # every write of optimal_gains.json and pi_trace.json holds at most one
+    # dict member or list item (no ',' past a leading separator), unless it
+    # is a row of floats written whole; the writes make the report
+    writes = {}
+
+    def recording(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        calls = writes.setdefault(Path(path).name.split(".")[1], [])
+
+        def write(text):
+            calls.append(text)
+            return type(f).write(f, text)
+
+        f.write = write
+        return f
+
+    monkeypatch.setattr(cli, "open", recording, raising=False)
+    assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
+    assert sorted(writes) == ["optimal_gains", "pi_trace"]
+    for name, calls in writes.items():
+        assert "".join(calls) == (tmp_path / f"{name}.json").read_text()
+        whole = [text for text in calls if "," in text.removeprefix(",") and not _float_row(text)]
+        assert whole == [], name
+    assert any(map(_float_row, writes["optimal_gains"]))  # the gains' rows, each in one write

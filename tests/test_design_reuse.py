@@ -52,10 +52,10 @@ def test_shared_plants_match_agent_by_agent_design(chain_network, override):
     scenario = chain_network[0]
     if not override:
         scenario = dataclasses.replace(scenario, k1_override=None)
-    for ad in cli.run_design(scenario).per_agent:
-        reg = regulator.solve_regulator(ad.agent, scenario.leader)
+    for (_, ag), ad in zip(scenario.agents, cli.run_design(scenario).per_agent):
+        reg = regulator.solve_regulator(ag, scenario.leader)
         k1 = scenario.k1_override[ad.name] if override else None
-        gains = protocol.initial_gains(ad.agent, reg, K1=k1)
+        gains = protocol.initial_gains(ag, reg, K1=k1)
         assert same_bytes(ad.reg.Pi, reg.Pi) and same_bytes(ad.reg.Gamma, reg.Gamma)
         for name in GAIN_FIELDS:
             assert same_bytes(getattr(ad.initial, name), getattr(gains, name)), (ad.name, name)
@@ -154,7 +154,7 @@ def test_stacked_design_is_the_agent_by_agent_design(tmp_path, monkeypatch):
         want = {"A": np.block([[design.s_shifted, np.zeros((q, ag.n))], [-Phi, ag.A]]),
                 "B": np.vstack([np.zeros((q, ag.m)), ag.B]), "C": np.hstack([-Psi, ag.C]),
                 "D": ag.D, "Phi": Phi, "Psi": Psi}
-        assert ad.name == name and ad.agent is ag
+        assert ad.name == name
         for field, M in want.items():
             assert same_bytes(getattr(ad.plant, field), M), (name, field)
         for field in GAIN_FIELDS:

@@ -1,5 +1,6 @@
-"""Every public name the library defines has a caller in the library: what
-only tests call belongs in tests/helpers.py, not in src/syncopt."""
+"""Every public name the library defines has a caller in the library, and
+every dataclass field is read there: what only tests use belongs in
+tests/helpers.py, not in src/syncopt."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,22 @@ def test_every_public_name_has_a_library_caller():
               for qualified, name in _public_definitions(tree)
               if name not in used and name not in ENTRY_POINTS]
     assert unused == []
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of each field of a module-level dataclass."""
+    for node in tree.body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+        if isinstance(node, ast.ClassDef) and any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{module}.{cls}.{field}" for module, tree in trees.items()
+              for cls, field in _dataclass_fields(tree) if field not in read]
+    assert unread == []

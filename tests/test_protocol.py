@@ -228,9 +228,9 @@ class TestBuildAugmentedPlant:
 
     @pytest.mark.parametrize("index", [0, 6, [1, 6]])
     def test_rejects_a_follower_index_out_of_range(self, paper_scenario, paper_bundle, index):
-        ad = paper_bundle.per_agent[0]
+        (_, ag), ad = paper_scenario.agents[0], paper_bundle.per_agent[0]
         with pytest.raises(ValueError, match=f"^{re.escape(f'follower index {index} out of range')}$"):
-            build_augmented_plant(ad.agent, ad.reg, paper_bundle.design, paper_bundle.transform, index)
+            build_augmented_plant(ag, ad.reg, paper_bundle.design, paper_bundle.transform, index)
 
     def test_paper_agent1_leader_block(self, paper_bundle):
         plant = paper_bundle.per_agent[0].plant
@@ -251,13 +251,13 @@ class TestBuildAugmentedPlant:
         assert np.allclose(plant.C, [[1, 1]])
         assert np.array_equal(plant.D, ag.D)
 
-    def test_block_structure(self, paper_bundle):
-        for ad in paper_bundle.per_agent:
+    def test_block_structure(self, paper_scenario, paper_bundle):
+        for (_, ag), ad in zip(paper_scenario.agents, paper_bundle.per_agent):
             plant = ad.plant
             assert np.array_equal(plant.A[2:, :2], -plant.Phi)
-            assert np.array_equal(plant.A[2:, 2:], ad.agent.A)
+            assert np.array_equal(plant.A[2:, 2:], ag.A)
             assert np.array_equal(plant.C[:, :2], -plant.Psi)
-            assert np.array_equal(plant.D, ad.agent.D)
+            assert np.array_equal(plant.D, ag.D)
 
 
 class TestInitialGains:
