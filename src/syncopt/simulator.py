@@ -1,7 +1,7 @@
 """Fixed-step closed-loop simulation of the full leader-follower network and
 of the per-agent augmented error systems, plus tracking and cost metrics.
 
-The network (leader, compensators, local generators, followers under the
+The network (leader, compensators, one local generator, followers under the
 distributed protocol) is one large LTI system; it is assembled once, from
 the agents and the edge list, as the nonzeros of its block matrix and
 integrated with classical 4th-order Runge-Kutta (see `_rk4_lockstep`). One
@@ -64,7 +64,7 @@ _STRIP_ROWS = 256
 class Trajectory:
     times: np.ndarray  # of consecutive samples, k * dt for sample k
     leader_states: np.ndarray  # T x q
-    groups: list  # (names, x, xi, zeta, u, e) per run of followers of one shape, each stream G x T x width
+    groups: list  # (names, x, xi, zeta, u, e) per run of followers of one shape, each G x T x width, zeta broadcast
     norms: np.ndarray  # T x N: |e| of each follower, the followers in order
 
 
@@ -415,22 +415,21 @@ class NetworkRun:
             if name not in gains:
                 raise ValueError(f"no gain set for agent {name}")
 
-        n_list = [ag.n for _, ag in agents]
         xi_off = q + q * np.arange(N)
-        z_off = q + N * q + q * np.arange(N)
-        x_off = 2 * q * N + q + np.cumsum([0] + n_list[:-1])
+        z_off = q + N * q
+        x_off = z_off + q + np.cumsum([0] + [ag.n for _, ag in agents[:-1]])
         y0 = np.concatenate([leader.w0, *(scenario.xi0[name] for name in names),
-                             np.tile(scenario.zeta0, N), *(scenario.x0[name] for name in names)])
+                             scenario.zeta0, *(scenario.x0[name] for name in names)])
         matrix = _network_matrix(scenario, gains, design, xi_off, z_off, x_off)
 
         self.tracking = TrackingSummary(_steps(t_end, dt), dt, names)
         # Followers of one shape (n, m, p) that follow each other lie at even
-        # strides in every part of the state, so the outputs of each such
-        # group are computed by stacked products, per group and not per
-        # follower. numpy makes one BLAS call per follower for a stacked
-        # product, the call that follower's own product would make, so the
-        # values are the same bits.
-        self._q = q
+        # strides in the compensators and the followers and read one zeta, so
+        # the outputs of each such group are computed by stacked products, per
+        # group and not per follower. numpy makes one BLAS call per follower
+        # for a stacked product, the call that follower's own product would
+        # make, so the values are the same bits.
+        self._q, self._z = q, z_off
         self._groups = []
         shapes = [(ag.n, ag.m, ag.p) for _, ag in agents]
         starts = [i for i in range(N) if i == 0 or shapes[i] != shapes[i - 1]]
@@ -439,7 +438,7 @@ class NetworkRun:
             gs = [gains[name] for name in names[start:stop]]
             self._groups.append((
                 names[start:stop], start, shapes[start][0],
-                (x_off[start], xi_off[start], z_off[start]),
+                (x_off[start], xi_off[start]),
                 *(np.stack(mats).mT for mats in (  # each matrix transposed
                     [g.K1 for g in gs], [g.K2 for g in gs], [g.K3 for g in gs],
                     [ag.C for ag in ags], [ag.D for ag in ags], [ag.F for ag in ags],
@@ -478,18 +477,17 @@ class NetworkRun:
         state from sample `first` on, and the norms of their tracking
         errors."""
         b, q = len(samples), self._q
-        w = samples[:, :q]
+        w, zeta = samples[:, :q], samples[:, self._z : self._z + q]  # b x q: the one local generator
         norms = np.empty((b, len(self.tracking.names)))
         groups = []
-        for names, col, n, (x0, xi0, z0), K1, K2, K3, C, D, F in self._groups:
+        for names, col, n, (x0, xi0), K1, K2, K3, C, D, F in self._groups:
             G = len(names)
-
-            x, xi, zeta = (samples[:, c : c + G * k].reshape(b, G, k).transpose(1, 0, 2)  # G x b x k views
-                           for c, k in ((x0, n), (xi0, q), (z0, q)))
-            u = -(x @ K1 + xi @ K2 + zeta @ K3)
+            x, xi = (samples[:, c : c + G * k].reshape(b, G, k).transpose(1, 0, 2)  # G x b x k views
+                     for c, k in ((x0, n), (xi0, q)))
+            u = -(x @ K1 + xi @ K2 + zeta @ K3)  # zeta broadcast over the group
             e = x @ C + u @ D - w @ F
             norms[:, col : col + G] = np.sqrt(_sum_squares(e)).T
-            groups.append((names, x, xi, zeta, u, e))
+            groups.append((names, x, xi, np.broadcast_to(zeta, (G, b, q)), u, e))
         return Trajectory(times=np.arange(first, first + b) * self.tracking.dt, leader_states=w,
                           groups=groups, norms=norms)
 
@@ -497,12 +495,14 @@ class NetworkRun:
 def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
     """Nonzeros (rows, cols, vals) of the block system matrix of the
     closed-loop network in the state layout
-    [leader | compensators | local generators | followers], row-major as
+    [leader | compensators | local generator | followers], row-major as
     `np.nonzero` lists them. The matrix is built one strip of rows at a
     time, in row order, from the agents and the edge list, so the assembly
     is linear in the number of agents and edges and needs no sort. Each
     nonzero is the same float, in the same order, as in the dense matrix,
-    so the trajectories are unchanged."""
+    so the trajectories are unchanged. Every follower's local generator
+    obeys zeta_i' = (S - (lambda_M + r) I) zeta_i from the one zeta0, so the
+    state holds one, which every follower's -B K3 block reads."""
     leader = scenario.leader
     topo = scenario.topology
     q = leader.q
@@ -513,12 +513,12 @@ def _network_matrix(scenario, gains, design, xi_off, z_off, x_off) -> tuple:
         coupled = [(0 if j == 0 else xi_off[j - 1], -a * eye)  # leader or compensator j
                    for j in topo.senders[i + 1]]
         strips.append(_row_strip(xi_off[i], sorted(coupled + [own], key=lambda b: b[0])))
-    strips += [_row_strip(z, [(z, design.s_shifted)]) for z in z_off]
+    strips.append(_row_strip(z_off, [(z_off, design.s_shifted)]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
         for i, (name, ag) in enumerate(scenario.agents):
             g = gains[name]
             strips.append(_row_strip(x_off[i], [
-                (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off[i], -ag.B @ g.K3),
+                (0, ag.E), (xi_off[i], -ag.B @ g.K2), (z_off, -ag.B @ g.K3),
                 (x_off[i], ag.A - ag.B @ g.K1),
             ]))
     rows, cols, vals = (np.concatenate(part) for part in zip(*strips))

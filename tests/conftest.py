@@ -29,12 +29,13 @@ def paper_traces(paper_scenario, paper_bundle):
 
 @pytest.fixture(scope="session")
 def chain_network(tmp_path_factory):
-    """60 bundled paper agents round-robin on a chain: 422 states, past the
+    """80 bundled paper agents round-robin on a chain: 404 states, past the
     363 from which `_rk4_lockstep` integrates by the nonzeros of the step map
-    instead of the dense one. Returns the scenario, its initial gain sets and the (M, y0) it
-    integrates, with M made dense from the nonzeros (rows, cols, vals)
-    `_rk4_lockstep` receives."""
-    raw = chain_payload(60)
+    instead of the dense one (a paper network has 4 + 5N states, so it takes
+    72 followers or more). Returns the scenario, its initial gain sets and
+    the (M, y0) it integrates, with M made dense from the nonzeros (rows,
+    cols, vals) `_rk4_lockstep` receives."""
+    raw = chain_payload(80)
     path = tmp_path_factory.mktemp("chain") / "chain.json"
     path.write_text(json.dumps(raw))
     scenario = cli.load_scenario(path)
@@ -53,5 +54,5 @@ def chain_network(tmp_path_factory):
         mp.setattr(simulator, "_rk4_lockstep", recording)
         simulate_network(scenario, gains, t_end=0.0, dt=0.01)
     (M, y0), = calls
-    assert M.shape == (422, 422) and simulator._chunk_length(422) == 1
+    assert M.shape == (404, 404) and simulator._chunk_length(404) == 1
     return scenario, gains, M, y0

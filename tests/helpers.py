@@ -1,11 +1,12 @@
 """Whole-run and one-plant forms of the library's streaming and lockstep
 APIs, which only tests call: the path of the bundled scenario, the RK4 run
-of one system, as blocks and joined, each follower's streams in a network
-block, the network run joined into one trajectory, its tracking-error norms
-and their metrics, the closed augmented loop of one follower with its
-states and with its cost, the Lyapunov solve of one equation, policy
-iteration on one plant, and the policy-evaluation, policy-improvement and
-Riccati-residual formulas of one plant."""
+of one system, as blocks and joined, a network's nonzeros with a local
+generator per follower, each follower's streams in a network block, the
+network run joined into one trajectory, its tracking-error norms and their
+metrics, the closed augmented loop of one follower with its states and with
+its cost, the Lyapunov solve of one equation, policy iteration on one
+plant, and the policy-evaluation, policy-improvement and Riccati-residual
+formulas of one plant."""
 
 import dataclasses
 from collections import namedtuple
@@ -48,6 +49,32 @@ def network_run(scenario, gains: dict, t_end: float, dt: float) -> simulator.Net
     leader, topology and r."""
     design = protocol.design_compensator(scenario.leader, scenario.topology, scenario.r)
     return simulator.NetworkRun(dataclasses.replace(scenario, t_end=t_end, dt=dt), design, gains)
+
+
+def with_local_generator_copies(matrix, y0: np.ndarray, q: int, orders) -> tuple:
+    """The nonzeros (rows, cols, vals) and the initial state of a network in
+    the layout with a local generator per follower, [leader | compensators |
+    N local generators | followers], rebuilt from those of `NetworkRun`'s
+    layout with one by duplicating zeta: its rows and its initial state go
+    to each of the N copies, and each follower's -B K3 block reads its own.
+    `orders` are the followers' orders n_i. Each row keeps its terms in
+    their order, so the nonzeros stay row-major."""
+    rows, cols, vals = matrix
+    N = len(orders)
+    z, shift = q + q * N, q * (N - 1)  # the one zeta's first column; what the followers move by
+    owner = np.repeat(np.arange(N), orders)  # the follower of each follower row
+    zeta = (z <= rows) & (rows < z + q)
+    follower = rows >= z + q
+    new_cols = np.where(cols >= z + q, cols + shift, cols)
+    own = follower & (z <= cols) & (cols < z + q)  # a follower's -B K3 entries
+    new_cols[own] += q * owner[rows[own] - z - q]
+    new_rows = np.where(follower, rows + shift, rows)
+    parts = [(new_rows[~zeta], new_cols[~zeta], vals[~zeta])]
+    parts += [(rows[zeta] + q * i, cols[zeta] + q * i, vals[zeta]) for i in range(N)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    y0 = np.concatenate([y0[:z], np.tile(y0[z : z + q], N), y0[z + q :]])
+    return (rows[order], cols[order], vals[order]), y0
 
 
 def followers(block: simulator.Trajectory) -> dict:

@@ -13,7 +13,8 @@ from syncopt.topology import build_topology
 
 def chain_payload(n_followers: int) -> dict:
     """The bundled paper agents round-robin on a chain of `n_followers`, each
-    with its paper K1: 7 states a follower besides the leader's 2."""
+    with its paper K1: 5 states a follower besides the 2 of the leader and
+    the 2 of the local generator."""
     raw = json.loads(BUNDLED_SCENARIO.read_text())
     paper = raw["agents"]
     agents, x0, xi0, k1 = [], {}, {}, {}

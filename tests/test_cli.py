@@ -515,8 +515,8 @@ class TestCommands:
         # Runs that end one step before, on and one step after the end of
         # the first block must give the bytes of the row writer over the
         # joined trajectory, and print its metrics. paper: 28 columns, the
-        # dense step map; chain: 303 columns, 422 states, the sparse step map.
-        payload = json.loads(SCENARIO.read_text()) if table == "paper" else chain_payload(60)
+        # dense step map; chain: 403 columns, 404 states, the sparse step map.
+        payload = json.loads(SCENARIO.read_text()) if table == "paper" else chain_payload(80)
         path = write_scenario(tmp_path, payload)
         scenario = cli.load_scenario(path)
         initial = {ad.name: ad.initial for ad in cli.run_design(scenario).per_agent}
@@ -553,23 +553,24 @@ class TestCommands:
     @pytest.mark.parametrize("steps", [12798, 12799, 12800, 12801, 12802, 20000])
     def test_compare_network_metrics_match_trajectory_at_chunk_edges(
             self, tmp_path, paper_bundle, paper_traces, steps):
-        # 37 states, chunks of 128 steps: the tail starts at sample 11519,
+        # 29 states, chunks of 128 steps: the tail starts at sample 11519,
         # 11520 (the last sample of chunk 90), 11520, 11521 and 11522; and
         # the whole 20 s horizon
-        assert simulator._chunk_length(37) == 128
+        assert simulator._chunk_length(29) == 128
         initial = {ad.name: ad.initial for ad in paper_bundle.per_agent}
         optimal = cli.optimal_gain_sets(paper_bundle, paper_traces)
         assert_compare_tail_errors(tmp_path, json.loads(SCENARIO.read_text()), steps,
                                    {"initial": initial, "optimal": optimal})
 
     def test_compare_network_metrics_match_trajectory_on_sparse_path(self, tmp_path):
-        # 60 followers on a chain, 422 states: no chunk to pass over, every
-        # step is taken and only the blocks from the tail on have outputs
-        payload = chain_payload(60)
+        # 80 followers on a random DAG, 404 states (learn fails on a chain of
+        # 70 followers or more): no chunk to pass over, every step is taken
+        # and only the blocks from the tail on have outputs
+        payload = dag_payload(80, seed=7)
         payload["sim"]["t_end"] = 1.0
         scenario = cli.load_scenario(write_scenario(tmp_path, payload))
         bundle = cli.run_design(scenario)
-        assert simulator._chunk_length(422) == 1
+        assert simulator._chunk_length(404) == 1
         initial = {ad.name: ad.initial for ad in bundle.per_agent}
         optimal = cli.optimal_gain_sets(bundle, cli.run_learn(scenario, bundle))
         assert_compare_tail_errors(tmp_path, payload, 1000, {"initial": initial, "optimal": optimal})
@@ -619,22 +620,23 @@ class TestCommands:
                 assert csv_path.read_bytes() == earlier
 
     def test_a_sample_has_the_same_csv_bytes_whatever_the_horizon(self, tmp_path, capsys, scenario_dict):
-        # the network's row blocks hold 3584 samples at 37 states, so at 3585
-        # steps sample 3585 would be a block of its own, whose follower
+        # the network's row blocks hold 4608 samples at 29 states, so at 4609
+        # steps sample 4609 would be a block of its own, whose follower
         # outputs take numpy's matrix-vector path; it joins the block before
+        assert simulator._block_rows(29, simulator._chunk_length(29)) == 4608
         raw, rows = scenario_dict, []
-        for t_end in (3.585, 3.586):
+        for t_end in (4.609, 4.610):
             raw["sim"]["t_end"] = t_end
             out = tmp_path / str(t_end)
             out.mkdir()
             path = write_scenario(out, raw)
             assert cli.main(["simulate", str(path), "--out", str(out), "--gains", "optimal"]) == 0
-            rows.append((out / "trajectory_optimal.csv").read_bytes().splitlines()[1 + 3585])
+            rows.append((out / "trajectory_optimal.csv").read_bytes().splitlines()[1 + 4609])
         assert rows[0] == rows[1]
 
     def test_simulate_memory_is_bounded_by_blocks(self, tmp_path, capsys):
-        # 150 followers on a chain, 1052 states, 4001 samples: 33.7 MB of
-        # samples, where a row block holds 256 rows, 2.2 MB. numpy reports
+        # 150 followers on a chain, 754 states, 4001 samples: 24.1 MB of
+        # samples, where a row block holds 256 rows, 1.5 MB. numpy reports
         # its allocations to tracemalloc, so the traced peak is deterministic.
         payload = chain_payload(150)
         payload["sim"]["t_end"] = 0.01  # a first run loads what is loaded once
@@ -642,7 +644,7 @@ class TestCommands:
                          "--out", str(tmp_path / "first")]) == 0
         payload["sim"]["t_end"] = 4.0
         path = write_scenario(tmp_path, payload)
-        samples_bytes = 4001 * 1052 * 8
+        samples_bytes = 4001 * 754 * 8
         assert samples_bytes >= 4 * simulator._BLOCK_BYTES
         tracemalloc.start()
         try:

@@ -62,17 +62,17 @@ def test_shared_plants_match_agent_by_agent_design(chain_network, override):
 
 
 def test_chain_does_per_plant_work_once_per_call(chain_network, monkeypatch):
-    # 60 followers, 5 distinct plants; nothing is kept from one call to the next
+    # 80 followers, 5 distinct plants; nothing is kept from one call to the next
     scenario = chain_network[0]
     solves = counted(monkeypatch, regulator, "solve_regulator")
     stabilizes = counted(monkeypatch, protocol, "stabilize")
     checks = counted(monkeypatch, plant, "_check_plant")
     loops = counted(monkeypatch, protocol, "check_augmented_loop")
-    # the loops of all 60 followers, one shape, are checked as one stack
+    # the loops of all 80 followers, one shape, are checked as one stack
     cli.run_design(scenario)
-    assert (len(solves), len(stabilizes), len(loops), len(loops[0][1])) == (5, 0, 1, 60)
+    assert (len(solves), len(stabilizes), len(loops), len(loops[0][1])) == (5, 0, 1, 80)
     cli.run_design(dataclasses.replace(scenario, k1_override=None))
-    assert (len(solves), len(stabilizes), len(loops), len(loops[1][1])) == (10, 5, 2, 60)
+    assert (len(solves), len(stabilizes), len(loops), len(loops[1][1])) == (10, 5, 2, 80)
     for _ in range(2):
         check_assumptions(scenario.agents, scenario.leader, scenario.topology)
     assert len(checks) == 10

@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import (augmented_cost, error_norms, followers, network_run, policy_evaluation, rk4,
-                     rk4_blocks, simulate_augmented, simulate_network, tracking_metrics)
+from helpers import (BUNDLED_SCENARIO, augmented_cost, error_norms, followers, network_run,
+                     policy_evaluation, rk4, rk4_blocks, simulate_augmented, simulate_network,
+                     tracking_metrics, with_local_generator_copies)
 from networks import chain_payload, dag_payload, dense, graph_matrices, with_extra_state
 from oracles import rk4_loop
 from syncopt import cli, simulator
@@ -176,6 +177,8 @@ def dense_network_matrix(scenario, gains, design, xi_off, z_off, x_off):
     M = np.zeros((dim, dim))
     M[:q, :q] = leader.S
     adj = graph_matrices(topo)[0]
+    zl = slice(z_off, z_off + q)  # the one local generator
+    M[zl, zl] = design.s_shifted
     for i, (name, ag) in enumerate(scenario.agents):
         node = i + 1
         a = design.alphas[i]
@@ -185,8 +188,6 @@ def dense_network_matrix(scenario, gains, design, xi_off, z_off, x_off):
             if adj[node, j]:
                 src = slice(0, q) if j == 0 else slice(xi_off[j - 1], xi_off[j - 1] + q)
                 M[sl, src] += -a * np.eye(q)
-        zl = slice(z_off[i], z_off[i] + q)
-        M[zl, zl] = design.s_shifted
         g = gains[name]
         xl = slice(x_off[i], x_off[i] + ag.n)
         M[xl, xl] = ag.A - ag.B @ g.K1
@@ -210,11 +211,11 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
     (M, y0), = calls
     _, samples = rk4(M, y0, 0.6, 1e-3)
     q, N = 2, 8
-    x_col = q + 2 * q * N
+    x_col = 2 * q + q * N
     for i, (name, ag) in enumerate(scenario.agents):
         s, g = traj.followers[name], gains[name]
         assert np.array_equal(s.xi, samples[:, q + q * i : q + q * (i + 1)])
-        assert np.array_equal(s.zeta, samples[:, q + q * (N + i) : q + q * (N + i + 1)])
+        assert np.array_equal(s.zeta, samples[:, q + q * N : 2 * q + q * N])  # the one local generator
         assert np.array_equal(s.x, samples[:, x_col : x_col + ag.n])
         x_col += ag.n
         u = -(s.x @ g.K1.T + s.xi @ g.K2.T + s.zeta @ g.K3.T)
@@ -231,6 +232,51 @@ def test_follower_streams_are_state_columns_and_per_follower_products(tmp_path, 
         pass
     assert np.concatenate(added).tobytes() == error_norms(traj).tobytes()
     assert run.tracking.metrics() == tracking_metrics(traj)
+
+
+@pytest.mark.parametrize("network, states", [("paper", 29), ("random DAG", 404)])
+def test_one_local_generator_runs_as_one_per_follower(tmp_path, network, states):
+    # every follower's zeta_i obeys one equation from the one zeta0, so the
+    # network carries a single zeta, q + qN + q + sum(n_i) states in all, and
+    # its run is that of the layout with a zeta per follower: with a nonzero
+    # zeta0 and the optimal gains (K3 != 0), from 363 states on, where each
+    # row keeps its terms in their order, every state and every follower's
+    # x and e have the same bits; below, the dense step maps differ in size
+    # and their products agree to roundoff
+    payload = json.loads(BUNDLED_SCENARIO.read_text()) if network == "paper" else dag_payload(80, seed=7)
+    payload["init"]["zeta0"] = [0.3, -0.7]
+    path = tmp_path / "zeta0.json"
+    path.write_text(json.dumps(payload))
+    scenario = cli.load_scenario(path)
+    bundle = cli.run_design(scenario)
+    gains = cli.optimal_gain_sets(bundle, cli.run_learn(scenario, bundle))
+    assert all(np.abs(g.K3).max() > 0 for g in gains.values())
+    q, N, orders = scenario.leader.q, len(gains), [ag.n for _, ag in scenario.agents]
+    (matrix,), (y0,), _, _ = network_run(scenario, gains, 0.5, 1e-3)._integration
+    assert len(y0) == q + q * N + q + sum(orders) == states
+    copies, y0_copies = with_local_generator_copies(matrix, y0, q, orders)
+    assert len(y0_copies) - len(y0) == q * (N - 1)
+    _, samples = rk4(matrix, y0, 0.5, 1e-3)
+    _, each = rk4(copies, y0_copies, 0.5, 1e-3)
+    z = q + q * N
+    traj = simulate_network(scenario, gains, 0.5, 1e-3)
+
+    def same(got, want):
+        if states >= 363:  # the nonzeros of the step map
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert_rows_close(got, want, rtol=1e-12)
+
+    same(samples, np.delete(each, np.s_[z + q : z + q * N], axis=1))
+    x_col = z + q * N
+    for i, (name, ag) in enumerate(scenario.agents):
+        g = gains[name]
+        x, xi = each[:, x_col : x_col + ag.n], each[:, q + q * i : q + q * (i + 1)]
+        x_col += ag.n
+        u = -(x @ g.K1.T + xi @ g.K2.T + each[:, z + q * i : z + q * (i + 1)] @ g.K3.T)
+        same(traj.followers[name].x, x)
+        same(traj.followers[name].e, x @ ag.C.T + u @ ag.D.T - each[:, :q] @ ag.F.T)
+    assert x_col == len(y0_copies)
 
 
 def test_tracking_norms_of_eight_outputs_are_numpys(tmp_path):
@@ -258,11 +304,14 @@ def test_tracking_norms_of_eight_outputs_are_numpys(tmp_path):
         assert (want > 0).all()
 
 
-@pytest.mark.parametrize("network", ["paper", "chain"])
+@pytest.mark.parametrize("network", ["paper", "chain", "paper optimal"])
 def test_network_triplets_are_the_dense_assembly(network, request, paper_scenario, paper_bundle,
                                                  monkeypatch):
     if network == "paper":
         scenario, gains = paper_scenario, initial_gain_sets(paper_bundle)
+    elif network == "paper optimal":  # K3 != 0: the followers read the local generator
+        scenario = paper_scenario
+        gains = cli.optimal_gain_sets(paper_bundle, request.getfixturevalue("paper_traces"))
     else:
         scenario, gains, _, _ = request.getfixturevalue("chain_network")
     calls, original = [], simulator._network_matrix
@@ -598,7 +647,7 @@ class TestSparseStepMap:
             assert_rows_close(whole, rk4_loop(M[g], Y0[g], 300, 0.01), rtol=1e-12)
 
     def test_build_memory_is_a_small_multiple_of_the_step_map(self, tmp_path):
-        # 1000 followers on a random DAG, 7002 states
+        # 1000 followers on a random DAG, 5004 states
         path = tmp_path / "dag.json"
         path.write_text(json.dumps(dag_payload(1000, seed=7)))
         scenario = cli.load_scenario(path)
@@ -773,9 +822,9 @@ class TestTrackingMetrics:
         assert whole.metrics() == want
 
     def test_network_run_memory_does_not_grow_with_samples_times_followers(self, chain_network):
-        # 10^7 steps of 60 followers: T x N norms would be 4.8 GB, and a grid
+        # 10^7 steps of 80 followers: T x N norms would be 6.4 GB, and a grid
         # of the sample times 80 MB; building the run and taking its first
-        # block traces 2.4 MB, the network's matrices and a block of 311 x 422
+        # block traces 3.0 MB, the network's matrices and a block of 325 x 404
         # samples, at 10^6 steps as at 10^7
         scenario, gains, _, _ = chain_network
         tracemalloc.start()
@@ -790,8 +839,8 @@ class TestTrackingMetrics:
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_trajectory_csv_holds_one_block_at_a_time(self, tmp_path, monkeypatch, svg):
-        # 200 paper agents on a chain, 1402 states: row blocks of 256 x 1402
-        # samples, 2.9 MB each. The CSV writer, the `--svg` envelope, the run
+        # 200 paper agents on a chain, 1004 states: row blocks of 256 x 1004
+        # samples, 2.1 MB each. The CSV writer, the `--svg` envelope, the run
         # and its integrator each let a block go before the next is
         # allocated, so no block is alive when the next is, and from the
         # second block on the traced memory grows by the block, its
@@ -803,9 +852,9 @@ class TestTrackingMetrics:
         blocks, alive, start = [], [], []
         empty = np.empty
 
-        def tracked_empty(shape, *args, **kwargs):  # the blocks: 1 system x rows x 1402 states
+        def tracked_empty(shape, *args, **kwargs):  # the blocks: 1 system x rows x 1004 states
             out = empty(shape, *args, **kwargs)
-            if np.shape(shape) == (3,) and shape[2] == 1402:
+            if np.shape(shape) == (3,) and shape[2] == 1004:
                 alive.append(sum(block() is not None for block in blocks))
                 blocks.append(weakref.ref(out))
             return out
@@ -826,12 +875,12 @@ class TestTrackingMetrics:
         finally:
             tracemalloc.stop()
         assert alive == [0, 0, 0, 0]  # 1001 samples: 257, 256, 256 and 232 rows
-        assert peak < 1.5 * 256 * 1402 * 8, peak
+        assert peak < 1.5 * 256 * 1004 * 8, peak
 
     def test_error_envelope_memory_does_not_grow_with_samples_times_followers(self, chain_network):
         # the same run through the `simulate --svg` envelope: its first three
-        # blocks fill column 0 of 1000, and the envelope is 2 x 1000 x 60
-        # floats, 0.96 MB, at 10^7 steps as at any other horizon
+        # blocks fill column 0 of 1000, and the envelope is 2 x 1000 x 80
+        # floats, 1.28 MB, at 10^7 steps as at any other horizon
         scenario, gains, _, _ = chain_network
         tracemalloc.start()
         try:
