@@ -175,7 +175,7 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"init.seed must be an integer, got {seed!r}")
 
     k1_override = None
-    if raw.get("k1_override"):
+    if raw.get("k1_override") is not None:
         if not isinstance(raw["k1_override"], dict):
             raise ValidationError(f"k1_override must be an object, got {raw['k1_override']!r}")
         k1_override = {}
@@ -565,18 +565,11 @@ def write_error_svg(path: Path, run, low: np.ndarray, high: np.ndarray):
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     report = check_assumptions(scenario.agents, scenario.leader, scenario.topology)
-    payload = {
-        "passed": report.passed,
-        "leader_unstable_modes": report.leader_unstable_modes,
-        "topology_ok": report.topology_ok,
-        "per_agent": {name: vars(c) for name, c in report.per_agent.items()},  # AgentChecks' fields
-        "diagnostics": list(report.diagnostics),
-    }
-    _write_json(Path(args.out) / "assumption_report.json", payload)
-    print(f"assumptions {'PASS' if report.passed else 'FAIL'}")
-    for line in report.diagnostics:
+    _write_json(Path(args.out) / "assumption_report.json", report)
+    print(f"assumptions {'PASS' if report['passed'] else 'FAIL'}")
+    for line in report["diagnostics"]:
         print(f"  - {line}")
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 def cmd_design(args) -> int:
@@ -687,8 +680,8 @@ def _load_checked(args) -> Scenario:
             S=scenario.leader.S, w0=seeded_w0(scenario.leader.q, args.seed)
         )
     report = check_assumptions(scenario.agents, scenario.leader, scenario.topology)
-    if not report.passed:
-        raise ValidationError("assumption checks failed: " + "; ".join(report.diagnostics))
+    if not report["passed"]:
+        raise ValidationError("assumption checks failed: " + "; ".join(report["diagnostics"]))
     return scenario
 
 

@@ -9,7 +9,8 @@ held as a double-double, so y = p + yl with p a double and an error below
 ties are rounded half to even. Every cell this cannot certify is formatted
 by Python itself, one cell at a time: nan, inf, |v| outside that range
 (subnormals included), a y within 1e-6 of a tie that is not an exact tie,
-and an exponent still wrong after the retry.
+and an exponent still wrong after the retry. Its text, at most 24 bytes,
+is written NUL-padded over bytes 0-30 of its slot.
 
 Each cell is laid out in a fixed 32-byte slot of four little-endian words,
 and each row ends in one more word holding its CRLF:
@@ -49,7 +50,6 @@ _TINY, _HUGE = 1e-280, 1e280  # the range of |v| formatted by numpy
 _TIE_GAP = 1e-6  # a y whose fraction is this close to 1/2 may be a tie
 _XMAX = 282  # the tables cover exponents -282..282, the range the retry can reach
 _MINUS = 1  # the byte of the sign bit, which translate maps to '-'
-_FALLBACK = 2  # the byte a cell formatted by Python leaves in the output
 _CHUNK = 10**4  # entries of one field variant: one per 4-digit chunk
 _PLAIN, _STRIP, _POINT, _POINT_STRIP = 0, 1, 2, 6  # field variants; + j for a point before digit j
 _SEP = np.uint64(0xFF << 56)  # the separator byte of a slot's last word
@@ -312,16 +312,8 @@ def csv_rows(block: np.ndarray) -> bytes:
     slots[:, -2] &= ~_SEP  # the last cell of a row ends in the row's CRLF
     slots[:, -1] = _CRLF
     odd = fallback.nonzero()[0]
-    if not odd.size:
-        return slots.tobytes().translate(t["bytes"], b"\0")
-
-    words = slots[:, :-1].reshape(rows, cols, 4)
-    at = words[odd // cols, odd % cols]
-    at[:, :3] = [_FALLBACK, 0, 0]
-    at[:, 3] &= _SEP
-    words[odd // cols, odd % cols] = at
-    parts = slots.tobytes().translate(t["bytes"], b"\0").split(bytes([_FALLBACK]))
-    out = [b""] * (2 * len(parts) - 1)
-    out[::2] = parts
-    out[1::2] = [b"%.17g" % value for value in v[odd].tolist()]
-    return b"".join(out)
+    if odd.size:  # Python's text, at most 24 bytes, NUL-padded over bytes 0-30 of the slot
+        text = np.array([b"%.17g" % value for value in v[odd].tolist()], dtype="S31")
+        cells = slots[:, :-1].view(np.uint8).reshape(rows, cols, 32)
+        cells[odd // cols, odd % cols, :31] = text.view(np.uint8).reshape(-1, 31)
+    return slots.tobytes().translate(t["bytes"], b"\0")

@@ -95,38 +95,9 @@ class LeaderModel:
         return self.S.shape[0]
 
 
-@dataclass(frozen=True)
-class AgentChecks:
-    observable: bool
-    feedthrough_invertible: bool
-    stabilizable: bool
-    rank_condition: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            (self.observable, self.feedthrough_invertible, self.stabilizable, self.rank_condition)
-        )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    per_agent: dict  # name -> AgentChecks
-    leader_unstable_modes: bool
-    topology_ok: bool
-    diagnostics: tuple
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(c.passed for c in self.per_agent.values())
-            and self.leader_unstable_modes
-            and self.topology_ok
-        )
-
-
-def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> AssumptionReport:
-    """Run all assumption checks on the full scenario.
+def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> dict:
+    """Run all assumption checks on the full scenario, and return the report
+    `validate` writes as it is, every check a bool.
 
     `agents` is a list of (name, AgentDynamics) pairs. The rank
     tests (observability, stabilizability, the rank condition at the leader
@@ -137,7 +108,7 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
     diagnostics = []
     per_agent = {}
     s_eigs = _eigvals(leader.S)
-    checked = {}  # plant key -> (AgentChecks, diagnostic texts)
+    checked = {}  # plant key -> (checks, diagnostic texts)
 
     for name, ag in agents:
         if ag.q != leader.q:
@@ -148,26 +119,32 @@ def check_assumptions(agents, leader: LeaderModel, topology: Topology) -> Assump
         per_agent[name], texts = checked[key]
         diagnostics.extend(f"{name}: {text}" for text in texts)
 
-    leader_ok = s_eigs.real.min() >= LEADER_EIG_TOL
+    if not np.isfinite(s_eigs).all():  # each agent's rank condition fails there
+        diagnostics.append("eigenvalues of leader S overflow the float range")
+    leader_ok = not (s_eigs.real < LEADER_EIG_TOL).any()
     if not leader_ok:
         diagnostics.append("leader S has a strictly stable eigenvalue")
 
     diagnostics.extend(topology.diagnostics)
-
-    return AssumptionReport(
-        per_agent=per_agent,
-        leader_unstable_modes=bool(leader_ok),
-        topology_ok=not topology.diagnostics,
-        diagnostics=tuple(diagnostics),
-    )
+    return {
+        "passed": not diagnostics,  # each failed check adds one
+        "leader_unstable_modes": leader_ok,
+        "topology_ok": not topology.diagnostics,
+        "per_agent": per_agent,
+        "diagnostics": diagnostics,
+    }
 
 
 def _rank_drops(M: np.ndarray, n: int, lams: np.ndarray) -> np.ndarray:
     """Which of `lams` make M - lam [I_n 0; 0 0] lose full rank, for M one of
     [A; C], [A, B] and [[A, B], [C, D]]: one batched SVD of the stacked complex
-    pencils, full rank meaning sigma_min > RANK_RTOL * sigma_max."""
+    pencils, full rank meaning sigma_min > RANK_RTOL * sigma_max; a pencil
+    with a non-finite entry, as at an infinite eigenvalue, counts as a drop."""
     pencils = np.repeat(M[None].astype(complex), len(lams), axis=0)
-    pencils[:, :n, :n] -= lams[:, None, None] * np.eye(n)
+    with np.errstate(over="ignore"):  # checked just below; einsum gives the diagonals as a view
+        np.einsum("kii->ki", pencils[:, :n, :n])[...] -= lams[:, None]
+    if not np.isfinite(pencils).all():  # zeroed, such a pencil has rank 0
+        pencils[~np.isfinite(pencils).all(axis=(1, 2))] = 0
     sv = np.linalg.svd(pencils, compute_uv=False)
     return ~(sv[:, -1] > RANK_RTOL * sv[:, 0])
 
@@ -184,6 +161,8 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
     n = ag.n
     texts = []
     eigs = _eigvals(ag.A)
+    if not np.isfinite(eigs).all():  # every rank test at such an eigenvalue fails
+        texts.append("eigenvalues of A overflow the float range")
 
     # PBH: [A - lambda I; C] has rank n at every eigenvalue lambda of A
     observable = not _rank_drops(np.vstack([ag.A, ag.C]), n, eigs).any()
@@ -216,10 +195,5 @@ def _check_plant(ag: AgentDynamics, s_eigs: np.ndarray) -> tuple:
         if not rank_condition:
             texts.append(f"rank condition fails at leader eigenvalue {s_eigs[drops.argmax()]:.4g}")
 
-    checks = AgentChecks(
-        observable=observable,
-        feedthrough_invertible=feedthrough_invertible,
-        stabilizable=stabilizable,
-        rank_condition=rank_condition,
-    )
-    return checks, texts
+    return {"observable": observable, "feedthrough_invertible": feedthrough_invertible,
+            "stabilizable": stabilizable, "rank_condition": rank_condition}, texts

@@ -18,6 +18,7 @@ from helpers import error_norms, network_run, simulate_network, tracking_metrics
 from networks import chain_payload, dag_payload, dense
 from syncopt import cli, policy_iteration, simulator
 from syncopt.errors import ValidationError
+from syncopt.plant import check_assumptions
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -113,6 +114,22 @@ class TestCommands:
         path = write_scenario(tmp_path, scenario_dict)
         rc = cli.main(["validate", str(path), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("zero_d", [False, True], ids=["passing", "failing"])
+    def test_validate_writes_what_check_assumptions_returns(self, tmp_path, scenario_dict, zero_d):
+        if zero_d:
+            scenario_dict["agents"][0]["D"] = [[0, 0], [0, 0]]
+        path = write_scenario(tmp_path, scenario_dict)
+        scenario = cli.load_scenario(path)
+        report = check_assumptions(scenario.agents, scenario.leader, scenario.topology)
+        assert list(report) == ["passed", "leader_unstable_modes", "topology_ok", "per_agent", "diagnostics"]
+        flags = [report["passed"], report["leader_unstable_modes"], report["topology_ok"]]
+        for checks in report["per_agent"].values():
+            assert list(checks) == ["observable", "feedthrough_invertible", "stabilizable", "rank_condition"]
+            flags += checks.values()
+        assert all(type(flag) is bool for flag in flags) and report["passed"] is not zero_d
+        assert cli.main(["validate", str(path), "--out", str(tmp_path)]) == 2 * zero_d
+        assert (tmp_path / "assumption_report.json").read_text() == json.dumps(report, indent=2)
 
     def test_overflowing_feedthrough_gram_is_named(self, tmp_path, scenario_dict, capsys):
         # D^T D overflows to inf, and its SVD would give NaN: not "singular"
@@ -752,11 +769,11 @@ RESHAPES = {
 def mutated_scenarios(draw):
     """The bundled scenario with one or two keys or list items dropped,
     values replaced by NaN, inf, a negative number, a string, a list or an
-    object, or matrices reshaped."""
+    object, matrices reshaped, or every entry of a matrix set to 1e308."""
     payload = copy.deepcopy(BUNDLED)
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(["drop", "replace", "reshape"]))
-        path = draw(st.sampled_from(MATRICES if kind == "reshape" else PATHS))
+        kind = draw(st.sampled_from(["drop", "replace", "reshape", "scale"]))
+        path = draw(st.sampled_from(PATHS if kind in ("drop", "replace") else MATRICES))
         try:
             parent = at_path(payload, path[:-1])
             value = parent[path[-1]]
@@ -766,8 +783,13 @@ def mutated_scenarios(draw):
             del parent[path[-1]]
         elif kind == "replace":
             parent[path[-1]] = draw(st.sampled_from(ODD_VALUES))
-        elif is_matrix(value):
+        elif not is_matrix(value):
+            continue
+        elif kind == "reshape":
             parent[path[-1]] = RESHAPES[draw(st.sampled_from(sorted(RESHAPES)))](value)
+        else:  # 1e308 times a ones matrix, whose spectrum (n 1e308) overflows: 1e308 times
+            # the scenario's own matrices never does, as they are triangular
+            parent[path[-1]] = [[1e308] * len(row) for row in value]
     return payload
 
 
@@ -805,6 +827,10 @@ BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
     (("leader", "S"), {"k": 1}),
     (("agents", 0, "A"), {"k": 1}),
     (("agents", 0, "name"), "\ud800x"),
+    (("k1_override",), []),
+    (("k1_override",), False),
+    (("k1_override",), 0),
+    (("k1_override",), ""),
 ]
 
 
@@ -831,6 +857,55 @@ def test_entry_near_the_float_limit_is_refused(tmp_path, capsys, scenario_dict, 
     capsys.readouterr()
     assert cli.main([verb, str(path), "--out", str(tmp_path)]) == int(text.startswith("numerical")) + 2
     assert capsys.readouterr().err == text + "\n"
+
+
+OVERFLOWING_SPECTRA = {  # an eigenvalue of 2e308, which is inf, from entries of 1e308
+    "agent A": (("agents", 0, "A"), [[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, -1]], [
+        "agent1: eigenvalues of A overflow the float range",
+        "agent1: (A, C) not observable",
+        "agent1: PBH fails at eigenvalue inf",
+        "agent1: rank condition fails at leader eigenvalue 1",
+    ]),
+    "leader S": (("leader", "S"), [[1e308, 1e308], [1e308, 1e308]], [
+        *(f"agent{k}: rank condition fails at leader eigenvalue inf" for k in range(1, 6)),
+        "eigenvalues of leader S overflow the float range",
+    ]),
+}
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_SPECTRA))
+def test_spectrum_beyond_the_float_range_is_refused(tmp_path, capsys, scenario_dict, case, verb):
+    # every rank test at an infinite eigenvalue fails, and one diagnostic
+    # names the overflow: validate writes its report, every verb exits 2
+    (*keys, last), matrix, diagnostics = OVERFLOWING_SPECTRA[case]
+    target = scenario_dict
+    for key in keys:
+        target = target[key]
+    target[last] = matrix
+    path = write_scenario(tmp_path, scenario_dict)
+    assert cli.main([verb, str(path), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    if verb == "validate":
+        assert (out, err) == ("assumptions FAIL\n" + "".join(f"  - {d}\n" for d in diagnostics), "")
+        assert json.loads((tmp_path / "assumption_report.json").read_text())["diagnostics"] == diagnostics
+    else:
+        assert (out, err) == ("", "validation failure: assumption checks failed: "
+                              + "; ".join(diagnostics) + "\n")
+
+
+@pytest.mark.parametrize("value", [[], False, 0, ""])
+def test_k1_override_that_is_not_an_object_is_refused(tmp_path, capsys, scenario_dict, value):
+    # only a missing key or null means no override; a falsy value is refused
+    scenario_dict["k1_override"] = value
+    path = write_scenario(tmp_path, scenario_dict)
+    assert cli.main(["design", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"validation failure: k1_override must be an object, got {value!r}\n"
+
+
+def test_null_k1_override_counts_as_absent(tmp_path, scenario_dict):
+    scenario_dict["k1_override"] = None
+    assert cli.load_scenario(write_scenario(tmp_path, scenario_dict)).k1_override is None
 
 
 @pytest.mark.parametrize("verb", cli.VERBS)

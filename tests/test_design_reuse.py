@@ -107,7 +107,7 @@ def test_repeated_failing_plants_report_per_agent():
     topo = build_topology(6, [(i, i + 1) for i in range(6)])
     report = check_assumptions(agents, LeaderModel(S=[[1]], w0=[1]), topo)
     # the diagnostics of the agent-by-agent checks, in the same order
-    assert report.diagnostics == (
+    assert report["diagnostics"] == [
         "a: (A, C) not observable",
         "c: (A, C) not observable",
         "c: D^T D numerically singular",
@@ -118,8 +118,8 @@ def test_repeated_failing_plants_report_per_agent():
         "e: D^T D numerically singular",
         "e: PBH fails at eigenvalue 1",
         "e: rank condition fails at leader eigenvalue 1",
-    )
-    flags = {name: dataclasses.astuple(c) for name, c in report.per_agent.items()}
+    ]
+    flags = {name: tuple(c.values()) for name, c in report["per_agent"].items()}
     assert flags == {
         "a": (False, True, True, True), "b": (True, True, True, True),
         "c": (False, False, False, False), "d": (False, True, True, True),

@@ -24,12 +24,12 @@ def test_paper_scenario_passes(paper_scenario):
     report = check_assumptions(
         paper_scenario.agents, paper_scenario.leader, paper_scenario.topology
     )
-    assert report.passed, report.diagnostics
+    assert report["passed"], report["diagnostics"]
 
 
 def test_zero_feedthrough_fails():
     report = check_assumptions([("a", scalar_agent(D=[[0]]))], SCALAR_LEADER, SINGLE)
-    assert not report.per_agent["a"].feedthrough_invertible
+    assert not report["per_agent"]["a"]["feedthrough_invertible"]
 
 
 @pytest.mark.parametrize("D", [
@@ -47,7 +47,7 @@ def test_plant_checks_and_policy_iteration_share_the_gram_rule(D):
         learnable = True
     except NumericalError:
         learnable = False
-    assert report.per_agent["a"].feedthrough_invertible == learnable
+    assert report["per_agent"]["a"]["feedthrough_invertible"] == learnable
 
 
 def test_unstabilizable_agent_fails():
@@ -59,8 +59,8 @@ def test_unstabilizable_agent_fails():
     ]:
         ag = AgentDynamics(A=A, B=B, C=[[1, 1]], D=[[1]], E=[[0], [0]], F=[[1]])
         report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
-        assert not report.per_agent["a"].stabilizable
-        assert f"a: PBH fails at eigenvalue {first}" in report.diagnostics
+        assert not report["per_agent"]["a"]["stabilizable"]
+        assert f"a: PBH fails at eigenvalue {first}" in report["diagnostics"]
 
 
 def test_unobservable_agent_fails():
@@ -68,7 +68,7 @@ def test_unobservable_agent_fails():
         A=[[-1, 0], [0, -2]], B=[[1], [1]], C=[[1, 0]], D=[[1]], E=[[0], [0]], F=[[1]]
     )
     report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
-    assert not report.per_agent["a"].observable
+    assert not report["per_agent"]["a"]["observable"]
 
 
 def bench_scenarios():
@@ -109,13 +109,13 @@ def test_mode_hidden_from_c_is_unobservable(order):
     ag = AgentDynamics(A=T @ A @ T.T, B=T @ rng.standard_normal((order, 1)), C=C @ T.T,
                        D=[[1.0]], E=np.zeros((order, 1)), F=[[1.0]])
     report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
-    assert not report.per_agent["a"].observable
-    assert "a: (A, C) not observable" in report.diagnostics
+    assert not report["per_agent"]["a"]["observable"]
+    assert "a: (A, C) not observable" in report["diagnostics"]
 
 
 def test_stable_leader_flagged():
     report = check_assumptions([("a", scalar_agent())], LeaderModel(S=[[-1]], w0=[1]), SINGLE)
-    assert not report.leader_unstable_modes
+    assert not report["leader_unstable_modes"]
 
 
 def test_rank_condition_transmission_zero():
@@ -123,7 +123,7 @@ def test_rank_condition_transmission_zero():
     # [[A-1, B], [C, D]] = [[-2, 1], [1, -0.5]] is singular
     ag = scalar_agent(D=[[-0.5]])
     report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
-    assert not report.per_agent["a"].rank_condition
+    assert not report["per_agent"]["a"]["rank_condition"]
 
 
 def test_complex_leader_eigenvalues_handled():
@@ -133,7 +133,17 @@ def test_complex_leader_eigenvalues_handled():
         E=np.zeros((2, 2)), F=np.eye(2),
     )
     report = check_assumptions([("a", ag)], leader, SINGLE)
-    assert report.per_agent["a"].rank_condition
+    assert report["per_agent"]["a"]["rank_condition"]
+
+
+def test_pencil_that_overflows_counts_as_a_rank_drop():
+    # the eigenvalues -1e308 and 1e308 are finite, but the entry -1e308 - 1e308
+    # of A - lambda I is not: no rank test can pass there, and none warns
+    ag = AgentDynamics(A=[[-1e308, 0], [0, 1e308]], B=np.eye(2), C=np.eye(2), D=np.eye(2),
+                       E=np.zeros((2, 1)), F=np.zeros((2, 1)))
+    report = check_assumptions([("a", ag)], SCALAR_LEADER, SINGLE)
+    assert not report["per_agent"]["a"]["observable"] and not report["per_agent"]["a"]["stabilizable"]
+    assert report["diagnostics"][:2] == ["a: (A, C) not observable", "a: PBH fails at eigenvalue 1e+308"]
 
 
 def test_dimension_mismatch_raises():
@@ -181,8 +191,8 @@ def test_batched_rank_tests_match_per_eigenvalue_reference(S):
         ag = AgentDynamics(A=rng.integers(-2, 3, (n, n)), B=rng.integers(-1, 2, (n, m)),
                            C=rng.integers(-1, 2, (p, n)), D=rng.integers(-1, 2, (p, m)),
                            E=np.zeros((n, 2)), F=np.zeros((p, 2)))
-        checks = check_assumptions([("a", ag)], leader, SINGLE).per_agent["a"]
-        got = (checks.observable, checks.stabilizable, checks.rank_condition)
+        checks = check_assumptions([("a", ag)], leader, SINGLE)["per_agent"]["a"]
+        got = (checks["observable"], checks["stabilizable"], checks["rank_condition"])
         assert got == reference_checks(ag, leader.S), (ag, got)
         fails += np.logical_not(got)
     assert fails.min() > 10  # integer plants are often rank-deficient
