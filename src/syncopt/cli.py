@@ -54,7 +54,7 @@ class Scenario:
     x0: dict  # name -> initial follower state
     xi0: dict  # name -> initial compensator state
     zeta0: np.ndarray  # common local-generator initial state
-    seed: int | None
+    seed: int | None  # `--seed`, which replaces leader.w0 and nothing else
     k1_override: dict | None  # name -> K1 matrix
     sha256: str  # of the scenario file's bytes
 
@@ -170,10 +170,6 @@ def load_scenario(path) -> Scenario:
         )
     zeta0 = _finite_array(init.get("zeta0", np.zeros(leader.q)), (leader.q,), "init.zeta0")
 
-    seed = init.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ValidationError(f"init.seed must be an integer, got {seed!r}")
-
     k1_override = None
     if raw.get("k1_override") is not None:
         if not isinstance(raw["k1_override"], dict):
@@ -188,7 +184,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         leader=leader, agents=agents, topology=topology, r=r, epsilon=epsilon,
         max_iter=max_iter, t_end=t_end, dt=dt, x0=x0, xi0=xi0, zeta0=zeta0,
-        seed=seed, k1_override=k1_override, sha256=sha256,
+        seed=None, k1_override=k1_override, sha256=sha256,
     )
 
 
@@ -300,9 +296,9 @@ def run_learn(scenario: Scenario, bundle: DesignBundle) -> dict:
 
 def compare_gains(path: Path, bundle: DesignBundle, scenario: Scenario) -> dict:
     """The optimal gain sets `compare` runs. A gains file that `learn` wrote
-    for this run is read as `simulate --gains optimal` reads it. A missing
-    or malformed file, or one stamped for another run, is left alone and the
-    gains are learned."""
+    for this scenario is read as `simulate --gains optimal` reads it. A
+    missing or malformed file, or one stamped for another scenario, is left
+    alone and the gains are learned."""
     try:
         return load_gain_sets(path, bundle, scenario)
     except (OSError, ValidationError):
@@ -440,19 +436,17 @@ def gains_payload(bundle: DesignBundle, traces: dict | None, scenario: Scenario)
 def load_gain_sets(path, bundle: DesignBundle, scenario: Scenario) -> dict:
     """Reload the optimal gains written by `learn` for this scenario.
 
-    The file must carry the scenario SHA-256 and seed of the current run.
-    Only each agent's `optimal.Kic` is read; K1, K2 and K3 are rebuilt from
-    the current design.
+    The file must carry the SHA-256 of the current scenario file; its `seed`
+    stamp is a record only, since the seed moves the leader's initial state,
+    which no learned gain depends on. Only each agent's `optimal.Kic` is
+    read; K1, K2 and K3 are rebuilt from the current design.
     """
     payload = _read_json(Path(path))[0]
-    for key, current in (("scenario_sha256", scenario.sha256), ("seed", scenario.seed)):
-        if not isinstance(payload, dict) or key not in payload:
-            raise ValidationError(f"gains file {path} has no `{key}` stamp")
-        if payload[key] != current:
-            raise ValidationError(
-                f"gains file {path} was learned with {key} {payload[key]!r}, "
-                f"this run has {current!r}"
-            )
+    if not isinstance(payload, dict) or "scenario_sha256" not in payload:
+        raise ValidationError(f"gains file {path} has no `scenario_sha256` stamp")
+    if payload["scenario_sha256"] != scenario.sha256:
+        raise ValidationError(f"gains file {path} was learned with scenario_sha256 "
+                              f"{payload['scenario_sha256']!r}, this run has {scenario.sha256!r}")
     out = {}
     for ad in bundle.per_agent:
         try:

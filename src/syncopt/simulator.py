@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import policy_iteration
 from .errors import NotHurwitzError, NumericalError
-from .numkernel import solve_lyapunov
 
 BLOWUP_LIMIT = 1e12
 SETTLE_THRESHOLD = 1e-2
@@ -547,27 +547,23 @@ def simulate_augmented(plants, Ks, X0s, t_end: float, dt: float) -> list:
     lockstep, in the integrator's batches and a row block at a time (see
     `_rk4_lockstep`).
 
-    Before any member is integrated, one stacked `solve_lyapunov` of all the
-    loops makes the checks of a policy-evaluation step and gives P; its one
-    eigenvalue decomposition of A - B K serves both the refusal of a gain
-    that is not stabilizing and the horizon warning. A blow-up stops the
-    run. Returns each member's CostReport, with the bits of its run
-    alone; at the first check any member fails, the call raises the error
-    that member alone would raise.
+    Before any member is integrated, one `policy_iteration.policy_evaluation`
+    of all the loops makes its checks and gives P; its one eigenvalue
+    decomposition of A - B K serves both the refusal of a gain that is not
+    stabilizing and the horizon warning. A blow-up stops the run. Returns
+    each member's CostReport, with the bits of its run alone; at the first
+    check any member fails, the call raises the error that member alone
+    would raise.
     """
     K = np.array(Ks, dtype=float)
     A, B, C, D = (np.array([getattr(p, f) for p in plants]) for f in "ABCD")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
-        Acl, Cbar = A - B @ K, C - D @ K
-        Q = Cbar.mT @ Cbar
-    if not np.isfinite(Acl).all():
-        raise NumericalError("A has non-finite entries")
     try:
-        P, _, abscissa = solve_lyapunov(Acl, Q)
+        P, _, abscissa = policy_iteration.policy_evaluation(A, B, C, D, K)
     except NotHurwitzError as exc:
         raise NumericalError("gain is not stabilizing; refusing the augmented run") from exc
-    except ValueError as exc:  # a weight that is not finite or not symmetric
+    except ValueError as exc:  # a loop or weight that is not finite, or a weight not symmetric
         raise NumericalError(str(exc)) from exc
+    Acl, Cbar = A - B @ K, C - D @ K  # finite: the evaluation refused any other
 
     steps = _steps(t_end, dt)
     tail = _tail_start(steps)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import BUNDLED_SCENARIO as SCENARIO
 from helpers import error_norms, network_run, simulate_network, tracking_metrics
 from networks import chain_payload, dag_payload, dense
-from syncopt import cli, policy_iteration, simulator
+from syncopt import cli, policy_iteration, protocol, simulator
 from syncopt.errors import ValidationError
 from syncopt.plant import check_assumptions
 
@@ -224,6 +224,36 @@ class TestCommands:
         a = (out_a / "trajectory_initial.csv").read_text().splitlines()[1]
         b = (out_b / "trajectory_initial.csv").read_text().splitlines()[1]
         assert a != b
+
+    def test_seeded_run_reuses_a_gains_file_learned_without_the_seed(self, tmp_path):
+        # the seed moves the leader's start, which no learned gain depends on:
+        # simulate --seed 2 beside a seedless learn's file writes the CSV it
+        # writes beside the file of learn --seed 2
+        csvs = []
+        for run, learn_seed in (("seedless", []), ("seeded", ["--seed", "2"])):
+            out = str(tmp_path / run)
+            assert cli.main(["learn", str(SCENARIO), "--out", out, *learn_seed]) == 0
+            assert cli.main(["simulate", str(SCENARIO), "--out", out, "--gains", "optimal",
+                             "--seed", "2"]) == 0
+            csvs.append((tmp_path / run / "trajectory_optimal.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_init_seed_is_ignored(self, tmp_path, scenario_dict):
+        # a seed in the scenario file seeds nothing: the stamp records --seed
+        # alone, and the trajectory is that of the file without the key
+        reports, csvs = [], []
+        for run in ("without", "with"):
+            if run == "with":
+                scenario_dict["init"]["seed"] = 5
+            path = tmp_path / f"{run}.json"
+            path.write_text(json.dumps(scenario_dict))
+            out = str(tmp_path / run)
+            assert cli.main(["design", str(path), "--out", out]) == 0
+            assert cli.main(["simulate", str(path), "--out", out]) == 0
+            reports.append(json.loads((tmp_path / run / "design_report.json").read_text()))
+            csvs.append((tmp_path / run / "trajectory_initial.csv").read_bytes())
+        assert reports[0]["seed"] is reports[1]["seed"] is None
+        assert csvs[0] == csvs[1]
 
     def test_seeded_w0_deterministic(self):
         assert np.array_equal(cli.seeded_w0(2, 42), cli.seeded_w0(2, 42))
@@ -501,10 +531,9 @@ class TestCommands:
             assert np.abs(points - np.column_stack([np.r_[x, x[::-1]], y])).max() <= 0.005 + 1e-9
 
     @pytest.mark.parametrize("defect", ["missing agent", "Kic shape", "not JSON", "no stamp",
-                                        "other seed", "other scenario"])
+                                        "other scenario"])
     def test_bad_gains_file_exits_2(self, tmp_path, scenario_dict, capsys, defect):
-        learn_seed = ["--seed", "1"] if defect == "other seed" else []
-        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path), *learn_seed]) == 0
+        assert cli.main(["learn", str(SCENARIO), "--out", str(tmp_path)]) == 0
         gains_file = tmp_path / "optimal_gains.json"
         gains = json.loads(gains_file.read_text())
         if defect == "missing agent":
@@ -515,13 +544,12 @@ class TestCommands:
             del gains["scenario_sha256"]
         text = json.dumps(gains)
         gains_file.write_text(text[: len(text) // 2] if defect == "not JSON" else text)
-        scenario, sim_seed = SCENARIO, ["--seed", "2"] if defect == "other seed" else []
+        scenario = SCENARIO
         if defect == "other scenario":  # same agent names and gain shapes
             scenario_dict["design"]["r"] = 2.0
             scenario = write_scenario(tmp_path, scenario_dict)
         capsys.readouterr()
-        rc = cli.main(["simulate", str(scenario), "--out", str(tmp_path), "--gains", "optimal",
-                       *sim_seed])
+        rc = cli.main(["simulate", str(scenario), "--out", str(tmp_path), "--gains", "optimal"])
         err = capsys.readouterr().err
         assert rc == 2
         assert "validation failure" in err and "Traceback" not in err
@@ -822,7 +850,6 @@ BAD_SCENARIO_FIELDS = [  # (path of keys into the bundled scenario, bad value)
     (("design", "r"), float("nan")),
     (("k1_override",), [1]),
     (("agents", 0, "name"), ["a"]),
-    (("init", "seed"), "x"),
     (("topology", "n_followers"), 1500),
     (("leader", "S"), {"k": 1}),
     (("agents", 0, "A"), {"k": 1}),
@@ -857,6 +884,50 @@ def test_entry_near_the_float_limit_is_refused(tmp_path, capsys, scenario_dict, 
     capsys.readouterr()
     assert cli.main([verb, str(path), "--out", str(tmp_path)]) == int(text.startswith("numerical")) + 2
     assert capsys.readouterr().err == text + "\n"
+
+
+def k2_overflow(scenario_dict):
+    """The bundled scenario with agent1's E times 1e200 and a K1 override of
+    entries 1e200, whose checks pass but whose K2 = -K1 Pi - Gamma overflows."""
+    agent1 = scenario_dict["agents"][0]
+    agent1["E"] = [[1e200 * v for v in row] for row in agent1["E"]]
+    scenario_dict["k1_override"]["agent1"] = [[0, 0, 1e200], [0, 1e200 / 1.5, 0]]
+    return scenario_dict
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_initial_k2_that_overflows_is_refused(tmp_path, capsys, scenario_dict, verb):
+    # validate passes the scenario; every other verb exits 3 with one line
+    # (a leaked RuntimeWarning fails the test through pytest's filterwarnings)
+    path = write_scenario(tmp_path, k2_overflow(scenario_dict))
+    rc = cli.main([verb, str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if verb == "validate":
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (3, "numerical failure: agent agent1: "
+                                "K2 = -K1 Pi - Gamma has non-finite entries\n")
+
+
+def test_initial_gain_that_leaves_an_augmented_loop_unstable_is_refused(tmp_path, capsys, monkeypatch):
+    # the spectra of the augmented loops of agent3 and agent5 read as not
+    # Hurwitz: design exits 3 naming agent3, the first in scenario order
+    bundle = cli.run_design(cli.load_scenario(SCENARIO))
+    unstable = [ad.plant.A - ad.plant.B @ ad.initial.Kic for ad in bundle.per_agent
+                if ad.name in ("agent3", "agent5")]
+    abscissae = protocol.abscissae
+
+    def shifted(closed):
+        spectrum = np.array(abscissae(closed))
+        for j, loop in enumerate(closed):
+            if any(np.array_equal(loop, bad) for bad in unstable):
+                spectrum[j] = 0.0
+        return spectrum
+
+    monkeypatch.setattr(protocol, "abscissae", shifted)
+    assert cli.main(["design", str(SCENARIO), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: agent agent3: "
+                                       "initial gain does not stabilize the augmented plant\n")
 
 
 OVERFLOWING_SPECTRA = {  # an eigenvalue of 2e308, which is inf, from entries of 1e308

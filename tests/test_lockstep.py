@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import BUNDLED_SCENARIO, lyapunov, policy_evaluation, rk4, run_pi, simulate_augmented
-from syncopt import cli, simulator
+from syncopt import cli, policy_iteration, simulator
 from syncopt.errors import NumericalError, ToolkitError
 from syncopt.numkernel import solve_lyapunov
 from syncopt.policy_iteration import run_pi_group
@@ -316,9 +316,15 @@ def test_compare_names_the_first_failing_loop_across_groups(tmp_path, capsys):
 
 
 def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
-    # no file, a file learned for this run, and one learned for another seed:
-    # the same bytes and stdout, and a learn only where the file is not this run's
+    # no file, a file learned for this scenario, one learned for it under
+    # another seed, and one learned for another scenario (design.r = 2): the
+    # same bytes and stdout, and a learn only where the file is not this
+    # scenario's, since the seed moves the leader's start and no gain
     path = str(BUNDLED_SCENARIO)
+    other = json.loads(BUNDLED_SCENARIO.read_text())
+    other["design"]["r"] = 2.0
+    other_path = tmp_path / "r2.json"
+    other_path.write_text(json.dumps(other))
     learns, run_learn = [], cli.run_learn
 
     def counting(*args):
@@ -327,21 +333,23 @@ def test_compare_reuses_a_stamped_gains_file(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_learn", counting)
     outputs = {}
-    for case, learned_seed in (("none", None), ("fresh", []), ("stale", ["--seed", "4"])):
+    cases = {"none": None, "fresh": [path], "other seed": [path, "--seed", "4"],
+             "other scenario": [str(other_path)]}
+    for case, learned in cases.items():
         out = tmp_path / case
-        if learned_seed is not None:
-            assert cli.main(["learn", path, "--out", str(out), *learned_seed]) == 0
+        if learned is not None:
+            assert cli.main(["learn", *learned, "--out", str(out)]) == 0
         capsys.readouterr()
         del learns[:]
         assert cli.main(["compare", path, "--out", str(out)]) == 0
         outputs[case] = (capsys.readouterr().out, (out / "comparison.json").read_bytes(),
                          len(learns))
-    assert outputs["none"][:2] == outputs["fresh"][:2] == outputs["stale"][:2]
-    assert [outputs[case][2] for case in ("none", "fresh", "stale")] == [1, 0, 1]
+    assert all(outputs[case][:2] == outputs["none"][:2] for case in cases)
+    assert [outputs[case][2] for case in cases] == [1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("scale, text", [
-    (None, "A has non-finite entries"),  # every entry 1.7e308: A - B K overflows
+    (None, "Abar has non-finite entries"),  # every entry 1.7e308: A - B K overflows
     (-1.0, "gain is not stabilizing; refusing the augmented run"),
 ])
 def test_compare_names_the_follower_whose_loop_fails(tmp_path, capsys, scale, text):
@@ -423,13 +431,13 @@ def test_compare_refuses_a_loop_before_integrating_it(tmp_path, capsys, monkeypa
 def test_compare_takes_one_spectrum_of_its_augmented_loops(tmp_path, monkeypatch):
     # after learn, compare runs and solves the 10 loops of the bundled
     # scenario (5 followers of one shape, 2 gain sets) with one stacked
-    # Lyapunov solve and its one stacked eigenvalue decomposition, for both
-    # the refusal and the horizon warning; the only other one is the
-    # design's check of the 5 initial loops
+    # Lyapunov solve, the one policy evaluation makes, and its one stacked
+    # eigenvalue decomposition, for both the refusal and the horizon
+    # warning; the only other one is the design's check of the 5 initial loops
     path, out = str(BUNDLED_SCENARIO), str(tmp_path)
     assert cli.main(["learn", path, "--out", out]) == 0
     stacked, eigvals = [], np.linalg.eigvals
-    solves, solve = [], simulator.solve_lyapunov
+    solves, solve = [], policy_iteration.solve_lyapunov
 
     def counting(a):
         if np.ndim(a) == 3:
@@ -441,7 +449,7 @@ def test_compare_takes_one_spectrum_of_its_augmented_loops(tmp_path, monkeypatch
         return solve(abar, q)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    monkeypatch.setattr(simulator, "solve_lyapunov", counting_solves)
+    monkeypatch.setattr(policy_iteration, "solve_lyapunov", counting_solves)
     assert cli.main(["compare", path, "--out", out]) == 0
     assert stacked == [(5, 5, 5), (10, 5, 5)]
     assert solves == stacked[1:]
